@@ -393,8 +393,11 @@ def packing_from_dict(data: Any, root: int) -> Packing:
     for i, td in enumerate(trees_data):
         if not isinstance(td, dict) or "edges" not in td:
             raise ValueError(f"trees[{i}]: missing field edges")
+        edges = td["edges"]
+        if not isinstance(edges, list):
+            raise ValueError(f"trees[{i}].edges: expected a list, got {type(edges).__name__}")
         parent: dict[int, int] = {}
-        for e in td["edges"]:
+        for e in edges:
             if not isinstance(e, list) or len(e) != 2:
                 raise ValueError(f"trees[{i}].edges: each edge is a [parent, child] pair, got {e!r}")
             par = _as_int(e[0], f"trees[{i}].edges")

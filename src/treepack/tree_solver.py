@@ -1,18 +1,35 @@
 """Exact solver for tree instances.
 
-Every vertex v gets a vector of sub-instance optima: entry k (1-based) is
-the best total occupancy achievable inside v's subtree when v itself is
-served by k trees.  A leaf scores k, just itself once per tree.  An inner
-vertex combines its children with a small multiple-choice knapsack: each
-child may be served at one level i in 0..k, costing i capacity units and
-gaining the child's entry i.  The root's K-th entry is the instance
-optimum, and backtracking the knapsack choices top-down rebuilds one
-optimal packing.
+Every vertex u gets a stripe vector f_u: entry k (1-based) is the best
+total occupancy inside u's subtree when u itself is served by k trees.  A
+leaf scores k, just itself once per tree.  An inner vertex with capacity c
+scores k plus the best way to hand out at most c child slots: child w
+served at level j in 0..k costs j slots and gains f_w(j), with f_w(0) = 0.
+The root's K-th entry is the instance optimum.
+
+Every stripe vector is concave with marginals f(k) - f(k-1) >= 1, taking
+f(0) = 0.  By induction from the leaves, whose vectors are linear: with
+concave children, choosing the levels is a concave separable allocation,
+which taking the largest marginals greedily solves exactly (Ibaraki &
+Katoh, Resource Allocation Problems, 1988).  Every marginal is >= 1, so
+all slots that can be used are, and f_u(k) = k + h(k), where h(k) is the
+sum of the c largest elements of M_k, the children's marginals at levels
+1..k.  A top-c sum is a weighted uniform-matroid rank, hence submodular,
+and each child's level-(k+1) marginal is at most its level-k one.  So
+h(k+1) - h(k), the gain of adding the level-(k+1) marginals to M_k, is at
+most the gain of adding them to M_(k-1), which is at most the gain of
+adding the level-k marginals to M_(k-1): h(k) - h(k-1).  As h never
+decreases, f_u's marginals 1 + h(k) - h(k-1) are nonincreasing and >= 1.
+
+One pass over k = 1..K with a min-heap of the c largest marginals so far
+gives all K entries of a vertex with d children in O(d*K*log c) time.
+Reconstruction reads each child's level off the same ranking.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush, heapreplace, nsmallest
 from typing import Sequence
 
 from .core import KIND_TREE, Instance, Packing, RootedTree
@@ -22,6 +39,10 @@ def solve_mckp(
     stripes: int, capacity: int, child_values: Sequence[Sequence[int]]
 ) -> tuple[int, list[int]]:
     """Multiple-choice knapsack over the children of one vertex.
+
+    The general reference: it is exact for any value vectors, concave or
+    not.  The solver itself uses the greedy merge, which needs concave
+    vectors; this table DP stays as the independent check of it.
 
     Args:
         stripes: number of trees k the vertex itself is served by (k >= 1).
@@ -77,6 +98,29 @@ def solve_mckp(
     return value, allocations
 
 
+def greedy_allocation(
+    stripes: int, capacity: int, child_values: Sequence[Sequence[int]]
+) -> list[int]:
+    """Per-child levels at a vertex served by `stripes` trees.
+
+    Takes the `capacity` largest marginals f_w(j) - f_w(j-1), j <= stripes,
+    over all children w, ranked by larger marginal, then earlier child,
+    then lower level; a child's level is how many of its marginals are
+    taken.  For concave vectors, such as stripe vectors, this is the
+    allocation solve_mckp returns.
+    """
+    ranked: list[tuple[int, int]] = []
+    for i, values in enumerate(child_values):
+        prev = 0
+        for value in values[:stripes]:
+            ranked.append((prev - value, i))
+            prev = value
+    levels = [0] * len(child_values)
+    for _, i in nsmallest(capacity, ranked):
+        levels[i] += 1
+    return levels
+
+
 def _rooted(inst: Instance) -> tuple[list[list[int]], list[int]]:
     """Children lists oriented away from the root, plus a root-first order."""
     if inst.kind != KIND_TREE:
@@ -97,23 +141,35 @@ def _rooted(inst: Instance) -> tuple[list[list[int]], list[int]]:
 
 
 def stripe_values(inst: Instance) -> dict[int, list[int]]:
-    """Sub-instance optima for every vertex of a tree instance.
+    """Stripe vectors of every vertex of a tree instance, by the greedy merge.
 
-    Entry k-1 of vertex v's vector is the best occupancy of v's subtree
-    with v served by k trees.  Children are finished before their parents
-    (iterative, so path-like trees of any depth are fine).
+    Entry k-1 of vertex u's vector is the best occupancy of u's subtree
+    with u served by k trees.  Children are finished before their parents
+    (iterative, so path-like trees of any depth are fine).  For each inner
+    vertex one pass over the levels pushes every child's level-k marginal
+    into a min-heap holding the best `capacity` marginals so far, keeping
+    their sum; entry k-1 is k plus that sum.
     """
     children, order = _rooted(inst)
     caps = inst.capacities
     count = inst.num_trees
     values: dict[int, list[int]] = {}
     for u in reversed(order):
-        kids = children[u]
-        if not kids:
-            values[u] = list(range(1, count + 1))
-        else:
-            vecs = [values[w] for w in kids]
-            values[u] = [solve_mckp(k, caps[u], vecs)[0] for k in range(1, count + 1)]
+        vecs = [values[w] for w in children[u]]
+        capacity = caps[u]
+        taken: list[int] = []  # min-heap of the chosen marginals
+        total = 0
+        vec = []
+        for k in range(count):
+            for g in vecs:
+                gain = g[k] - g[k - 1] if k else g[0]
+                if len(taken) < capacity:
+                    heappush(taken, gain)
+                    total += gain
+                elif taken and gain > taken[0]:
+                    total += gain - heapreplace(taken, gain)
+            vec.append(k + 1 + total)
+        values[u] = vec
     return values
 
 
@@ -122,32 +178,31 @@ def solve_tree(inst: Instance, *, value_only: bool = False) -> tuple[int, Packin
 
     Returns the optimal objective and, unless value_only is set, a packing
     achieving it.  Tree k of the packing holds the vertices whose granted
-    stripe set contains k: the root holds all K stripes and every vertex
-    passes on, per child, the smallest slice of its own set sized by the
-    knapsack allocation.  Slices may overlap across children; each grant
-    of a stripe to a child consumes one capacity unit either way.
+    stripe set contains k: the root holds all K stripes, and a vertex
+    granted s stripes passes on, per child, the smallest slice of its own
+    set sized by greedy_allocation over levels <= s.  Slices may overlap
+    across children; each grant of a stripe to a child consumes one
+    capacity unit either way.  The walk reads children off the adjacency,
+    so the tree is rooted only once, inside stripe_values.
     """
     values = stripe_values(inst)
     count = inst.num_trees
     best = values[inst.root][count - 1]
     if value_only:
         return best, None
-    children, _ = _rooted(inst)
     caps = inst.capacities
     parent_maps: list[dict[int, int]] = [{} for _ in range(count)]
-    stack: list[tuple[int, tuple[int, ...]]] = [(inst.root, tuple(range(count)))]
+    stack: list[tuple[int, int, tuple[int, ...]]] = [(inst.root, -1, tuple(range(count)))]
     while stack:
-        u, stripes = stack.pop()
-        kids = children[u]
-        if not kids or not stripes:
-            continue
-        _, allocation = solve_mckp(len(stripes), caps[u], [values[w] for w in kids])
+        u, up, stripes = stack.pop()
+        kids = [w for w in inst.neighbors(u) if w != up]
+        allocation = greedy_allocation(len(stripes), caps[u], [values[w] for w in kids])
         for w, level in zip(kids, allocation):
             if level == 0:
                 continue
             granted = stripes[:level]
             for s in granted:
                 parent_maps[s][w] = u
-            stack.append((w, granted))
+            stack.append((w, u, granted))
     packing = Packing(tuple(RootedTree(inst.root, pm) for pm in parent_maps))
     return best, packing

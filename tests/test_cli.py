@@ -140,6 +140,16 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "-i", inst, "-p", str(bad))
         assert code == 2
 
+    def test_non_list_tree_edges_is_input_error(self, capsys, write_json):
+        inst = write_json("t3.json", TREE3)
+        pack = write_json("pack.json", {"trees": [{"edges": 5}]})
+        code, out, err = run(capsys, "verify", "-i", inst, "-p", pack)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "trees[0].edges" in err
+        assert "Traceback" not in err
+
 
 class TestOracle:
     def test_oracle_solves_small_instance(self, capsys, write_json):

@@ -255,3 +255,9 @@ class TestPackingIO:
         inst = path3_instance(num_trees=1)
         with pytest.raises(ValueError, match="trees"):
             load_packing(io.StringIO("{}"), inst)
+
+    def test_non_list_edges_rejected(self):
+        inst = path3_instance(num_trees=1)
+        for raw in ('{"trees": [{"edges": 5}]}', '{"trees": [{"edges": null}]}'):
+            with pytest.raises(ValueError, match=r"trees\[0\]\.edges"):
+                load_packing(io.StringIO(raw), inst)

@@ -1,4 +1,4 @@
-"""Tree solver tests: knapsack DP, value vectors, reconstruction."""
+"""Tree solver tests: knapsack DP, greedy merge, stripe vectors, reconstruction."""
 
 from __future__ import annotations
 
@@ -6,6 +6,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_tree_instance
 from treepack import (
@@ -17,6 +19,7 @@ from treepack import (
     stripe_values,
     verify_packing,
 )
+from treepack.tree_solver import greedy_allocation
 
 
 def mckp_brute_force(stripes: int, capacity: int, child_values) -> int:
@@ -44,7 +47,7 @@ def tree_instance(edges, caps, k, root=0):
     )
 
 
-def subtree_sizes(inst: Instance) -> dict[int, int]:
+def rooted_children(inst: Instance) -> tuple[dict[int, list[int]], list[int]]:
     from collections import deque
 
     children = {v: [] for v in range(inst.n)}
@@ -59,10 +62,29 @@ def subtree_sizes(inst: Instance) -> dict[int, int]:
                 children[u].append(w)
                 order.append(w)
                 queue.append(w)
+    return children, order
+
+
+def subtree_sizes(inst: Instance) -> dict[int, int]:
+    children, order = rooted_children(inst)
     size = {}
     for u in reversed(order):
         size[u] = 1 + sum(size[w] for w in children[u])
     return size
+
+
+@st.composite
+def tree_instances(draw, max_n: int = 30, max_k: int = 8, cap_hi: int = 6) -> Instance:
+    n = draw(st.integers(1, max_n))
+    edges = tuple((draw(st.integers(0, v - 1)), v) for v in range(1, n))
+    return Instance(
+        kind="tree",
+        n=n,
+        capacities=tuple(draw(st.lists(st.integers(0, cap_hi), min_size=n, max_size=n))),
+        num_trees=draw(st.integers(1, min(n, max_k))),
+        root=draw(st.integers(0, n - 1)),
+        edges=edges,
+    )
 
 
 class TestSolveMckp:
@@ -211,3 +233,45 @@ class TestSolveTree:
         inst = Instance(kind="complete", n=3, capacities=(1, 1, 1), num_trees=1)
         with pytest.raises(ValueError, match="tree"):
             solve_tree(inst)
+
+
+class TestGreedyMerge:
+    @settings(max_examples=200, deadline=None)
+    @given(tree_instances())
+    def test_stripe_vectors_are_concave_with_unit_marginals(self, inst):
+        for vec in stripe_values(inst).values():
+            gains = [b - a for a, b in zip([0] + vec, vec)]
+            assert min(gains) >= 1
+            assert all(x >= y for x, y in zip(gains, gains[1:])), vec
+
+    def test_greedy_matches_mckp_at_every_vertex(self):
+        rng = random.Random(2024)
+        for _ in range(300):
+            inst = random_tree_instance(rng, max_n=25, max_k=6, cap_hi=6)
+            values = stripe_values(inst)
+            children, _ = rooted_children(inst)
+            for u, kids in children.items():
+                if not kids:
+                    continue
+                vecs = [values[w] for w in kids]
+                for k in range(1, inst.num_trees + 1):
+                    value, allocation = solve_mckp(k, inst.capacities[u], vecs)
+                    assert values[u][k - 1] == value
+                    assert greedy_allocation(k, inst.capacities[u], vecs) == allocation
+
+    def test_wide_star(self):
+        # Guards the fast path: a knapsack per vertex and per k takes minutes here.
+        n, k, root_capacity = 2000, 10, 5000
+        inst = Instance(
+            kind="tree",
+            n=n,
+            capacities=(root_capacity,) + (1,) * (n - 1),
+            num_trees=k,
+            root=0,
+            edges=tuple((0, v) for v in range(1, n)),
+        )
+        value, packing = solve_tree(inst)
+        assert value == k + min(root_capacity, (n - 1) * k) == 5010
+        report = verify_packing(inst, packing)
+        assert report.valid, report.violations
+        assert objective(packing) == value
