@@ -39,18 +39,17 @@ def _read_instance(path: str) -> Instance:
         return load_instance(fh)
 
 
-def _emit(data: dict) -> None:
-    print(json.dumps(data))
+def _emit(data: dict, path: str | None = None) -> None:
+    """Encode data once as a JSON line; print it, and write it to path if given."""
+    line = json.dumps(data) + "\n"
+    sys.stdout.write(line)
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(line)
 
 
 def _note(message: str) -> None:
     print(message, file=sys.stderr)
-
-
-def _write_json(data: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh)
-        fh.write("\n")
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -72,10 +71,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         out = {"objective": value}
     else:
         out = packing_to_dict(packing)
-    _emit(out)
     _note(f"objective {value} ({alg}, kind={inst.kind}, n={inst.n}, K={inst.num_trees})")
-    if args.output:
-        _write_json(out, args.output)
+    _emit(out, args.output)
     return EXIT_OK
 
 
@@ -95,11 +92,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     inst = _read_instance(args.instance)
     value, packing = brute_force_solve(inst, max_n=args.max_n, max_k=args.max_k)
-    out = packing_to_dict(packing)
-    _emit(out)
     _note(f"exhaustive optimum {value} (n={inst.n}, K={inst.num_trees})")
-    if args.output:
-        _write_json(out, args.output)
+    _emit(packing_to_dict(packing), args.output)
     return EXIT_OK
 
 
@@ -115,7 +109,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             "gamma": reduction.gamma,
             "labels": {str(v): role for v, role in sorted(reduction.labels.items())},
         }
-        _write_json(sidecar, args.labels)
+        with open(args.labels, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(sidecar) + "\n")
     _emit(
         {
             "num_vertices": reduction.instance.n,

@@ -187,26 +187,36 @@ class RootedTree:
 
     def edges(self) -> list[tuple[int, int]]:
         """(parent, child) pairs, root outward, children in ascending order."""
-        children: dict[int, list[int]] = {}
-        for c, p in self.parent.items():
-            children.setdefault(p, []).append(c)
-        for kids in children.values():
-            kids.sort()
-        out: list[tuple[int, int]] = []
-        seen = {self.root}
-        queue = deque([self.root])
-        while queue:
-            u = queue.popleft()
-            for c in children.get(u, ()):
-                out.append((u, c))
-                seen.add(c)
-                queue.append(c)
-        if len(out) < len(self.parent):
+        parent = self.parent
+        return [(parent[c], c) for c in self._edge_order()]
+
+    def _edge_order(self) -> list[int]:
+        """Children in edges() order: the connected ones, then remnants."""
+        order = self._reached()
+        if len(order) < len(self.parent):
             # Remnants not reachable from the root (invalid trees), kept so
             # that saving and reloading loses nothing.
-            rest = [(p, c) for c, p in self.parent.items() if c not in seen]
-            out.extend(sorted(rest, key=lambda e: e[1]))
-        return out
+            seen = set(order)
+            order += [c for c in sorted(self.parent) if c not in seen]
+        return order
+
+    def _reached(self, keys: list[int] | None = None) -> list[int]:
+        """Children connected to the root, breadth first, siblings ascending.
+
+        keys is sorted(self.parent), for callers that already have it.
+        """
+        root, parent = self.root, self.parent
+        children: dict[int, list[int]] = {}
+        for c in sorted(parent) if keys is None else keys:
+            if c != root:
+                children.setdefault(parent[c], []).append(c)
+        reached = [root]
+        for u in reached:
+            kids = children.get(u)
+            if kids:
+                reached += kids
+        del reached[0]
+        return reached
 
 
 @dataclass(frozen=True)
@@ -259,28 +269,37 @@ def verify_packing(inst: Instance, packing: Packing) -> VerificationReport:
         raise ValueError(
             f"packing has {len(trees)} trees, instance needs K={inst.num_trees}"
         )
+    n = inst.n
     violations: list[Violation] = []
     for ti, tree in enumerate(trees):
-        if tree.root != inst.root:
+        root, parent = tree.root, tree.parent
+        if root != inst.root:
             violations.append(
-                Violation(ti, tree.root, f"tree rooted at {tree.root}, instance root is {inst.root}")
+                Violation(ti, root, f"tree rooted at {root}, instance root is {inst.root}")
             )
             continue
-        if tree.root in tree.parent:
-            violations.append(Violation(ti, tree.root, "root must not have a parent"))
+        if root in parent:
+            violations.append(Violation(ti, root, "root must not have a parent"))
         bad_ids = set()
-        for child in sorted(tree.parent):
-            par = tree.parent[child]
-            if not (0 <= child < inst.n and 0 <= par < inst.n):
+        keys = sorted(parent)
+        for child in keys:
+            par = parent[child]
+            if not (0 <= child < n and 0 <= par < n):
                 violations.append(
-                    Violation(ti, child, f"edge ({par}, {child}) uses a vertex outside [0, {inst.n})")
+                    Violation(ti, child, f"edge ({par}, {child}) uses a vertex outside [0, {n})")
                 )
                 bad_ids.add(child)
             elif not inst.has_edge(par, child):
                 violations.append(
                     Violation(ti, child, f"edge ({par}, {child}) not in the instance graph")
                 )
-        status: dict[int, bool] = {tree.root: True}
+        # One pass from the root finds the connected vertices; a parent
+        # chain walk sorts out only the rest.
+        reached = tree._reached(keys)
+        if len(reached) == len(parent):
+            continue
+        status = dict.fromkeys(reached, True)
+        status[root] = True
         for v in sorted(tree.vertices):
             if v in status or v in bad_ids:
                 continue
@@ -296,20 +315,19 @@ def verify_packing(inst: Instance, packing: Packing) -> VerificationReport:
                     break
                 chain.append(x)
                 chain_set.add(x)
-                if x not in tree.parent:
+                if x not in parent:
                     ok = False  # orphan that is not the root
                     break
-                x = tree.parent[x]
+                x = parent[x]
             for y in chain:
                 status[y] = ok
                 if not ok:
                     violations.append(Violation(ti, y, "not connected to the root"))
     totals: Counter = Counter()
     for tree in trees:
-        for par in tree.parent.values():
-            totals[par] += 1
+        totals.update(tree.parent.values())
     for v in sorted(totals):
-        if 0 <= v < inst.n and totals[v] > inst.capacities[v]:
+        if 0 <= v < n and totals[v] > inst.capacities[v]:
             violations.append(
                 Violation(
                     None,
@@ -366,21 +384,21 @@ def instance_to_dict(inst: Instance) -> dict:
     return data
 
 
+def _parse(source: IO, what: str) -> Any:
+    try:
+        return json.load(source)
+    except RecursionError:
+        raise ValueError(f"{what}: JSON nested too deeply") from None
+
+
 def load_instance(source: IO) -> Instance:
     """Parse an instance JSON document from a readable stream."""
-    return instance_from_dict(json.load(source))
+    return instance_from_dict(_parse(source, "instance"))
 
 
-def _dump_json(data: dict, sink: IO) -> None:
-    text = json.dumps(data)
-    try:
-        sink.write(text)
-    except TypeError:
-        sink.write(text.encode("utf-8"))
-
-
-def save_instance(inst: Instance, sink: IO) -> None:
-    _dump_json(instance_to_dict(inst), sink)
+def save_instance(inst: Instance, sink: IO[str]) -> None:
+    """Write the instance JSON document to a text stream."""
+    sink.write(json.dumps(instance_to_dict(inst)))
 
 
 def packing_from_dict(data: Any, root: int) -> Packing:
@@ -400,8 +418,10 @@ def packing_from_dict(data: Any, root: int) -> Packing:
         for e in edges:
             if not isinstance(e, list) or len(e) != 2:
                 raise ValueError(f"trees[{i}].edges: each edge is a [parent, child] pair, got {e!r}")
-            par = _as_int(e[0], f"trees[{i}].edges")
-            child = _as_int(e[1], f"trees[{i}].edges")
+            par, child = e
+            if type(par) is not int or type(child) is not int:
+                par = _as_int(par, f"trees[{i}].edges")
+                child = _as_int(child, f"trees[{i}].edges")
             if child in parent:
                 raise ValueError(f"trees[{i}]: vertex {child} has two parents")
             parent[child] = par
@@ -410,17 +430,18 @@ def packing_from_dict(data: Any, root: int) -> Packing:
 
 
 def packing_to_dict(packing: Packing) -> dict:
-    return {
-        "trees": [{"edges": [list(e) for e in tree.edges()]} for tree in packing.trees],
-        "objective": objective(packing),
-    }
+    trees = []
+    for tree in packing.trees:
+        parent = tree.parent
+        trees.append({"edges": [[parent[c], c] for c in tree._edge_order()]})
+    return {"trees": trees, "objective": objective(packing)}
 
 
 def load_packing(source: IO, inst: Instance) -> Packing:
     """Parse a packing JSON document; trees are rooted at the instance root."""
-    return packing_from_dict(json.load(source), inst.root)
+    return packing_from_dict(_parse(source, "packing"), inst.root)
 
 
-def save_packing(packing: Packing, sink: IO) -> None:
-    """Write the packing JSON document; loading it back restores the parent maps."""
-    _dump_json(packing_to_dict(packing), sink)
+def save_packing(packing: Packing, sink: IO[str]) -> None:
+    """Write the packing JSON document to a text stream; loading it back restores the parent maps."""
+    sink.write(json.dumps(packing_to_dict(packing)))

@@ -94,32 +94,54 @@ def greedy_general(inst: Instance) -> Packing:
     through one of its members with spare capacity (members scanned in
     insertion order, so breadth first); rounds repeat until no tree can
     grow.  Feasible by construction.  No optimality claim.
+
+    Runs in O((n + m)·K): capacities only fall and member sets only grow,
+    so a member that cannot adopt now never can again.  Each tree keeps a
+    head index past its leading dead members and, per member, a cursor
+    into the sorted neighbor list past neighbors it already holds.
     """
-    count = inst.num_trees
+    n = inst.n
     root = inst.root
     caps = list(inst.capacities)
-    parents: list[dict[int, int]] = [{} for _ in range(count)]
-    orders: list[list[int]] = [[root] for _ in range(count)]
-    members: list[set[int]] = [{root} for _ in range(count)]
-    grew = True
-    while grew:
-        grew = False
-        for k in range(count):
+    parents: list[dict[int, int]] = []
+    orders: list[list[int]] = []
+    members: list[bytearray] = []
+    cursors: list[list[int]] = []  # per member, parallel to orders[k]
+    for _ in range(inst.num_trees):
+        parents.append({})
+        orders.append([root])
+        member = bytearray(n)
+        member[root] = 1
+        members.append(member)
+        cursors.append([0])
+    heads = [0] * inst.num_trees
+    live = list(range(inst.num_trees))
+    while live:
+        growing = []
+        for k in live:
+            order, member, cursor = orders[k], members[k], cursors[k]
+            i = heads[k]
             found = None
-            for u in orders[k]:
-                if caps[u] <= 0:
-                    continue
-                for w in inst.neighbors(u):
-                    if w not in members[k]:
-                        found = (u, w)
+            while i < len(order):
+                u = order[i]
+                if caps[u] > 0:
+                    nbrs = inst.neighbors(u)
+                    j = cursor[i]
+                    while j < len(nbrs) and member[nbrs[j]]:
+                        j += 1
+                    cursor[i] = j
+                    if j < len(nbrs):
+                        found = u, nbrs[j]
                         break
-                if found:
-                    break
+                i += 1
+            heads[k] = i
             if found:
                 u, w = found
                 caps[u] -= 1
                 parents[k][w] = u
-                members[k].add(w)
-                orders[k].append(w)
-                grew = True
+                member[w] = 1
+                order.append(w)
+                cursor.append(0)
+                growing.append(k)
+        live = growing
     return Packing(tuple(RootedTree(root, pm) for pm in parents))

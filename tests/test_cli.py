@@ -96,6 +96,24 @@ class TestSolve:
         assert code == 2
         assert "error" in err
 
+    def test_output_file_matches_stdout(self, capsys, write_json, tmp_path):
+        for name, inst_data in (("c4.json", COMPLETE4), ("t3.json", TREE3), ("g4.json", GENERAL4)):
+            inst = write_json(name, inst_data)
+            for extra in ((), ("--value-only",)):
+                pack = tmp_path / f"{name}.pack"
+                code, out, _ = run(capsys, "solve", "-i", inst, "-o", str(pack), *extra)
+                assert code == 0
+                assert pack.read_bytes() == out.encode()
+
+    def test_deeply_nested_instance_is_input_error(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, "solve", "-i", str(deep))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: instance")
+        assert "Traceback" not in err
+
 
 class TestVerify:
     def test_tampered_packing_fails(self, capsys, write_json, tmp_path):
@@ -150,6 +168,16 @@ class TestVerify:
         assert "trees[0].edges" in err
         assert "Traceback" not in err
 
+    def test_deeply_nested_packing_is_input_error(self, capsys, write_json, tmp_path):
+        inst = write_json("t3.json", TREE3)
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, "verify", "-i", inst, "-p", str(deep))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: packing")
+        assert "Traceback" not in err
+
 
 class TestOracle:
     def test_oracle_solves_small_instance(self, capsys, write_json):
@@ -158,6 +186,14 @@ class TestOracle:
         assert code == 0
         assert json.loads(out)["objective"] == 7
         assert "optimum 7" in err
+
+    def test_output_file_matches_stdout(self, capsys, write_json, tmp_path):
+        for name, inst_data in (("c4.json", COMPLETE4), ("t3.json", TREE3), ("g4.json", GENERAL4)):
+            inst = write_json(name, inst_data)
+            pack = tmp_path / f"{name}.pack"
+            code, out, _ = run(capsys, "oracle", "-i", inst, "-o", str(pack))
+            assert code == 0
+            assert pack.read_bytes() == out.encode()
 
     def test_limit_exit_code(self, capsys, write_json):
         big = {"kind": "complete", "n": 12, "capacities": [1] * 12, "K": 1}

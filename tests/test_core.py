@@ -261,3 +261,15 @@ class TestPackingIO:
         for raw in ('{"trees": [{"edges": 5}]}', '{"trees": [{"edges": null}]}'):
             with pytest.raises(ValueError, match=r"trees\[0\]\.edges"):
                 load_packing(io.StringIO(raw), inst)
+
+    def test_deeply_nested_json_is_value_error(self):
+        inst = path3_instance(num_trees=1)
+        deep = "[" * 100_000 + "]" * 100_000
+        with pytest.raises(ValueError, match="instance: JSON nested too deeply"):
+            load_instance(io.StringIO(deep))
+        with pytest.raises(ValueError, match="packing: JSON nested too deeply"):
+            load_packing(io.StringIO(deep), inst)
+
+    def test_save_needs_a_text_sink(self):
+        with pytest.raises(TypeError):
+            save_packing(Packing((RootedTree.null(0),)), io.BytesIO())
