@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 
 from .complete_solver import solve_complete
@@ -17,11 +19,11 @@ from .core import (
     KIND_GENERAL,
     KIND_TREE,
     Instance,
+    instance_to_dict,
     load_instance,
     load_packing,
     objective,
     packing_to_dict,
-    save_instance,
     verify_packing,
 )
 from .oracle import SearchLimitExceeded, brute_force_solve, greedy_general
@@ -39,13 +41,27 @@ def _read_instance(path: str) -> Instance:
         return load_instance(fh)
 
 
+def _write(path: str, text: str) -> None:
+    """Write text over path in place, then trim a regular file to its end.
+
+    Opening without O_TRUNC matters: on ext4, truncating a file whose
+    last contents are still being written back waits for that writeback.
+    The inode is kept, so symlinks are followed and links, mode and owner
+    survive; devices and FIFOs are written but never truncated.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as fh:
+        fh.write(text.encode("utf-8"))
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
+
+
 def _emit(data: dict, path: str | None = None) -> None:
     """Encode data once as a JSON line; print it, and write it to path if given."""
     line = json.dumps(data) + "\n"
     sys.stdout.write(line)
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(line)
+        _write(path, line)
 
 
 def _note(message: str) -> None:
@@ -101,16 +117,13 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     with open(args.cnf, "rb") as fh:
         sat = load_dimacs(fh)
     reduction = reduce_3sat(sat)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        save_instance(reduction.instance, fh)
-        fh.write("\n")
+    _write(args.output, json.dumps(instance_to_dict(reduction.instance)) + "\n")
     if args.labels:
         sidecar = {
             "gamma": reduction.gamma,
             "labels": {str(v): role for v, role in sorted(reduction.labels.items())},
         }
-        with open(args.labels, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(sidecar) + "\n")
+        _write(args.labels, json.dumps(sidecar) + "\n")
     _emit(
         {
             "num_vertices": reduction.instance.n,

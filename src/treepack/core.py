@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter, deque
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Any, Mapping
 
@@ -251,7 +251,10 @@ class VerificationReport:
     def to_dict(self) -> dict:
         return {
             "valid": self.valid,
-            "violations": [asdict(v) for v in self.violations],
+            "violations": [
+                {"tree": v.tree, "vertex": v.vertex, "reason": v.reason}
+                for v in self.violations
+            ],
         }
 
 

@@ -61,11 +61,21 @@ class ReductionOutput:
         return i
 
     def literal_vertex(self, i: int, value: bool) -> int:
-        base = self.num_vars + 2 * (i - 1) + 1
-        return base if value else base + 1
+        return _literal_vertex(self.num_vars, i, value)
 
     def clause_vertex(self, j: int) -> int:
-        return 3 * self.num_vars + j
+        return _clause_vertex(self.num_vars, j)
+
+
+def _literal_vertex(num_vars: int, i: int, value: bool) -> int:
+    """Variable i's literal pair follows the selectors, positive first."""
+    base = num_vars + 2 * i - 1
+    return base if value else base + 1
+
+
+def _clause_vertex(num_vars: int, j: int) -> int:
+    """Clause j (1-based) follows the 2 * num_vars literal vertices."""
+    return 3 * num_vars + j
 
 
 def parse_dimacs(text: str) -> SatInstance:
@@ -121,45 +131,31 @@ def reduce_3sat(sat: SatInstance) -> ReductionOutput:
     """
     n = sat.num_vars
     m = sat.num_clauses
-
-    def positive(i: int) -> int:
-        return n + 2 * (i - 1) + 1
-
-    def negative(i: int) -> int:
-        return n + 2 * i
-
-    def clause(j: int) -> int:
-        return 3 * n + j
-
     labels = {0: "root"}
     edges: list[tuple[int, int]] = []
+    capacities = [0] * (1 + 3 * n + m)
+    capacities[0] = n
     for i in range(1, n + 1):
-        edges.append((0, i))
-        edges.append((i, positive(i)))
-        edges.append((i, negative(i)))
+        pos, neg = _literal_vertex(n, i, True), _literal_vertex(n, i, False)
+        edges += ((0, i), (i, pos), (i, neg))
         labels[i] = f"selector_{i}"
-        labels[positive(i)] = f"x{i}"
-        labels[negative(i)] = f"not_x{i}"
+        labels[pos] = f"x{i}"
+        labels[neg] = f"not_x{i}"
+        capacities[i] = 1
+        capacities[pos] = capacities[neg] = m
     seen = set(edges)
     for j, cl in enumerate(sat.clauses, start=1):
-        labels[clause(j)] = f"clause_{j}"
+        clause = _clause_vertex(n, j)
+        labels[clause] = f"clause_{j}"
         for lit in cl:
-            v = positive(lit) if lit > 0 else negative(-lit)
-            key = (v, clause(j))
+            key = (_literal_vertex(n, abs(lit), lit > 0), clause)
             if key not in seen:
                 seen.add(key)
                 edges.append(key)
 
-    total = 1 + 3 * n + m
-    capacities = [0] * total
-    capacities[0] = n
-    for i in range(1, n + 1):
-        capacities[i] = 1
-        capacities[positive(i)] = m
-        capacities[negative(i)] = m
     instance = Instance(
         kind=KIND_GENERAL,
-        n=total,
+        n=len(capacities),
         capacities=tuple(capacities),
         num_trees=1,
         root=0,

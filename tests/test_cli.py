@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -255,3 +259,92 @@ class TestReduce:
         code, _, err = run(capsys, "reduce", "--cnf", str(cnf), "-o", str(tmp_path / "x.json"))
         assert code == 2
         assert "error" in err
+
+
+EXAMPLE_GADGET = (
+    '{"kind": "general", "n": 16, "root": 0, "capacities": '
+    "[4, 1, 1, 1, 1, 3, 3, 3, 3, 3, 3, 3, 3, 0, 0, 0], "
+    '"K": 1, "edges": [[0, 1], [1, 5], [1, 6], [0, 2], [2, 7], [2, 8], [0, 3], [3, 9], '
+    "[3, 10], [0, 4], [4, 11], [4, 12], [5, 13], [7, 13], [10, 13], [5, 14], [8, 14], "
+    "[11, 14], [8, 15], [9, 15], [12, 15]]}\n"
+)
+EXAMPLE_LABELS = (
+    '{"gamma": 12, "labels": {"0": "root", "1": "selector_1", "2": "selector_2", '
+    '"3": "selector_3", "4": "selector_4", "5": "x1", "6": "not_x1", "7": "x2", '
+    '"8": "not_x2", "9": "x3", "10": "not_x3", "11": "x4", "12": "not_x4", '
+    '"13": "clause_1", "14": "clause_2", "15": "clause_3"}}\n'
+)
+
+
+class TestOutputFiles:
+    """-o and --labels overwrite an existing file in place and trim it."""
+
+    @staticmethod
+    def longer_file(path: Path) -> str:
+        path.write_text("x" * 5000 + "\n")
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    def test_overwrite_longer_file_equals_stdout(self, capsys, write_json, tmp_path, command):
+        for name, inst_data in (("c4.json", COMPLETE4), ("t3.json", TREE3), ("g4.json", GENERAL4)):
+            inst = write_json(name, inst_data)
+            pack = self.longer_file(tmp_path / f"{name}.pack")
+            code, out, _ = run(capsys, command, "-i", inst, "-o", pack)
+            assert code == 0
+            assert Path(pack).read_bytes() == out.encode()
+
+    def test_reduce_overwrites_gadget_and_labels(self, capsys, tmp_path):
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text(EXAMPLE_DIMACS)
+        gadget = self.longer_file(tmp_path / "gadget.json")
+        labels = self.longer_file(tmp_path / "gadget.labels.json")
+        code, _, _ = run(capsys, "reduce", "--cnf", str(cnf), "-o", gadget, "--labels", labels)
+        assert code == 0
+        assert Path(gadget).read_bytes() == EXAMPLE_GADGET.encode()
+        assert Path(labels).read_bytes() == EXAMPLE_LABELS.encode()
+
+    def test_dev_null(self, capsys, write_json):
+        inst = write_json("c4.json", COMPLETE4)
+        _, plain, _ = run(capsys, "solve", "-i", inst)
+        code, out, _ = run(capsys, "solve", "-i", inst, "-o", os.devnull)
+        assert code == 0
+        assert out == plain
+
+    def test_symlink_is_written_through(self, capsys, write_json, tmp_path):
+        inst = write_json("c4.json", COMPLETE4)
+        target = self.longer_file(tmp_path / "target.json")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        code, out, _ = run(capsys, "solve", "-i", inst, "-o", str(link))
+        assert code == 0
+        assert link.is_symlink()
+        assert Path(target).read_bytes() == out.encode()
+
+    def test_directory_is_input_error(self, capsys, write_json, tmp_path):
+        inst = write_json("c4.json", COMPLETE4)
+        code, _, err = run(capsys, "solve", "-i", inst, "-o", str(tmp_path))
+        assert code == 2
+        lines = err.splitlines()  # the solve summary, then the error
+        assert len(lines) == 2 and lines[1].startswith("error: ")
+        assert "Traceback" not in err
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text(EXAMPLE_DIMACS)
+        code, out, err = run(capsys, "reduce", "--cnf", str(cnf), "-o", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
+    def test_rerun_into_same_path(self, write_json, tmp_path):
+        inst = write_json("c4.json", COMPLETE4)
+        pack = tmp_path / "pack.json"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        paths = [src, os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        for _ in range(2):
+            proc = subprocess.run(
+                [sys.executable, "-m", "treepack.cli", "solve", "-i", inst, "-o", str(pack)],
+                env=env,
+                capture_output=True,
+                check=True,
+            )
+            assert pack.read_bytes() == proc.stdout

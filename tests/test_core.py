@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -191,6 +192,20 @@ class TestVerifyPacking:
         inst = path3_instance(num_trees=1)
         report = verify_packing(inst, Packing((RootedTree.null(1),)))
         assert not report.valid
+
+    def test_report_dict_matches_dataclass_form(self):
+        inst = Instance(kind="complete", n=5, capacities=(1, 1, 0, 1, 1), num_trees=2)
+        packing = Packing(
+            (
+                RootedTree(0, {0: 1, 1: 0, 2: 1, 9: 2}),  # root parent, capacity, range
+                RootedTree(0, {3: 4, 4: 3, 1: 0}),  # cycle, shared capacity
+            )
+        )
+        report = verify_packing(inst, packing)
+        assert {v.tree for v in report.violations} >= {None, 0, 1}
+        expected = {"valid": False, "violations": [asdict(v) for v in report.violations]}
+        assert report.to_dict() == expected
+        assert json.dumps(report.to_dict()) == json.dumps(expected)
 
     def test_valid_packings_respect_objective_bounds(self):
         rng = random.Random(4242)
