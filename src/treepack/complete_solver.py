@@ -13,9 +13,18 @@ On a complete graph this is optimal.  Every capacity unit spent buys one
 extra vertex occurrence, at most min(c_root, K) trees can be non-null
 (each needs one root slot), and a tree holds at most n - 1 non-root
 occurrences, which yields the closed-form optimum of optimal_objective.
+
+The cost is output-sensitive: O(n + K + objective), never more than
+O(nK).  Stage one keeps the vertices with spare capacity in a shrinking
+list, so a path costs its own length; stage two draws the missing
+vertices lazily and stops once the path's capacity or the missing
+vertices run out, so a tree costs its path plus the vertices it adopts
+and the members skipped on the way to them.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 from .core import KIND_COMPLETE, Instance, Packing, RootedTree
 
@@ -29,21 +38,26 @@ def build_stage_paths(inst: Instance) -> tuple[list[list[int]], list[int]]:
     """Build the K root paths; returns (paths, residual capacities).
 
     Each path starts at the root; a single-vertex path pays nothing since
-    its only vertex is also the termination vertex.
+    its only vertex is also the termination vertex.  The non-root vertices
+    with spare capacity are kept in a list that shrinks as they run out,
+    so the work is O(n + K) plus the total path length.
     """
     _require_complete(inst)
     caps = list(inst.capacities)
     root = inst.root
-    rest = [v for v in range(inst.n) if v != root]
+    alive = [v for v in range(inst.n) if v != root and caps[v] > 0]
     paths: list[list[int]] = []
     for _ in range(inst.num_trees):
-        if caps[root] == 0:
+        if caps[root] == 0 or not alive:
             paths.append([root])
             continue
-        path = [root] + [v for v in rest if caps[v] > 0]
-        for v in path[:-1]:
+        paths.append([root] + alive)
+        caps[root] -= 1
+        last = alive.pop()  # the termination vertex pays nothing
+        for v in alive:
             caps[v] -= 1
-        paths.append(path)
+        alive = [v for v in alive if caps[v] > 0]
+        alive.append(last)
     return paths, caps
 
 
@@ -53,29 +67,36 @@ def attach_stage(inst: Instance, paths: list[list[int]], residual: list[int]) ->
     Only path vertices are scanned for spare capacity.  That is enough:
     capacities never increase, so a vertex missing from path k had zero
     capacity when the path was built and still has zero now; every unit
-    usable by tree k sits on the path itself.
+    usable by tree k sits on the path itself.  The missing vertices are
+    drawn lazily, so a tree costs O(path + attached) rather than O(n).
     """
     _require_complete(inst)
     caps = list(residual)
+    n = inst.n
     trees = []
     for path in paths:
-        parent = {path[i]: path[i - 1] for i in range(1, len(path))}
+        parent = dict(zip(path[1:], path))
         members = set(path)
-        missing = [v for v in range(inst.n) if v not in members]
-        at = 0
+        missing = (v for v in range(n) if v not in members)
         for v in path:
-            while at < len(missing) and caps[v] > 0:
-                parent[missing[at]] = v
-                at += 1
-                caps[v] -= 1
-            if at == len(missing):
-                break
+            spare = caps[v]
+            if spare:
+                # islice needs a word-sized stop; a capacity may be larger.
+                adopted = list(islice(missing, min(spare, n)))
+                parent.update(dict.fromkeys(adopted, v))
+                caps[v] = spare - len(adopted)
+                if len(adopted) < spare:
+                    break  # the tree spans every vertex
         trees.append(RootedTree(inst.root, parent))
     return Packing(tuple(trees))
 
 
 def solve_complete(inst: Instance) -> Packing:
-    """Optimal packing of a complete instance in O(n K) time."""
+    """Optimal packing of a complete instance.
+
+    O(n + K + objective) time, never more than O(nK): every path vertex
+    and every adopted vertex is an occurrence of the returned packing.
+    """
     paths, residual = build_stage_paths(inst)
     return attach_stage(inst, paths, residual)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from helpers import EXAMPLE_DIMACS
+from treepack import cli
 from treepack.cli import main
 
 COMPLETE4 = {"kind": "complete", "n": 4, "root": 0, "capacities": [2, 1, 1, 1], "K": 2}
@@ -125,9 +127,9 @@ class TestVerify:
         pack = str(tmp_path / "pack.json")
         code, _, _ = run(capsys, "solve", "-i", inst, "-o", pack)
         assert code == 0
-        data = json.loads(open(pack).read())
+        data = json.loads(Path(pack).read_text())
         data["trees"][0]["edges"].append([1, 0])  # gives the root a parent
-        open(pack, "w").write(json.dumps(data))
+        Path(pack).write_text(json.dumps(data))
         code, out, err = run(capsys, "verify", "-i", inst, "-p", pack)
         assert code == 1
         report = json.loads(out)
@@ -139,7 +141,7 @@ class TestVerify:
         inst = write_json("t3.json", TREE3)
         pack = str(tmp_path / "pack.json")
         pack_data = {"trees": [{"edges": [[0, 2]]}, {"edges": []}]}
-        open(pack, "w").write(json.dumps(pack_data))
+        Path(pack).write_text(json.dumps(pack_data))
         code, out, _ = run(capsys, "verify", "-i", inst, "-p", pack)
         assert code == 1
         assert any(
@@ -150,7 +152,7 @@ class TestVerify:
     def test_tree_count_mismatch_is_input_error(self, capsys, write_json, tmp_path):
         inst = write_json("t3.json", TREE3)
         pack = str(tmp_path / "pack.json")
-        open(pack, "w").write(json.dumps({"trees": [{"edges": []}]}))
+        Path(pack).write_text(json.dumps({"trees": [{"edges": []}]}))
         code, _, err = run(capsys, "verify", "-i", inst, "-p", pack)
         assert code == 2
         assert "error" in err
@@ -348,3 +350,67 @@ class TestOutputFiles:
                 check=True,
             )
             assert pack.read_bytes() == proc.stdout
+
+
+@pytest.fixture
+def collector():
+    """Set the collector's state for a test; put the runner's back afterwards."""
+    was = gc.isenabled()
+
+    def _set(enabled: bool) -> None:
+        (gc.enable if enabled else gc.disable)()
+
+    yield _set
+    _set(was)
+
+
+class TestGarbageCollector:
+    """main pauses the cyclic collector per command and restores the caller's state."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_paused_inside_command(self, capsys, write_json, monkeypatch, collector, enabled):
+        seen = []
+        real = cli.solve_complete
+
+        def spy(inst):
+            seen.append(gc.isenabled())
+            return real(inst)
+
+        monkeypatch.setattr(cli, "solve_complete", spy)
+        collector(enabled)
+        inst = write_json("c4.json", COMPLETE4)
+        code, _, _ = run(capsys, "solve", "-i", inst)
+        assert code == 0
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("want", [0, 1, 2, 3])
+    def test_state_restored_on_every_exit(
+        self, capsys, write_json, tmp_path, collector, enabled, want
+    ):
+        inst = write_json("c4.json", COMPLETE4)
+        if want == 0:
+            argv = ["solve", "-i", inst]
+        elif want == 1:
+            pack = write_json("pack.json", {"trees": [{"edges": [[0, 1]]}, {"edges": [[5, 1]]}]})
+            argv = ["verify", "-i", inst, "-p", pack]
+        elif want == 2:
+            argv = ["solve", "-i", str(tmp_path / "missing.json")]
+        else:
+            argv = ["oracle", "-i", inst, "--max-n", "3"]
+        collector(enabled)
+        code, _, _ = run(capsys, *argv)
+        assert code == want
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_restored_when_command_raises(self, write_json, monkeypatch, collector, enabled):
+        def boom(inst):
+            raise RuntimeError("solver fault")
+
+        monkeypatch.setattr(cli, "solve_complete", boom)
+        collector(enabled)
+        with pytest.raises(RuntimeError):
+            main(["solve", "-i", write_json("c4.json", COMPLETE4)])
+        assert gc.isenabled() is enabled

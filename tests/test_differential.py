@@ -1,10 +1,12 @@
 """Differential tests: the linear-time code against the algorithms it replaced.
 
 The reference functions below are the earlier, simpler implementations of
-``RootedTree.edges``, ``verify_packing`` and ``greedy_general``, kept
-verbatim apart from taking the tree or instance as an argument.  The
-current code must give exactly the same results: the same edge order, the
-same violation list in the same order, the same parent maps.
+``RootedTree.edges``, ``verify_packing``, ``greedy_general`` and the two
+complete-solver stages, kept verbatim apart from taking the tree or
+instance as an argument.  The current code must give exactly the same
+results: the same edge order, the same violation list in the same order,
+the same paths and residuals, the same parent maps in the same insertion
+order.
 """
 
 from __future__ import annotations
@@ -23,7 +25,11 @@ from treepack import (
     RootedTree,
     VerificationReport,
     Violation,
+    attach_stage,
+    build_stage_paths,
     greedy_general,
+    objective,
+    optimal_objective,
     packing_from_dict,
     packing_to_dict,
     solve_complete,
@@ -149,6 +155,43 @@ def reference_greedy(inst: Instance) -> Packing:
                 orders[k].append(w)
                 grew = True
     return Packing(tuple(RootedTree(root, pm) for pm in parents))
+
+
+def reference_stage_paths(inst: Instance) -> tuple[list[list[int]], list[int]]:
+    """Rebuilds every path from all n vertices: Theta(nK)."""
+    caps = list(inst.capacities)
+    root = inst.root
+    rest = [v for v in range(inst.n) if v != root]
+    paths: list[list[int]] = []
+    for _ in range(inst.num_trees):
+        if caps[root] == 0:
+            paths.append([root])
+            continue
+        path = [root] + [v for v in rest if caps[v] > 0]
+        for v in path[:-1]:
+            caps[v] -= 1
+        paths.append(path)
+    return paths, caps
+
+
+def reference_attach(inst: Instance, paths: list[list[int]], residual: list[int]) -> Packing:
+    """Builds the full O(n) list of missing vertices for every tree."""
+    caps = list(residual)
+    trees = []
+    for path in paths:
+        parent = {path[i]: path[i - 1] for i in range(1, len(path))}
+        members = set(path)
+        missing = [v for v in range(inst.n) if v not in members]
+        at = 0
+        for v in path:
+            while at < len(missing) and caps[v] > 0:
+                parent[missing[at]] = v
+                at += 1
+                caps[v] -= 1
+            if at == len(missing):
+                break
+        trees.append(RootedTree(inst.root, parent))
+    return Packing(tuple(trees))
 
 
 FAMILIES = (
@@ -294,3 +337,75 @@ class TestGreedyMatchesReference:
         )
         got, want = greedy_general(inst), reference_greedy(inst)
         assert [t.parent for t in got.trees] == [t.parent for t in want.trees]
+
+
+def complete_case(rng: random.Random) -> Instance:
+    """A complete instance, n <= 40, K <= n, any root, mixed capacity shapes."""
+    n = rng.choice((1, 2, 3)) if rng.random() < 0.1 else rng.randint(1, 40)
+    shape = rng.choice(("uniform", "mostly_zero", "root_zero", "root_short", "rich"))
+    if shape == "mostly_zero":
+        caps = [rng.randint(1, 3) if rng.random() < 0.15 else 0 for _ in range(n)]
+    elif shape == "rich":
+        caps = [rng.randint(0, 2 * n) for _ in range(n)]
+    else:
+        caps = [rng.randint(0, 8) for _ in range(n)]
+    k = rng.randint(1, n)
+    root = rng.randrange(n)
+    if shape == "root_zero":
+        caps[root] = 0
+    elif shape == "root_short":
+        caps[root] = rng.randint(0, max(0, k - 1))  # K above the root capacity
+    return Instance("complete", n, tuple(caps), k, root)
+
+
+def assert_stages_match(inst: Instance) -> None:
+    paths, residual = build_stage_paths(inst)
+    want_paths, want_residual = reference_stage_paths(inst)
+    assert paths == want_paths
+    assert residual == want_residual
+    got = attach_stage(inst, paths, residual)
+    want = reference_attach(inst, want_paths, want_residual)
+    assert [list(t.parent.items()) for t in got.trees] == [
+        list(t.parent.items()) for t in want.trees
+    ]
+    assert residual == want_residual  # attach works on a copy
+
+
+class TestCompleteStagesMatchReference:
+    def test_seeded_instances(self):
+        rng = random.Random(8)
+        shapes = Counter()
+        for _ in range(5000):
+            inst = complete_case(rng)
+            assert_stages_match(inst)
+            caps, root, k = inst.capacities, inst.root, inst.num_trees
+            shapes["n1"] += inst.n == 1
+            shapes["root_zero"] += caps[root] == 0
+            shapes["k_above_root"] += k > caps[root]
+            shapes["mostly_zero"] += sum(c == 0 for c in caps) * 2 > inst.n
+        assert min(shapes.values()) >= 100, shapes
+
+    def test_edge_shapes(self):
+        for caps, k, root in (
+            ([0], 1, 0),
+            ([7], 1, 0),
+            ([0, 0, 0, 0], 4, 2),
+            ([4, 0, 0, 0, 0], 3, 0),
+            ([0, 5, 5, 5], 2, 0),
+            ([1, 9, 9, 9, 9], 5, 0),
+            ([3, 3, 3, 3, 3, 3], 6, 5),
+            ([40] * 40, 40, 17),
+            ([10**30, 2**63, 0, 5], 3, 0),  # capacities beyond a machine word
+            ([2, 0, 2**64, 1], 4, 1),
+        ):
+            assert_stages_match(Instance("complete", len(caps), tuple(caps), k, root))
+
+    def test_many_trees_large_n(self):
+        rng = random.Random(9)
+        n, k = 20000, 2000
+        caps = [rng.randint(0, 10) for _ in range(n)]
+        caps[0] = k
+        inst = Instance("complete", n, tuple(caps), k)
+        packing = solve_complete(inst)
+        assert verify_packing(inst, packing).valid
+        assert objective(packing) == optimal_objective(inst)
