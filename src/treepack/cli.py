@@ -35,7 +35,7 @@ from .core import (
     verify_packing,
 )
 from .oracle import SearchLimitExceeded, brute_force_solve, greedy_general
-from .reduction import load_dimacs, reduce_3sat
+from .reduction import MAX_VERTICES, load_dimacs, reduce_3sat
 from .tree_solver import solve_tree
 
 EXIT_OK = 0
@@ -85,16 +85,17 @@ def cmd_solve(args: argparse.Namespace) -> int:
             _note("general instance: greedy baseline, result is heuristic, not optimal")
     if alg == "complete":
         packing = solve_complete(inst)
-        value = objective(packing)
     elif alg == "tree":
         value, packing = solve_tree(inst, value_only=args.value_only)
     else:
         packing = greedy_general(inst)
-        value = objective(packing)
-    if args.value_only or packing is None:
+    if packing is None:
         out = {"objective": value}
+    elif args.value_only:
+        out = {"objective": objective(packing)}
     else:
         out = packing_to_dict(packing)
+    value = out["objective"]
     _note(f"objective {value} ({alg}, kind={inst.kind}, n={inst.n}, K={inst.num_trees})")
     _emit(out, args.output)
     return EXIT_OK
@@ -124,7 +125,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def cmd_reduce(args: argparse.Namespace) -> int:
     with open(args.cnf, "rb") as fh:
         sat = load_dimacs(fh)
-    reduction = reduce_3sat(sat)
+    reduction = reduce_3sat(sat, max_vertices=args.max_vertices)
     _write(args.output, json.dumps(instance_to_dict(reduction.instance)) + "\n")
     if args.labels:
         sidecar = {
@@ -176,6 +177,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cnf", required=True, help="DIMACS CNF file")
     p.add_argument("-o", "--output", required=True, help="instance JSON to write")
     p.add_argument("--labels", help="sidecar JSON for the threshold and vertex roles")
+    p.add_argument(
+        "--max-vertices",
+        type=int,
+        default=MAX_VERTICES,
+        help=f"gadget vertex limit (default {MAX_VERTICES})",
+    )
     p.set_defaults(func=cmd_reduce)
     return parser
 

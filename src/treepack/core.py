@@ -64,12 +64,18 @@ class Instance:
         root = _as_int(self.root, "root")
         if not 0 <= root < n:
             raise ValueError(f"root: {root} outside [0, {n})")
-        caps = tuple(_as_int(c, "capacities") for c in self.capacities)
+        # Whole-tuple tests at C speed; the per-entry loops run only to
+        # find the entry to name in the error.
+        caps = tuple(self.capacities)
+        if not set(map(type, caps)) <= {int}:
+            for c in caps:
+                _as_int(c, "capacities")
         if len(caps) != n:
             raise ValueError(f"capacities: expected {n} entries, got {len(caps)}")
-        for v, c in enumerate(caps):
-            if c < 0:
-                raise ValueError(f"capacities: negative capacity {c} at vertex {v}")
+        if min(caps) < 0:
+            for v, c in enumerate(caps):
+                if c < 0:
+                    raise ValueError(f"capacities: negative capacity {c} at vertex {v}")
         object.__setattr__(self, "capacities", caps)
         k = _as_int(self.num_trees, "K")
         if not 1 <= k <= n:
@@ -200,14 +206,11 @@ class RootedTree:
             order += [c for c in sorted(self.parent) if c not in seen]
         return order
 
-    def _reached(self, keys: list[int] | None = None) -> list[int]:
-        """Children connected to the root, breadth first, siblings ascending.
-
-        keys is sorted(self.parent), for callers that already have it.
-        """
+    def _reached(self) -> list[int]:
+        """Children connected to the root, breadth first, siblings ascending."""
         root, parent = self.root, self.parent
         children: dict[int, list[int]] = {}
-        for c in sorted(parent) if keys is None else keys:
+        for c in sorted(parent):
             if c != root:
                 children.setdefault(parent[c], []).append(c)
         reached = [root]
@@ -258,6 +261,36 @@ class VerificationReport:
         }
 
 
+def _rooted_outward(inst: Instance, tree: RootedTree) -> bool:
+    """One pass over the parent map, in insertion order: is the tree sound?
+
+    True when the root has no parent and each (child, parent) entry has
+    its parent already reached (the root or an earlier child) and is an
+    edge of the instance graph.  Such a tree is connected and acyclic.
+    On complete kinds only the child's range needs a test: a reached
+    parent is in range, and a self edge's parent is its own, not yet
+    reached, child.
+    """
+    root, parent = tree.root, tree.parent
+    if root in parent:
+        return False
+    reached = {root}
+    add = reached.add
+    if inst.kind == KIND_COMPLETE:
+        n = inst.n
+        for child, par in parent.items():
+            if par not in reached or not 0 <= child < n:
+                return False
+            add(child)
+    else:
+        has_edge = inst.has_edge
+        for child, par in parent.items():
+            if par not in reached or not has_edge(par, child):
+                return False
+            add(child)
+    return True
+
+
 def verify_packing(inst: Instance, packing: Packing) -> VerificationReport:
     """Check a packing against its instance.
 
@@ -266,6 +299,14 @@ def verify_packing(inst: Instance, packing: Packing) -> VerificationReport:
     (no cycles, no orphans).  Across trees: per-vertex child totals within
     capacity.  Failures are collected and reported, never raised; only a
     tree-count mismatch is an error.
+
+    A tree whose parent map lists its edges root outward, as every solver
+    and load_packing build them, is checked in one pass over the map
+    (_rooted_outward): no sort, no child lists, one set lookup and insert
+    per edge, plus one has_edge call on non-complete kinds.  Any other
+    tree, valid or not, falls back to checking every edge in child order
+    and walking each vertex's parent chain, which finds and orders its
+    violations.
     """
     trees = packing.trees
     if len(trees) != inst.num_trees:
@@ -281,11 +322,12 @@ def verify_packing(inst: Instance, packing: Packing) -> VerificationReport:
                 Violation(ti, root, f"tree rooted at {root}, instance root is {inst.root}")
             )
             continue
+        if _rooted_outward(inst, tree):
+            continue
         if root in parent:
             violations.append(Violation(ti, root, "root must not have a parent"))
         bad_ids = set()
-        keys = sorted(parent)
-        for child in keys:
+        for child in sorted(parent):
             par = parent[child]
             if not (0 <= child < n and 0 <= par < n):
                 violations.append(
@@ -296,13 +338,7 @@ def verify_packing(inst: Instance, packing: Packing) -> VerificationReport:
                 violations.append(
                     Violation(ti, child, f"edge ({par}, {child}) not in the instance graph")
                 )
-        # One pass from the root finds the connected vertices; a parent
-        # chain walk sorts out only the rest.
-        reached = tree._reached(keys)
-        if len(reached) == len(parent):
-            continue
-        status = dict.fromkeys(reached, True)
-        status[root] = True
+        status = {root: True}
         for v in sorted(tree.vertices):
             if v in status or v in bad_ids:
                 continue
@@ -329,15 +365,16 @@ def verify_packing(inst: Instance, packing: Packing) -> VerificationReport:
     totals: Counter = Counter()
     for tree in trees:
         totals.update(tree.parent.values())
-    for v in sorted(totals):
-        if 0 <= v < n and totals[v] > inst.capacities[v]:
-            violations.append(
-                Violation(
-                    None,
-                    v,
-                    f"capacity exceeded: {totals[v]} children across trees, capacity {inst.capacities[v]}",
-                )
+    caps = inst.capacities
+    over = [v for v, total in totals.items() if 0 <= v < n and total > caps[v]]
+    for v in sorted(over):
+        violations.append(
+            Violation(
+                None,
+                v,
+                f"capacity exceeded: {totals[v]} children across trees, capacity {caps[v]}",
             )
+        )
     return VerificationReport(not violations, violations)
 
 

@@ -15,6 +15,11 @@ from dataclasses import dataclass
 from typing import IO
 
 from .core import KIND_GENERAL, Instance, Packing, objective, verify_packing
+from .oracle import SearchLimitExceeded
+
+# Gadget vertex limit: far above desk-size formulas and SATLIB-scale ones
+# (uf250: 1,816 vertices), far below a header that asks for gigabytes.
+MAX_VERTICES = 100_000
 
 
 @dataclass(frozen=True)
@@ -120,7 +125,7 @@ def load_dimacs(source: IO) -> SatInstance:
     return parse_dimacs(data)
 
 
-def reduce_3sat(sat: SatInstance) -> ReductionOutput:
+def reduce_3sat(sat: SatInstance, *, max_vertices: int = MAX_VERTICES) -> ReductionOutput:
     """Build the gadget instance for a formula.
 
     Vertex layout: 0 is the root, 1..n the selectors, then the literal
@@ -128,12 +133,21 @@ def reduce_3sat(sat: SatInstance) -> ReductionOutput:
     clause.  Capacities: root n, selectors 1, literals m, clauses 0.  The
     threshold is 1 + 2n + m.  A clause repeating a literal contributes the
     connecting edge once; one edge is all the connection needs.
+
+    The declared variable count, not the formula's length, sets the
+    gadget's size, so a gadget of more than max_vertices vertices raises
+    SearchLimitExceeded before anything is built.
     """
     n = sat.num_vars
     m = sat.num_clauses
+    size = _clause_vertex(n, m) + 1
+    if size > max_vertices:
+        raise SearchLimitExceeded(
+            f"gadget of {size} vertices exceeds the limit max_vertices={max_vertices}"
+        )
     labels = {0: "root"}
     edges: list[tuple[int, int]] = []
-    capacities = [0] * (1 + 3 * n + m)
+    capacities = [0] * size
     capacities[0] = n
     for i in range(1, n + 1):
         pos, neg = _literal_vertex(n, i, True), _literal_vertex(n, i, False)

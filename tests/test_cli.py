@@ -262,6 +262,22 @@ class TestReduce:
         assert code == 2
         assert "error" in err
 
+    def test_header_past_vertex_limit_is_limit_error(self, capsys, tmp_path):
+        cnf = tmp_path / "wide.cnf"
+        cnf.write_text("p cnf 80000 1\n1 2 3 0\n")
+        gadget = tmp_path / "gadget.json"
+        code, out, err = run(capsys, "reduce", "--cnf", str(cnf), "-o", str(gadget))
+        assert code == 3
+        assert out == ""
+        assert err == "error: gadget of 240002 vertices exceeds the limit max_vertices=100000\n"
+        assert not gadget.exists()
+        argv = ["reduce", "--cnf", str(cnf), "-o", str(gadget), "--max-vertices", "15"]
+        cnf.write_text(EXAMPLE_DIMACS)
+        assert run(capsys, *argv)[0] == 3
+        argv[-1] = "16"
+        assert run(capsys, *argv)[0] == 0
+        assert json.loads(gadget.read_text())["n"] == 16
+
 
 EXAMPLE_GADGET = (
     '{"kind": "general", "n": 16, "root": 0, "capacities": '

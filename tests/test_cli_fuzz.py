@@ -8,8 +8,9 @@ code 2 or 3 must end stderr with one ``error:`` line, and only ``verify``
 may report an invalid packing (exit 1).  An instance that still loads
 must also solve, search and verify without an input error.
 
-The DIMACS variable count is never raised: a header declaring millions of
-variables builds a gadget of that size by design.
+The DIMACS variable count may be raised past ``reduce``'s gadget vertex
+limit, which must then exit 3 before building anything; a document that
+parses within the limit must reduce with exit 0.
 """
 
 from __future__ import annotations
@@ -31,10 +32,12 @@ from treepack import (
     load_instance,
     load_packing,
     packing_to_dict,
+    parse_dimacs,
     solve_complete,
     solve_tree,
 )
 from treepack.cli import main
+from treepack.reduction import MAX_VERTICES
 
 HUGE = (2**63, -(2**63) - 1, 10**30, -(10**30), 10**4000)
 ODD = (None, True, False, "x", "", 1.5, float("nan"), [], {}, [1, 2], {"a": 1}, -1, 0)
@@ -128,9 +131,12 @@ def dimacs(draw) -> bytes:
     header = ["p", "cnf", str(num_vars), str(len(clauses))]
     rows = [[str(lit) for lit in clause] + ["0"] for clause in clauses]
     for _ in range(draw(st.integers(0, 3))):
-        op = draw(st.sampled_from(("header", "token", "drop", "insert", "huge", "line")))
+        op = draw(st.sampled_from(("header", "vars", "token", "drop", "insert", "huge", "line")))
+        if op == "vars":
+            # Unused variables, or a gadget past the vertex limit.
+            header[2] = draw(st.sampled_from((str(num_vars + 5), "33333", "80000", str(10**30))))
+            continue
         if op == "header":
-            # Anything but a larger variable count.
             spot = draw(st.sampled_from((0, 1, 3)))
             header[spot] = draw(st.sampled_from(("q", "dnf", "-1", "x", str(10**30), "")))
             if draw(st.booleans()):
@@ -246,5 +252,11 @@ def test_dimacs_documents(work, cnf):
     cnf_path, gadget, labels = here / "f.cnf", here / "gadget.json", here / "labels.json"
     cnf_path.write_bytes(cnf)
     argv = ["--cnf", str(cnf_path), "-o", str(gadget), "--labels", str(labels)]
+    try:
+        sat = parse_dimacs(cnf.decode("utf-8"))
+    except ValueError:
+        expect = {2}
+    else:
+        expect = {3} if 1 + 3 * sat.num_vars + sat.num_clauses > MAX_VERTICES else {0}
     code, err = run_cli("reduce", *argv)
-    check("reduce", code, err)
+    check("reduce", code, err, expect)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import random
+import re
 from dataclasses import asdict
 
 import pytest
@@ -102,6 +103,12 @@ class TestInstanceValidation:
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError, match="capacities: negative"):
             Instance(kind="complete", n=2, capacities=(1, -1), num_trees=1)
+
+    @pytest.mark.parametrize("bad", [True, False, 1.5, "1", None, 2.0])
+    def test_non_integer_capacity_named(self, bad):
+        message = f"capacities: expected an integer, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Instance(kind="complete", n=3, capacities=(1, bad, -1), num_trees=1)
 
     def test_capacity_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="capacities: expected 3"):

@@ -36,6 +36,7 @@ from treepack import (
     solve_tree,
     verify_packing,
 )
+from treepack import core
 
 
 def reference_edges(tree: RootedTree) -> list[tuple[int, int]]:
@@ -304,6 +305,89 @@ class TestVerifyMatchesReference:
             assert report == reference_verify(inst, damaged)
             invalid += not report.valid
         assert invalid > 1500
+
+    def test_corrupted_reloaded_packings(self):
+        # Reloaded maps list edges root outward, so undamaged trees take the
+        # ordered pass and each fault lands in a map the pass reads in order.
+        outward = fallback = invalid = 0
+        for rng, inst, packing in seeded_cases(10, 2000):
+            reloaded = packing_from_dict(packing_to_dict(packing), inst.root)
+            damaged = corrupt(rng, inst, reloaded)
+            report = verify_packing(inst, damaged)
+            assert report == reference_verify(inst, damaged)
+            invalid += not report.valid
+            for tree in damaged.trees:
+                if tree.root == inst.root:
+                    ordered = core._rooted_outward(inst, tree)
+                    outward += ordered
+                    fallback += not ordered
+        assert invalid > 1500
+        assert outward > 2000 and fallback > 1500
+
+    def test_reordered_valid_packings_take_the_fallback(self):
+        fallback = 0
+        for rng, inst, packing in seeded_cases(11, 900, max_n=16):
+            maps = []
+            for tree in packing.trees:
+                items = list(tree.parent.items())
+                if rng.random() < 0.5:
+                    items.reverse()
+                else:
+                    rng.shuffle(items)
+                maps.append(dict(items))
+            shuffled = Packing(tuple(RootedTree(inst.root, pm) for pm in maps))
+            report = verify_packing(inst, shuffled)
+            assert report.valid
+            assert report == reference_verify(inst, shuffled)
+            fallback += sum(not core._rooted_outward(inst, t) for t in shuffled.trees)
+        assert fallback > 500
+
+    def test_capacity_overflow_in_root_outward_packings(self):
+        # Each tree grows by leaves appended in order, so every tree still
+        # passes the ordered pass and only the capacity totals can fail.
+        invalid = 0
+        for rng, inst, packing in seeded_cases(12, 900):
+            maps = []
+            for tree in packing.trees:
+                parent = dict(tree.parent)
+                members = [inst.root, *parent]
+                for w in range(inst.n):
+                    if w in members:
+                        continue
+                    adopter = next((u for u in members if inst.has_edge(u, w)), None)
+                    if adopter is not None and rng.random() < 0.5:
+                        parent[w] = adopter
+                        members.append(w)
+                maps.append(parent)
+            grown = Packing(tuple(RootedTree(inst.root, pm) for pm in maps))
+            assert all(core._rooted_outward(inst, t) for t in grown.trees)
+            report = verify_packing(inst, grown)
+            assert report == reference_verify(inst, grown)
+            assert all(v.tree is None for v in report.violations)
+            invalid += not report.valid
+        assert invalid > 300
+
+    def test_root_outward_trees_skip_sort_and_walk(self, monkeypatch):
+        sorted_args = []
+
+        def counting_sorted(items, **kwargs):
+            items = list(items)
+            sorted_args.append(items)
+            return sorted(items, **kwargs)
+
+        def forbidden(*args):
+            raise AssertionError("fallback path used on a root-outward tree")
+
+        monkeypatch.setattr(core, "sorted", counting_sorted, raising=False)
+        monkeypatch.setattr(RootedTree, "_reached", forbidden)
+        monkeypatch.setattr(RootedTree, "vertices", property(forbidden))
+        rng = random.Random(13)
+        for _ in range(30):
+            for make, solve in FAMILIES:
+                inst = make(rng, max_n=60, max_k=5, cap_hi=4)
+                sorted_args.clear()
+                assert verify_packing(inst, solve(inst)).valid
+                assert sorted_args == [[]]  # only the empty overflow list
 
     def test_self_edges_on_complete_kind(self):
         inst = Instance("complete", 4, (3, 3, 3, 3), 1)

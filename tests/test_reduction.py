@@ -18,6 +18,7 @@ from treepack import (
     Packing,
     RootedTree,
     SatInstance,
+    SearchLimitExceeded,
     brute_force_solve,
     extract_assignment,
     objective,
@@ -119,6 +120,15 @@ class TestReduce3Sat:
                 assert out.instance.capacities[out.clause_vertex(j)] == 0
             if all(len({abs(l) for l in cl}) == 3 for cl in sat.clauses):
                 assert len(out.instance.edges) == 3 * n + 3 * m
+
+    def test_vertex_limit_checked_before_building(self):
+        # 1 + 3 * 4 + 3 = 16 vertices: allowed at exactly the limit.
+        assert reduce_3sat(EXAMPLE_FORMULA, max_vertices=16).instance.n == 16
+        with pytest.raises(SearchLimitExceeded, match="16 vertices .* max_vertices=15"):
+            reduce_3sat(EXAMPLE_FORMULA, max_vertices=15)
+        # The variable count alone sets the size; the default limit stops it.
+        with pytest.raises(SearchLimitExceeded, match="max_vertices=100000"):
+            reduce_3sat(SatInstance(10**30, ((1, 2, 3),)))
 
 
 def example_witness() -> tuple:
