@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter, deque
-from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Any, Mapping
 
@@ -29,8 +28,39 @@ def _as_int(value: Any, name: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class Instance:
+class _Value:
+    """Base of the model types: read-only, compared, hashed and shown by _fields.
+
+    Each subclass's __init__ stores its fields through self.__dict__;
+    afterwards assigning or deleting any attribute raises AttributeError.
+    functools.cached_property still works, as it writes to __dict__ itself.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Instance(_Value):
     """Immutable problem instance.
 
     Attributes:
@@ -48,25 +78,28 @@ class Instance:
     invariants (connected graph, tree kinds acyclic, capacities >= 0).
     """
 
-    kind: str
-    n: int
-    capacities: tuple[int, ...]
-    num_trees: int
-    root: int = 0
-    edges: tuple[tuple[int, int], ...] | None = None
+    _fields = ("kind", "n", "capacities", "num_trees", "root", "edges")
 
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"kind: expected one of {KINDS}, got {self.kind!r}")
-        n = _as_int(self.n, "n")
+    def __init__(
+        self,
+        kind: str,
+        n: int,
+        capacities: tuple[int, ...],
+        num_trees: int,
+        root: int = 0,
+        edges: tuple[tuple[int, int], ...] | None = None,
+    ) -> None:
+        if kind not in KINDS:
+            raise ValueError(f"kind: expected one of {KINDS}, got {kind!r}")
+        n = _as_int(n, "n")
         if n <= 0:
             raise ValueError(f"n: must be positive, got {n}")
-        root = _as_int(self.root, "root")
+        root = _as_int(root, "root")
         if not 0 <= root < n:
             raise ValueError(f"root: {root} outside [0, {n})")
         # Whole-tuple tests at C speed; the per-entry loops run only to
         # find the entry to name in the error.
-        caps = tuple(self.capacities)
+        caps = tuple(capacities)
         if not set(map(type, caps)) <= {int}:
             for c in caps:
                 _as_int(c, "capacities")
@@ -76,20 +109,22 @@ class Instance:
             for v, c in enumerate(caps):
                 if c < 0:
                     raise ValueError(f"capacities: negative capacity {c} at vertex {v}")
-        object.__setattr__(self, "capacities", caps)
-        k = _as_int(self.num_trees, "K")
+        k = _as_int(num_trees, "K")
         if not 1 <= k <= n:
             raise ValueError(f"K: out of range, need 1 <= K <= n={n}, got {k}")
+        fields = self.__dict__
+        fields.update(kind=kind, n=n, capacities=caps, num_trees=num_trees, root=root)
 
-        if self.kind == KIND_COMPLETE:
-            if self.edges is not None:
+        if kind == KIND_COMPLETE:
+            if edges is not None:
                 raise ValueError("edges: must be omitted for complete instances")
+            fields["edges"] = None
             return
-        if self.edges is None:
-            raise ValueError(f"edges: required for kind={self.kind!r}")
+        if edges is None:
+            raise ValueError(f"edges: required for kind={kind!r}")
         seen: set[tuple[int, int]] = set()
         norm: list[tuple[int, int]] = []
-        for e in self.edges:
+        for e in edges:
             try:
                 u, v = e
             except (TypeError, ValueError):
@@ -105,13 +140,13 @@ class Instance:
                 raise ValueError(f"edges: duplicate edge {key}")
             seen.add(key)
             norm.append(key)
-        object.__setattr__(self, "edges", tuple(norm))
-        if self.kind == KIND_TREE and len(norm) != n - 1:
+        fields["edges"] = tuple(norm)
+        if kind == KIND_TREE and len(norm) != n - 1:
             raise ValueError(
                 f"edges: {len(norm)} edges on {n} vertices, not a tree"
             )
         if not self._connected():
-            if self.kind == KIND_TREE:
+            if kind == KIND_TREE:
                 raise ValueError("edges: graph is disconnected, not a tree")
             raise ValueError("edges: graph is not connected")
 
@@ -154,8 +189,7 @@ class Instance:
         return ((u, v) if u < v else (v, u)) in self._edge_set
 
 
-@dataclass(frozen=True)
-class RootedTree:
+class RootedTree(_Value):
     """One rooted tree, stored as a child -> parent map (root has no entry).
 
     The map fixes the tree completely: vertex set {root} plus the map keys,
@@ -167,11 +201,10 @@ class RootedTree:
     represented and reported on instead of failing to load.
     """
 
-    root: int
-    parent: Mapping[int, int]
+    _fields = ("root", "parent")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parent", dict(self.parent))
+    def __init__(self, root: int, parent: Mapping[int, int]) -> None:
+        self.__dict__.update(root=root, parent=dict(parent))
 
     @classmethod
     def null(cls, root: int) -> "RootedTree":
@@ -222,14 +255,13 @@ class RootedTree:
         return reached
 
 
-@dataclass(frozen=True)
-class Packing:
+class Packing(_Value):
     """An ordered family of rooted trees, one per stripe."""
 
-    trees: tuple[RootedTree, ...]
+    _fields = ("trees",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "trees", tuple(self.trees))
+    def __init__(self, trees: tuple[RootedTree, ...]) -> None:
+        self.__dict__["trees"] = tuple(trees)
 
 
 def objective(packing: Packing) -> int:
@@ -237,19 +269,22 @@ def objective(packing: Packing) -> int:
     return sum(len(tree.vertices) for tree in packing.trees)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Value):
     """One verification failure; tree/vertex are None when not applicable."""
 
-    tree: int | None
-    vertex: int | None
-    reason: str
+    _fields = ("tree", "vertex", "reason")
+
+    def __init__(self, tree: int | None, vertex: int | None, reason: str) -> None:
+        self.__dict__.update(tree=tree, vertex=vertex, reason=reason)
 
 
-@dataclass
-class VerificationReport:
-    valid: bool
-    violations: list[Violation]
+class VerificationReport(_Value):
+    """verify_packing's result: valid exactly when violations is empty."""
+
+    _fields = ("valid", "violations")
+
+    def __init__(self, valid: bool, violations: list[Violation]) -> None:
+        self.__dict__.update(valid=valid, violations=violations)
 
     def to_dict(self) -> dict:
         return {
@@ -441,6 +476,37 @@ def save_instance(inst: Instance, sink: IO[str]) -> None:
     sink.write(json.dumps(instance_to_dict(inst)))
 
 
+def _parent_map(edges: list, i: int) -> dict[int, int]:
+    """Tree i's child -> parent map from its [parent, child] pairs, in edge order.
+
+    Whole-list tests at C speed; the per-edge loop runs only when one
+    fails, to raise the first error in edge order (or to accept int
+    subclasses, which only library callers pass).
+    """
+    if set(map(type, edges)) <= {list}:
+        try:
+            parent = {c: p for p, c in edges}
+        except (TypeError, ValueError):  # a pair of another length, an unhashable child
+            pass
+        else:
+            if len(parent) == len(edges) and (
+                set(map(type, parent)) | set(map(type, parent.values())) <= {int}
+            ):
+                return parent
+    parent = {}
+    for e in edges:
+        if not isinstance(e, list) or len(e) != 2:
+            raise ValueError(f"trees[{i}].edges: each edge is a [parent, child] pair, got {e!r}")
+        par, child = e
+        if type(par) is not int or type(child) is not int:
+            par = _as_int(par, f"trees[{i}].edges")
+            child = _as_int(child, f"trees[{i}].edges")
+        if child in parent:
+            raise ValueError(f"trees[{i}]: vertex {child} has two parents")
+        parent[child] = par
+    return parent
+
+
 def packing_from_dict(data: Any, root: int) -> Packing:
     if not isinstance(data, dict) or "trees" not in data:
         raise ValueError("packing: missing field trees")
@@ -454,18 +520,7 @@ def packing_from_dict(data: Any, root: int) -> Packing:
         edges = td["edges"]
         if not isinstance(edges, list):
             raise ValueError(f"trees[{i}].edges: expected a list, got {type(edges).__name__}")
-        parent: dict[int, int] = {}
-        for e in edges:
-            if not isinstance(e, list) or len(e) != 2:
-                raise ValueError(f"trees[{i}].edges: each edge is a [parent, child] pair, got {e!r}")
-            par, child = e
-            if type(par) is not int or type(child) is not int:
-                par = _as_int(par, f"trees[{i}].edges")
-                child = _as_int(child, f"trees[{i}].edges")
-            if child in parent:
-                raise ValueError(f"trees[{i}]: vertex {child} has two parents")
-            parent[child] = par
-        trees.append(RootedTree(root, parent))
+        trees.append(RootedTree(root, _parent_map(edges, i)))
     return Packing(tuple(trees))
 
 

@@ -11,10 +11,9 @@ satisfiable, and the literals inside such a tree spell the assignment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import IO
 
-from .core import KIND_GENERAL, Instance, Packing, objective, verify_packing
+from .core import KIND_GENERAL, Instance, Packing, _Value, objective, verify_packing
 from .oracle import SearchLimitExceeded
 
 # Gadget vertex limit: far above desk-size formulas and SATLIB-scale ones
@@ -22,45 +21,54 @@ from .oracle import SearchLimitExceeded
 MAX_VERTICES = 100_000
 
 
-@dataclass(frozen=True)
-class SatInstance:
+class SatInstance(_Value):
     """A CNF formula with exactly three literals per clause.
 
     Literals are signed 1-based variable indexes.  A clause may repeat a
     variable, in either polarity.
     """
 
-    num_vars: int
-    clauses: tuple[tuple[int, int, int], ...]
+    _fields = ("num_vars", "clauses")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.num_vars, int) or self.num_vars < 1:
-            raise ValueError(f"num_vars: must be a positive integer, got {self.num_vars!r}")
-        clauses = tuple(tuple(cl) for cl in self.clauses)
+    def __init__(self, num_vars: int, clauses: tuple[tuple[int, int, int], ...]) -> None:
+        if not isinstance(num_vars, int) or num_vars < 1:
+            raise ValueError(f"num_vars: must be a positive integer, got {num_vars!r}")
+        clauses = tuple(tuple(cl) for cl in clauses)
         if not clauses:
             raise ValueError("clauses: formula has no clauses")
         for j, cl in enumerate(clauses, start=1):
             if len(cl) != 3:
                 raise ValueError(f"clause {j}: needs exactly 3 literals, got {len(cl)}")
             for lit in cl:
-                if not isinstance(lit, int) or lit == 0 or abs(lit) > self.num_vars:
+                if not isinstance(lit, int) or lit == 0 or abs(lit) > num_vars:
                     raise ValueError(f"clause {j}: literal {lit!r} out of range")
-        object.__setattr__(self, "clauses", clauses)
+        self.__dict__.update(num_vars=num_vars, clauses=clauses)
 
     @property
     def num_clauses(self) -> int:
         return len(self.clauses)
 
 
-@dataclass(frozen=True)
-class ReductionOutput:
+class ReductionOutput(_Value):
     """Gadget instance plus its decision threshold and vertex role map."""
 
-    instance: Instance
-    gamma: int
-    labels: dict[int, str]
-    num_vars: int
-    num_clauses: int
+    _fields = ("instance", "gamma", "labels", "num_vars", "num_clauses")
+
+    def __init__(
+        self,
+        instance: Instance,
+        gamma: int,
+        labels: dict[int, str],
+        num_vars: int,
+        num_clauses: int,
+    ) -> None:
+        self.__dict__.update(
+            instance=instance,
+            gamma=gamma,
+            labels=labels,
+            num_vars=num_vars,
+            num_clauses=num_clauses,
+        )
 
     def selector_vertex(self, i: int) -> int:
         return i
@@ -118,11 +126,9 @@ def parse_dimacs(text: str) -> SatInstance:
     return SatInstance(num_vars, tuple(clauses))  # type: ignore[arg-type]
 
 
-def load_dimacs(source: IO) -> SatInstance:
-    data = source.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    return parse_dimacs(data)
+def load_dimacs(source: IO[bytes]) -> SatInstance:
+    """Parse DIMACS CNF from a binary stream; the bytes must be UTF-8."""
+    return parse_dimacs(source.read().decode("utf-8"))
 
 
 def reduce_3sat(sat: SatInstance, *, max_vertices: int = MAX_VERTICES) -> ReductionOutput:

@@ -368,6 +368,24 @@ class TestOutputFiles:
             assert pack.read_bytes() == proc.stdout
 
 
+def test_startup_imports_no_dataclasses():
+    """Loading the CLI pulls in none of dataclasses' heavy dependencies.
+
+    -S keeps site's .pth imports out, so only treepack's own imports count.
+    """
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    code = f"import sys, treepack.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout == "[]\n"
+
+
 @pytest.fixture
 def collector():
     """Set the collector's state for a test; put the runner's back afterwards."""

@@ -6,7 +6,6 @@ import io
 import json
 import random
 import re
-from dataclasses import asdict
 
 import pytest
 
@@ -14,7 +13,11 @@ from helpers import random_complete_instance, random_general_instance, random_tr
 from treepack import (
     Instance,
     Packing,
+    ReductionOutput,
     RootedTree,
+    SatInstance,
+    VerificationReport,
+    Violation,
     greedy_general,
     instance_from_dict,
     load_instance,
@@ -34,6 +37,73 @@ def path3_instance(num_trees: int = 2) -> Instance:
 
 def full_path_tree() -> RootedTree:
     return RootedTree(0, {1: 0, 2: 1})
+
+
+def model_values():
+    """One value of each model type, built by keyword."""
+    inst = Instance(kind="complete", n=2, capacities=(1, 0), num_trees=1)
+    sat = SatInstance(num_vars=1, clauses=((1, 1, -1),))
+    tree = RootedTree(root=0, parent={1: 0})
+    violation = Violation(tree=0, vertex=1, reason="x")
+    return [
+        inst,
+        tree,
+        Packing(trees=(tree,)),
+        violation,
+        VerificationReport(valid=False, violations=[violation]),
+        sat,
+        ReductionOutput(instance=inst, gamma=2, labels={0: "root"}, num_vars=1, num_clauses=1),
+    ]
+
+
+class TestValueClasses:
+    def test_keyword_construction_with_defaults(self):
+        inst = Instance(kind="tree", n=2, capacities=[1, 0], num_trees=1, edges=[(1, 0)])
+        assert (inst.root, inst.capacities, inst.edges) == (0, (1, 0), ((0, 1),))
+        assert Instance(kind="complete", n=1, capacities=(0,), num_trees=1).edges is None
+        assert inst == Instance("tree", 2, (1, 0), 1, 0, ((0, 1),))
+
+    def test_equality_by_class_and_fields(self):
+        values, again = model_values(), model_values()
+        for i, value in enumerate(values):
+            for j, other in enumerate(again):
+                assert (value == other) is (i == j)
+                assert (value != other) is (i != j)
+        assert Violation(0, 1, "x") != Violation(0, 2, "x")
+        assert Violation(0, 1, "x") != (0, 1, "x")
+        assert RootedTree(0, {1: 0}) != RootedTree(1, {1: 0})
+
+    def test_equal_instances_hash_equal(self):
+        a = Instance(kind="general", n=3, capacities=(1, 1, 1), num_trees=1, edges=((0, 1), (2, 1)))
+        b = Instance("general", 3, [1, 1, 1], 1, 0, [[1, 0], [1, 2]])
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, Violation(0, 1, "x"), Violation(0, 1, "x")}) == 2
+
+    def test_repr_names_every_field(self):
+        for value in model_values():
+            assert set(vars(value)) == set(value._fields)
+            text = repr(value)
+            assert text.startswith(type(value).__name__ + "(")
+            for name in value._fields:
+                assert f"{name}={getattr(value, name)!r}" in text
+        assert repr(Violation(None, 3, "r")) == "Violation(tree=None, vertex=3, reason='r')"
+
+    def test_fields_are_read_only(self):
+        for value in model_values():
+            for name in value._fields:
+                before = getattr(value, name)
+                with pytest.raises(AttributeError):
+                    setattr(value, name, None)
+                with pytest.raises(AttributeError):
+                    delattr(value, name)
+                assert getattr(value, name) is before
+            with pytest.raises(AttributeError):
+                value.extra = 1
+
+    def test_cached_adjacency_after_construction(self):
+        inst = path3_instance()
+        assert inst.neighbors(1) == [0, 2]
+        assert inst.neighbors(1) is inst.neighbors(1)
 
 
 class TestInstanceValidation:
@@ -209,8 +279,19 @@ class TestVerifyPacking:
             )
         )
         report = verify_packing(inst, packing)
-        assert {v.tree for v in report.violations} >= {None, 0, 1}
-        expected = {"valid": False, "violations": [asdict(v) for v in report.violations]}
+        capacity = "capacity exceeded: {} children across trees, capacity {}"
+        expected = {
+            "valid": False,
+            "violations": [
+                {"tree": 0, "vertex": 0, "reason": "root must not have a parent"},
+                {"tree": 0, "vertex": 9, "reason": "edge (2, 9) uses a vertex outside [0, 5)"},
+                {"tree": 1, "vertex": 3, "reason": "not connected to the root"},
+                {"tree": 1, "vertex": 4, "reason": "not connected to the root"},
+                {"tree": None, "vertex": 0, "reason": capacity.format(2, 1)},
+                {"tree": None, "vertex": 1, "reason": capacity.format(2, 1)},
+                {"tree": None, "vertex": 2, "reason": capacity.format(1, 0)},
+            ],
+        }
         assert report.to_dict() == expected
         assert json.dumps(report.to_dict()) == json.dumps(expected)
 

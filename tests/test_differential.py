@@ -1,18 +1,20 @@
 """Differential tests: the linear-time code against the algorithms it replaced.
 
 The reference functions below are the earlier, simpler implementations of
-``RootedTree.edges``, ``verify_packing``, ``greedy_general`` and the two
-complete-solver stages, kept verbatim apart from taking the tree or
-instance as an argument.  The current code must give exactly the same
+``RootedTree.edges``, ``verify_packing``, ``greedy_general``,
+``packing_from_dict`` and the two complete-solver stages, kept verbatim
+apart from taking the tree or instance as an argument.  The current code must give exactly the same
 results: the same edge order, the same violation list in the same order,
 the same paths and residuals, the same parent maps in the same insertion
-order.
+order, the same error for a malformed document.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter, deque
+
+import pytest
 
 from helpers import (
     random_complete_instance,
@@ -124,6 +126,35 @@ def reference_verify(inst: Instance, packing: Packing) -> VerificationReport:
                 )
             )
     return VerificationReport(not violations, violations)
+
+
+def reference_packing_from_dict(data, root: int) -> Packing:
+    """Per-edge loop: list, length, type and duplicate tests on every edge."""
+    if not isinstance(data, dict) or "trees" not in data:
+        raise ValueError("packing: missing field trees")
+    trees_data = data["trees"]
+    if not isinstance(trees_data, list):
+        raise ValueError("trees: expected a list")
+    trees = []
+    for i, td in enumerate(trees_data):
+        if not isinstance(td, dict) or "edges" not in td:
+            raise ValueError(f"trees[{i}]: missing field edges")
+        edges = td["edges"]
+        if not isinstance(edges, list):
+            raise ValueError(f"trees[{i}].edges: expected a list, got {type(edges).__name__}")
+        parent: dict[int, int] = {}
+        for e in edges:
+            if not isinstance(e, list) or len(e) != 2:
+                raise ValueError(f"trees[{i}].edges: each edge is a [parent, child] pair, got {e!r}")
+            par, child = e
+            if type(par) is not int or type(child) is not int:
+                par = core._as_int(par, f"trees[{i}].edges")
+                child = core._as_int(child, f"trees[{i}].edges")
+            if child in parent:
+                raise ValueError(f"trees[{i}]: vertex {child} has two parents")
+            parent[child] = par
+        trees.append(RootedTree(root, parent))
+    return Packing(tuple(trees))
 
 
 def reference_greedy(inst: Instance) -> Packing:
@@ -395,6 +426,83 @@ class TestVerifyMatchesReference:
         report = verify_packing(inst, packing)
         assert report == reference_verify(inst, packing)
         assert Violation(0, 2, "edge (2, 2) not in the instance graph") in report.violations
+
+
+class Vertex(int):
+    """An int subclass: accepted by the loader, though JSON never yields one."""
+
+
+def malform(rng: random.Random, doc: dict) -> dict:
+    """Apply one to three random faults to a packing document's edges."""
+    trees = doc["trees"]
+    for _ in range(rng.randint(1, 3)):
+        tree = rng.choice(trees)
+        edges = tree["edges"]
+        k = rng.randrange(len(edges) + 1)
+        fault = rng.choice(
+            ("not_list", "short", "long", "float", "bool", "string", "unhashable",
+             "subclass", "duplicate", "tree_shape")
+        )
+        if fault == "not_list":
+            edges.insert(k, rng.choice(((0, 1), "0 1", 7, None, {"p": 0})))
+        elif fault == "short":
+            edges.insert(k, rng.choice(([], [rng.randrange(9)])))
+        elif fault == "long":
+            edges.insert(k, [0, 1, 2])
+        elif fault == "float":
+            edges.insert(k, rng.choice(([0, 1.0], [0.0, 1], [0, float("nan")])))
+        elif fault == "bool":
+            edges.insert(k, rng.choice(([0, True], [False, 1])))
+        elif fault == "string":
+            edges.insert(k, [0, "1"])
+        elif fault == "unhashable":
+            edges.insert(k, rng.choice(([0, [1]], [0, {}], [[0], 1])))
+        elif fault == "subclass":
+            edges.insert(k, [Vertex(rng.randrange(9)), Vertex(100 + rng.randrange(50))])
+        elif fault == "duplicate":
+            children = [e[1] for e in edges if isinstance(e, list) and len(e) == 2]
+            if children:
+                edges.insert(k, [rng.randrange(9), rng.choice(children)])
+        elif fault == "tree_shape":
+            trees[trees.index(tree)] = rng.choice(({}, [], {"edges": "x"}, {"edges": None}))
+            break
+    return doc
+
+
+def load_outcome(load, doc: dict, root: int):
+    """Parent maps with their insertion order, or the ValueError's text."""
+    try:
+        return [list(t.parent.items()) for t in load(doc, root).trees]
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestPackingFromDictMatchesReference:
+    def test_valid_documents(self):
+        for _, inst, packing in seeded_cases(12, 900):
+            doc = packing_to_dict(packing)
+            want = load_outcome(reference_packing_from_dict, doc, inst.root)
+            assert load_outcome(packing_from_dict, doc, inst.root) == want
+            assert not isinstance(want, str)
+
+    def test_malformed_documents(self):
+        errors = Counter()
+        for rng, inst, packing in seeded_cases(13, 3000):
+            doc = malform(rng, packing_to_dict(packing))
+            want = load_outcome(reference_packing_from_dict, doc, inst.root)
+            assert load_outcome(packing_from_dict, doc, inst.root) == want
+            if isinstance(want, str):
+                errors[want.split(":")[2].split()[0]] += 1
+        assert errors["vertex"] > 100  # "two parents"
+        assert errors["each"] > 300 and errors["expected"] > 300
+
+    def test_two_parents_reported_before_a_later_type_error(self):
+        doc = {"trees": [{"edges": [[0, 1], [2, 1], [0, 2.0]]}]}
+        with pytest.raises(ValueError, match=r"^trees\[0\]: vertex 1 has two parents$"):
+            packing_from_dict(doc, 0)
+        doc = {"trees": [{"edges": [[0, 1], [0, 2.0], [2, 1]]}]}
+        with pytest.raises(ValueError, match=r"^trees\[0\].edges: expected an integer, got 2.0$"):
+            packing_from_dict(doc, 0)
 
 
 class TestGreedyMatchesReference:

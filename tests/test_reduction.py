@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import random
 from collections import Counter
 
@@ -21,6 +22,7 @@ from treepack import (
     SearchLimitExceeded,
     brute_force_solve,
     extract_assignment,
+    load_dimacs,
     objective,
     parse_dimacs,
     reduce_3sat,
@@ -58,6 +60,11 @@ class TestParseDimacs:
     def test_bad_token_rejected(self):
         with pytest.raises(ValueError, match="bad token"):
             parse_dimacs("p cnf 2 1\n1 x 2 0\n")
+
+    def test_load_reads_utf8_bytes(self):
+        assert load_dimacs(io.BytesIO(EXAMPLE_DIMACS.encode())) == EXAMPLE_FORMULA
+        with pytest.raises(ValueError):  # UnicodeDecodeError
+            load_dimacs(io.BytesIO(b"p cnf 1 1\n1 1 \xff 0\n"))
 
 
 class TestSatInstance:
