@@ -66,7 +66,8 @@ def _write(path: str, text: str) -> None:
 
 def _emit(data: dict, path: str | None = None) -> None:
     """Encode data once as a JSON line; print it, and write it to path if given."""
-    line = json.dumps(data) + "\n"
+    # No cycle can occur: data is always a fresh tree of dicts and lists treepack built.
+    line = json.dumps(data, check_circular=False) + "\n"
     sys.stdout.write(line)
     if path:
         _write(path, line)

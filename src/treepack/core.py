@@ -196,6 +196,11 @@ class RootedTree(_Value):
     edges (parent[v], v).  An empty map is the null tree, just the root.
     Trees are treated as immutable after construction.
 
+    The map's insertion order is the tree's one edge order: edges() and
+    the saved file list the edges in it.  Every solver inserts each child
+    after its parent, root outward, which lets verify_packing check the
+    tree in one pass.
+
     The constructor does not check connectivity or edge membership; that is
     verify_packing's job, so damaged packings read from files can still be
     represented and reported on instead of failing to load.
@@ -225,34 +230,8 @@ class RootedTree(_Value):
         return Counter(self.parent.values())
 
     def edges(self) -> list[tuple[int, int]]:
-        """(parent, child) pairs, root outward, children in ascending order."""
-        parent = self.parent
-        return [(parent[c], c) for c in self._edge_order()]
-
-    def _edge_order(self) -> list[int]:
-        """Children in edges() order: the connected ones, then remnants."""
-        order = self._reached()
-        if len(order) < len(self.parent):
-            # Remnants not reachable from the root (invalid trees), kept so
-            # that saving and reloading loses nothing.
-            seen = set(order)
-            order += [c for c in sorted(self.parent) if c not in seen]
-        return order
-
-    def _reached(self) -> list[int]:
-        """Children connected to the root, breadth first, siblings ascending."""
-        root, parent = self.root, self.parent
-        children: dict[int, list[int]] = {}
-        for c in sorted(parent):
-            if c != root:
-                children.setdefault(parent[c], []).append(c)
-        reached = [root]
-        for u in reached:
-            kids = children.get(u)
-            if kids:
-                reached += kids
-        del reached[0]
-        return reached
+        """(parent, child) pairs in the map's insertion order."""
+        return [(p, c) for c, p in self.parent.items()]
 
 
 class Packing(_Value):
@@ -525,10 +504,13 @@ def packing_from_dict(data: Any, root: int) -> Packing:
 
 
 def packing_to_dict(packing: Packing) -> dict:
-    trees = []
-    for tree in packing.trees:
-        parent = tree.parent
-        trees.append({"edges": [[parent[c], c] for c in tree._edge_order()]})
+    """The packing document: each tree's [parent, child] pairs, and the objective.
+
+    The order is the parent map's insertion order, which every solver makes
+    root outward and packing_from_dict keeps, so saving, loading and saving
+    again gives the same document.
+    """
+    trees = [{"edges": [[p, c] for c, p in tree.parent.items()]} for tree in packing.trees]
     return {"trees": trees, "objective": objective(packing)}
 
 
@@ -538,5 +520,8 @@ def load_packing(source: IO, inst: Instance) -> Packing:
 
 
 def save_packing(packing: Packing, sink: IO[str]) -> None:
-    """Write the packing JSON document to a text stream; loading it back restores the parent maps."""
+    """Write the packing JSON document to a text stream, edges in map order.
+
+    Loading it back restores the parent maps in the same insertion order.
+    """
     sink.write(json.dumps(packing_to_dict(packing)))

@@ -92,13 +92,19 @@ def _clause_vertex(num_vars: int, j: int) -> int:
 
 
 def parse_dimacs(text: str) -> SatInstance:
-    """Parse DIMACS CNF text; every clause must have exactly three literals."""
+    """Parse DIMACS CNF text; every clause must have exactly three literals.
+
+    A line starting with "%" ends the formula: SATLIB's uf files follow it
+    with a lone "0", which is not a clause.
+    """
     num_vars: int | None = None
     clauses: list[tuple[int, ...]] = []
     current: list[int] = []
     for raw in text.splitlines():
         line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
+        if line.startswith("%"):
+            break
+        if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             parts = line.split()

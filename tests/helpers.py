@@ -66,6 +66,22 @@ def random_general_instance(
     )
 
 
+def satlib_uf_text(seed: int = 20) -> tuple[str, str]:
+    """A SATLIB uf20-91-style file, and the same text without its trailer.
+
+    Like SATLIB's uf files: comment lines, a header with a double and a
+    trailing space, leading spaces on clause lines, then "%", "0" and a
+    blank line after the last clause.
+    """
+    rng = random.Random(seed)
+    clauses = "".join(
+        " " + " ".join(str(rng.choice((1, -1)) * rng.randint(1, 20)) for _ in range(3)) + " 0\n"
+        for _ in range(91)
+    )
+    body = "c This Formular is generated by mcnf\nc\np cnf 20  91 \n" + clauses
+    return body + "%\n0\n\n", body
+
+
 def random_3cnf(rng: random.Random, max_vars: int = 4, max_clauses: int = 4) -> SatInstance:
     num_vars = rng.randint(1, max_vars)
     clauses = tuple(

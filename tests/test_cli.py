@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import EXAMPLE_DIMACS
+from helpers import EXAMPLE_DIMACS, satlib_uf_text
 from treepack import cli
 from treepack.cli import main
 
@@ -254,6 +254,15 @@ class TestReduce:
         )
         assert code == 0
         assert json.loads(out)["objective"] == 12
+
+    def test_satlib_uf_file_reduces(self, capsys, tmp_path):
+        cnf = tmp_path / "uf20-01.cnf"
+        cnf.write_text(satlib_uf_text()[0])
+        gadget = tmp_path / "gadget.json"
+        code, out, err = run(capsys, "reduce", "--cnf", str(cnf), "-o", str(gadget))
+        assert code == 0, err
+        assert json.loads(out)["gamma"] == 1 + 2 * 20 + 91
+        assert json.loads(gadget.read_text())["n"] == 1 + 3 * 20 + 91
 
     def test_bad_cnf_is_input_error(self, capsys, tmp_path):
         cnf = tmp_path / "bad.cnf"

@@ -1,18 +1,20 @@
 """Differential tests: the linear-time code against the algorithms it replaced.
 
 The reference functions below are the earlier, simpler implementations of
-``RootedTree.edges``, ``verify_packing``, ``greedy_general``,
-``packing_from_dict`` and the two complete-solver stages, kept verbatim
-apart from taking the tree or instance as an argument.  The current code must give exactly the same
-results: the same edge order, the same violation list in the same order,
-the same paths and residuals, the same parent maps in the same insertion
-order, the same error for a malformed document.
+``verify_packing``, ``greedy_general``, ``packing_from_dict`` and the two
+complete-solver stages, kept verbatim apart from taking the tree or
+instance as an argument.  The current code must give exactly the same
+results: the same violation list in the same order, the same paths and
+residuals, the same parent maps in the same insertion order, the same
+error for a malformed document.  Edges are listed in parent-map order,
+so saving, loading and saving again must give the same document.
 """
 
 from __future__ import annotations
 
+import json
 import random
-from collections import Counter, deque
+from collections import Counter
 
 import pytest
 
@@ -28,6 +30,7 @@ from treepack import (
     VerificationReport,
     Violation,
     attach_stage,
+    brute_force_solve,
     build_stage_paths,
     greedy_general,
     objective,
@@ -39,29 +42,6 @@ from treepack import (
     verify_packing,
 )
 from treepack import core
-
-
-def reference_edges(tree: RootedTree) -> list[tuple[int, int]]:
-    """Deque BFS with one sort per parent.  Loops forever if the root has a
-    parent that the root reaches, so callers keep the root out of the map."""
-    children: dict[int, list[int]] = {}
-    for c, p in tree.parent.items():
-        children.setdefault(p, []).append(c)
-    for kids in children.values():
-        kids.sort()
-    out: list[tuple[int, int]] = []
-    seen = {tree.root}
-    queue = deque([tree.root])
-    while queue:
-        u = queue.popleft()
-        for c in children.get(u, ()):
-            out.append((u, c))
-            seen.add(c)
-            queue.append(c)
-    if len(out) < len(tree.parent):
-        rest = [(p, c) for c, p in tree.parent.items() if c not in seen]
-        out.extend(sorted(rest, key=lambda e: e[1]))
-    return out
 
 
 def reference_verify(inst: Instance, packing: Packing) -> VerificationReport:
@@ -283,32 +263,39 @@ def corrupt(rng: random.Random, inst: Instance, packing: Packing) -> Packing:
     return Packing(tuple(RootedTree(r, pm) for r, pm in zip(roots, maps)))
 
 
-class TestEdgesMatchReference:
+def assert_map_order_round_trip(packing: Packing, root: int) -> None:
+    """edges() is map order, and save -> load -> save is exact."""
+    for tree in packing.trees:
+        assert tree.edges() == [(p, c) for c, p in tree.parent.items()]
+    text = json.dumps(packing_to_dict(packing))
+    reloaded = packing_from_dict(json.loads(text), root)
+    assert json.dumps(packing_to_dict(reloaded)) == text
+    for tree, back in zip(packing.trees, reloaded.trees):
+        assert list(back.parent.items()) == list(tree.parent.items())
+
+
+class TestEdgesInMapOrder:
     def test_valid_trees(self):
-        for _, _, packing in seeded_cases(1, 600):
-            for tree in packing.trees:
-                assert tree.edges() == reference_edges(tree)
+        for _, inst, packing in seeded_cases(1, 600):
+            assert_map_order_round_trip(packing, inst.root)
 
     def test_damaged_parent_maps(self):
         checked = 0
         for rng, inst, packing in seeded_cases(2, 1500):
-            for tree in corrupt(rng, inst, packing).trees:
-                if tree.root in tree.parent:
-                    continue  # the reference loops forever on some of these
-                assert tree.edges() == reference_edges(tree)
-                checked += 1
+            damaged = corrupt(rng, inst, packing)
+            # corrupt() may move a tree's root; a file's trees take the instance root.
+            rerooted = Packing(tuple(RootedTree(inst.root, t.parent) for t in damaged.trees))
+            assert_map_order_round_trip(rerooted, inst.root)
+            checked += len(damaged.trees)
         assert checked > 2500
 
     def test_large_solver_trees(self):
         rng = random.Random(3)
         n = 3000
         inst = Instance("complete", n, tuple(rng.randint(0, 10) for _ in range(n)), 10)
-        for tree in solve_complete(inst).trees:
-            assert tree.edges() == reference_edges(tree)
+        assert_map_order_round_trip(solve_complete(inst), inst.root)
 
     def test_root_with_parent_keeps_every_edge(self):
-        # The root's own parent edge goes last, with the other remnants,
-        # so saving and reloading restores the map exactly.
         trees = [
             RootedTree(0, {0: 1, 1: 0}),
             RootedTree(0, {0: 2, 1: 0, 2: 1}),
@@ -316,9 +303,7 @@ class TestEdgesMatchReference:
             RootedTree(0, {0: 0, 2: 0}),
         ]
         for tree in trees:
-            assert sorted(tree.edges()) == sorted((p, c) for c, p in tree.parent.items())
-            reloaded = packing_from_dict(packing_to_dict(Packing((tree,))), 0)
-            assert reloaded.trees[0].parent == tree.parent
+            assert_map_order_round_trip(Packing((tree,)), 0)
 
 
 class TestVerifyMatchesReference:
@@ -410,7 +395,6 @@ class TestVerifyMatchesReference:
             raise AssertionError("fallback path used on a root-outward tree")
 
         monkeypatch.setattr(core, "sorted", counting_sorted, raising=False)
-        monkeypatch.setattr(RootedTree, "_reached", forbidden)
         monkeypatch.setattr(RootedTree, "vertices", property(forbidden))
         rng = random.Random(13)
         for _ in range(30):
@@ -419,6 +403,10 @@ class TestVerifyMatchesReference:
                 sorted_args.clear()
                 assert verify_packing(inst, solve(inst)).valid
                 assert sorted_args == [[]]  # only the empty overflow list
+                desk = make(rng, max_n=5, max_k=3, cap_hi=3)
+                sorted_args.clear()
+                assert verify_packing(desk, brute_force_solve(desk)[1]).valid
+                assert sorted_args == [[]]
 
     def test_self_edges_on_complete_kind(self):
         inst = Instance("complete", 4, (3, 3, 3, 3), 1)

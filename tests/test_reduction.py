@@ -14,6 +14,7 @@ from helpers import (
     assignment_satisfies,
     cnf_satisfiable,
     random_3cnf,
+    satlib_uf_text,
 )
 from treepack import (
     Packing,
@@ -60,6 +61,13 @@ class TestParseDimacs:
     def test_bad_token_rejected(self):
         with pytest.raises(ValueError, match="bad token"):
             parse_dimacs("p cnf 2 1\n1 x 2 0\n")
+
+    def test_satlib_trailer_ends_the_formula(self):
+        # SATLIB's uf files end with "%" and a lone "0", which is no clause.
+        uf, plain = satlib_uf_text()
+        sat = parse_dimacs(uf)
+        assert sat == parse_dimacs(plain)
+        assert (sat.num_vars, sat.num_clauses) == (20, 91)
 
     def test_load_reads_utf8_bytes(self):
         assert load_dimacs(io.BytesIO(EXAMPLE_DIMACS.encode())) == EXAMPLE_FORMULA
