@@ -5,80 +5,65 @@ vertex's child count summed over the trees stays within its capacity, and
 the total number of spanned vertex occurrences is maximum.  Exact
 polynomial solvers cover complete graphs and trees; general graphs get an
 exhaustive oracle for desk-size instances and a labeled greedy baseline.
+
+Importing the package loads none of its submodules.  Each public name is
+imported from its submodule on first access (PEP 562), so a CLI call
+loads only the modules its command runs.
 """
 
-from .complete_solver import (
-    attach_stage,
-    build_stage_paths,
-    optimal_objective,
-    solve_complete,
-)
-from .core import (
-    KIND_COMPLETE,
-    KIND_GENERAL,
-    KIND_TREE,
-    Instance,
-    Packing,
-    RootedTree,
-    VerificationReport,
-    Violation,
-    instance_from_dict,
-    instance_to_dict,
-    load_instance,
-    load_packing,
-    objective,
-    packing_from_dict,
-    packing_to_dict,
-    save_instance,
-    save_packing,
-    verify_packing,
-)
-from .oracle import SearchLimitExceeded, brute_force_solve, greedy_general
-from .reduction import (
-    ReductionOutput,
-    SatInstance,
-    extract_assignment,
-    load_dimacs,
-    parse_dimacs,
-    reduce_3sat,
-)
-from .tree_solver import solve_mckp, solve_tree, stripe_values
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "KIND_COMPLETE",
-    "KIND_GENERAL",
-    "KIND_TREE",
-    "Instance",
-    "Packing",
-    "ReductionOutput",
-    "RootedTree",
-    "SatInstance",
-    "SearchLimitExceeded",
-    "VerificationReport",
-    "Violation",
-    "attach_stage",
-    "brute_force_solve",
-    "build_stage_paths",
-    "extract_assignment",
-    "greedy_general",
-    "instance_from_dict",
-    "instance_to_dict",
-    "load_dimacs",
-    "load_instance",
-    "load_packing",
-    "objective",
-    "optimal_objective",
-    "packing_from_dict",
-    "packing_to_dict",
-    "parse_dimacs",
-    "reduce_3sat",
-    "save_instance",
-    "save_packing",
-    "solve_complete",
-    "solve_mckp",
-    "solve_tree",
-    "stripe_values",
-    "verify_packing",
-]
+# Public name -> the submodule that defines it.
+_SOURCES = {
+    "KIND_COMPLETE": "core",
+    "KIND_GENERAL": "core",
+    "KIND_TREE": "core",
+    "Instance": "core",
+    "Packing": "core",
+    "ReductionOutput": "reduction",
+    "RootedTree": "core",
+    "SatInstance": "reduction",
+    "SearchLimitExceeded": "core",
+    "VerificationReport": "core",
+    "Violation": "core",
+    "attach_stage": "complete_solver",
+    "brute_force_solve": "oracle",
+    "build_stage_paths": "complete_solver",
+    "extract_assignment": "reduction",
+    "greedy_general": "oracle",
+    "instance_from_dict": "core",
+    "instance_to_dict": "core",
+    "load_dimacs": "reduction",
+    "load_instance": "core",
+    "load_packing": "core",
+    "objective": "core",
+    "optimal_objective": "complete_solver",
+    "packing_from_dict": "core",
+    "packing_to_dict": "core",
+    "parse_dimacs": "reduction",
+    "reduce_3sat": "reduction",
+    "save_instance": "core",
+    "save_packing": "core",
+    "solve_complete": "complete_solver",
+    "solve_mckp": "tree_solver",
+    "solve_tree": "tree_solver",
+    "stripe_values": "tree_solver",
+    "verify_packing": "core",
+}
+
+__all__ = list(_SOURCES)
+
+
+def __getattr__(name: str):
+    try:
+        source = _SOURCES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(import_module(f".{source}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return __all__

@@ -10,6 +10,12 @@ small containers (parsed JSON, parent maps, edge lists) with no
 reference cycles, which reference counting frees; the collector's
 repeated sweeps over them would only cost time.  The argument parser's
 few hundred cyclic objects wait for the next collection after the call.
+
+A call loads only the modules its command runs: this module imports
+core alone, and each solver entry point below is a stand-in that imports
+its submodule when first called.  The console script and ``python -m
+treepack.cli`` go through run(), which also spares the process the
+collector's sweep over every live object at exit.
 """
 
 from __future__ import annotations
@@ -20,13 +26,15 @@ import json
 import os
 import stat
 import sys
+from importlib import import_module
 
-from .complete_solver import solve_complete
 from .core import (
     KIND_COMPLETE,
     KIND_GENERAL,
     KIND_TREE,
+    MAX_VERTICES,
     Instance,
+    SearchLimitExceeded,
     instance_to_dict,
     load_instance,
     load_packing,
@@ -34,9 +42,28 @@ from .core import (
     packing_to_dict,
     verify_packing,
 )
-from .oracle import SearchLimitExceeded, brute_force_solve, greedy_general
-from .reduction import MAX_VERTICES, load_dimacs, reduce_3sat
-from .tree_solver import solve_tree
+
+
+def _on_first_call(module: str, name: str):
+    """A stand-in for treepack.<module>.<name> that imports the module when called.
+
+    The stand-in stays the module attribute, so callers that swap it out
+    (tests, the benchmark's tracer) keep working.
+    """
+
+    def call(*args, **kwargs):
+        return getattr(import_module(f"treepack.{module}"), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+solve_complete = _on_first_call("complete_solver", "solve_complete")
+solve_tree = _on_first_call("tree_solver", "solve_tree")
+greedy_general = _on_first_call("oracle", "greedy_general")
+brute_force_solve = _on_first_call("oracle", "brute_force_solve")
+load_dimacs = _on_first_call("reduction", "load_dimacs")
+reduce_3sat = _on_first_call("reduction", "reduce_3sat")
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -205,5 +232,20 @@ def main(argv: list[str] | None = None) -> int:
             gc.enable()
 
 
+def run() -> None:
+    """Console entry point: exit with main's code, without the collector's exit sweep.
+
+    At exit CPython collects every generation once more, over every
+    object still alive, including those the site imports made.  Freezing
+    moves them all into the permanent generation, which that sweep skips;
+    reference counting, module teardown, stream flushes and atexit still
+    run.  main itself never freezes, so in-process callers are unaffected.
+    """
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -21,6 +21,19 @@ KIND_COMPLETE = "complete"
 KIND_TREE = "tree"
 KINDS = (KIND_GENERAL, KIND_COMPLETE, KIND_TREE)
 
+# Gadget vertex limit of reduce_3sat: far above desk-size formulas and
+# SATLIB-scale ones (uf250: 1,816 vertices), far below a header that asks
+# for gigabytes.
+MAX_VERTICES = 100_000
+
+
+class SearchLimitExceeded(RuntimeError):
+    """Raised when an input is past a limit on the work a command may do.
+
+    The oracle's max_n and max_k and reduce_3sat's max_vertices are such
+    limits; the CLI exits with code 3 on this error.
+    """
+
 
 def _as_int(value: Any, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):

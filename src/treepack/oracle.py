@@ -10,11 +10,7 @@ completion prunes hopeless branches without affecting exactness.
 
 from __future__ import annotations
 
-from .core import Instance, Packing, RootedTree
-
-
-class SearchLimitExceeded(RuntimeError):
-    """Raised when an instance is too large for exhaustive search."""
+from .core import Instance, Packing, RootedTree, SearchLimitExceeded
 
 
 def brute_force_solve(inst: Instance, *, max_n: int = 8, max_k: int = 3) -> tuple[int, Packing]:

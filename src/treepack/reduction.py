@@ -13,12 +13,16 @@ from __future__ import annotations
 
 from typing import IO
 
-from .core import KIND_GENERAL, Instance, Packing, _Value, objective, verify_packing
-from .oracle import SearchLimitExceeded
-
-# Gadget vertex limit: far above desk-size formulas and SATLIB-scale ones
-# (uf250: 1,816 vertices), far below a header that asks for gigabytes.
-MAX_VERTICES = 100_000
+from .core import (
+    KIND_GENERAL,
+    MAX_VERTICES,
+    Instance,
+    Packing,
+    SearchLimitExceeded,
+    _Value,
+    objective,
+    verify_packing,
+)
 
 
 class SatInstance(_Value):

@@ -443,9 +443,11 @@ class TestGarbageCollector:
         else:
             argv = ["oracle", "-i", inst, "--max-n", "3"]
         collector(enabled)
+        frozen = gc.get_freeze_count()
         code, _, _ = run(capsys, *argv)
         assert code == want
         assert gc.isenabled() is enabled
+        assert gc.get_freeze_count() == frozen
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_state_restored_when_command_raises(self, write_json, monkeypatch, collector, enabled):
