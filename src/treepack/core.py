@@ -7,6 +7,9 @@ feasible when, for every vertex, the number of children it has summed
 across all K trees stays within its capacity.  The objective of a packing
 is the total number of vertex occurrences: a vertex contained in j of the
 K trees contributes j.
+
+Packing documents are written as text straight from the parent maps
+(_packing_json), with the same bytes as json.dumps of packing_to_dict.
 """
 
 from __future__ import annotations
@@ -239,9 +242,6 @@ class RootedTree(_Value):
         verts.add(self.root)
         return verts
 
-    def child_counts(self) -> Counter:
-        return Counter(self.parent.values())
-
     def edges(self) -> list[tuple[int, int]]:
         """(parent, child) pairs in the map's insertion order."""
         return [(p, c) for c, p in self.parent.items()]
@@ -257,8 +257,15 @@ class Packing(_Value):
 
 
 def objective(packing: Packing) -> int:
-    """Total vertex occurrences: a vertex inside j trees counts j times."""
-    return sum(len(tree.vertices) for tree in packing.trees)
+    """Total vertex occurrences: a vertex inside j trees counts j times.
+
+    Defined on packings that verify: there a tree's vertices are its root
+    and its map's children, so each tree counts len(parent) + 1 and no
+    vertex set is built.  On a damaged tree (a parent that is neither a
+    child nor the root, or a root with a parent) the count can differ
+    from len(tree.vertices).
+    """
+    return sum(len(tree.parent) + 1 for tree in packing.trees)
 
 
 class Violation(_Value):
@@ -527,6 +534,19 @@ def packing_to_dict(packing: Packing) -> dict:
     return {"trees": trees, "objective": objective(packing)}
 
 
+def _packing_json(packing: Packing) -> str:
+    """json.dumps(packing_to_dict(packing)), written straight from the parent maps.
+
+    One join per tree over "[parent, child]" strings, with no list built per
+    edge.  Vertex ids must be plain ints, as every solver makes them and as
+    packing_from_dict reads them from JSON text: an int is formatted as
+    json.dumps writes it.
+    """
+    edges = [", ".join([f"[{p}, {c}]" for c, p in tree.parent.items()]) for tree in packing.trees]
+    trees = ", ".join([f'{{"edges": [{text}]}}' for text in edges])
+    return f'{{"trees": [{trees}], "objective": {objective(packing)}}}'
+
+
 def load_packing(source: IO, inst: Instance) -> Packing:
     """Parse a packing JSON document; trees are rooted at the instance root."""
     return packing_from_dict(_parse(source, "packing"), inst.root)
@@ -537,4 +557,4 @@ def save_packing(packing: Packing, sink: IO[str]) -> None:
 
     Loading it back restores the parent maps in the same insertion order.
     """
-    sink.write(json.dumps(packing_to_dict(packing)))
+    sink.write(_packing_json(packing))

@@ -1,9 +1,11 @@
-"""Smoke test of the benchmark harness: one short traced run, end to end.
+"""Smoke tests of the benchmark harness: short traced runs of general-mix and bulk.
 
 The harness times layers by swapping module attributes of treepack (see
 perfbench/tracing.py), so a rename in the library can break it without
-any library test noticing.  The run works in a copy of the checkout, so
-it writes nothing into the source tree.
+any library test noticing.  The bulk run also sends complete packings of
+up to 32,000 vertices through the CLI and the harness's independent
+checker.  Each run works in a copy of the checkout, so it writes nothing
+into the source tree.
 """
 
 from __future__ import annotations
@@ -17,12 +19,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_traced_general_mix_run(tmp_path):
+def _traced_run(tmp_path, workload: str) -> None:
     skip = shutil.ignore_patterns("__pycache__")
     for name in ("src", "perfbench"):
         shutil.copytree(ROOT / name, tmp_path / name, ignore=skip)
     shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
-    argv = ["perfbench/run.py", "--workload", "general-mix", "--seed", "1", "--seconds", "1", "--trace", "1"]
+    argv = ["perfbench/run.py", "--workload", workload, "--seed", "1", "--seconds", "1", "--trace", "1"]
     done = subprocess.run(
         [sys.executable, *argv], cwd=tmp_path, capture_output=True, text=True, timeout=300
     )
@@ -31,3 +33,12 @@ def test_traced_general_mix_run(tmp_path):
     assert result["correct"] is True
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     assert list(result["metrics"]) == [m["name"] for m in declared]
+
+
+def test_traced_general_mix_run(tmp_path):
+    _traced_run(tmp_path, "general-mix")
+
+
+def test_traced_bulk_run(tmp_path):
+    """Complete packings of up to 32,000 vertices through the CLI and the harness's own checker."""
+    _traced_run(tmp_path, "bulk")
