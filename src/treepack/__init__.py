@@ -44,8 +44,6 @@ _SOURCES = {
     "packing_to_dict": "core",
     "parse_dimacs": "reduction",
     "reduce_3sat": "reduction",
-    "save_instance": "core",
-    "save_packing": "core",
     "solve_complete": "complete_solver",
     "solve_mckp": "tree_solver",
     "solve_tree": "tree_solver",

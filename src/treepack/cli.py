@@ -68,6 +68,7 @@ greedy_general = _on_first_call("oracle", "greedy_general")
 brute_force_solve = _on_first_call("oracle", "brute_force_solve")
 load_dimacs = _on_first_call("reduction", "load_dimacs")
 reduce_3sat = _on_first_call("reduction", "reduce_3sat")
+optimal_objective = _on_first_call("complete_solver", "optimal_objective")
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -114,7 +115,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         alg = {KIND_COMPLETE: "complete", KIND_TREE: "tree", KIND_GENERAL: "greedy"}[inst.kind]
         if alg == "greedy":
             _note("general instance: greedy baseline, result is heuristic, not optimal")
-    if alg == "complete":
+    if alg == "complete" and args.value_only:
+        value, packing = optimal_objective(inst), None
+    elif alg == "complete":
         packing = solve_complete(inst)
     elif alg == "tree":
         value, packing = solve_tree(inst, value_only=args.value_only)

@@ -8,6 +8,8 @@ across all K trees stays within its capacity.  The objective of a packing
 is the total number of vertex occurrences: a vertex contained in j of the
 K trees contributes j.
 
+An instance keeps one edge lookup, its sorted adjacency lists: has_edge
+is a binary search there, and the edges tuple is the normalized input.
 Packing documents are written as text straight from the parent maps
 (_packing_json), with the same bytes as json.dumps of packing_to_dict.
 """
@@ -15,6 +17,7 @@ Packing documents are written as text straight from the parent maps
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from collections import Counter, deque
 from functools import cached_property
 from typing import IO, Any, Mapping
@@ -187,10 +190,6 @@ class Instance(_Value):
             neighbors.sort()
         return adj
 
-    @cached_property
-    def _edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges or ())
-
     def neighbors(self, v: int) -> list[int]:
         """Neighbors of v in ascending order (materialized for complete kinds)."""
         if self.kind == KIND_COMPLETE:
@@ -198,11 +197,14 @@ class Instance(_Value):
         return self._adjacency[v]
 
     def has_edge(self, u: int, v: int) -> bool:
+        """Is {u, v} an edge?  A binary search in u's sorted neighbors: O(log deg u)."""
         if not (0 <= u < self.n and 0 <= v < self.n) or u == v:
             return False
         if self.kind == KIND_COMPLETE:
             return True
-        return ((u, v) if u < v else (v, u)) in self._edge_set
+        neighbors = self._adjacency[u]
+        i = bisect_left(neighbors, v)
+        return i < len(neighbors) and neighbors[i] == v
 
 
 class RootedTree(_Value):
@@ -212,10 +214,10 @@ class RootedTree(_Value):
     edges (parent[v], v).  An empty map is the null tree, just the root.
     Trees are treated as immutable after construction.
 
-    The map's insertion order is the tree's one edge order: edges() and
-    the saved file list the edges in it.  Every solver inserts each child
-    after its parent, root outward, which lets verify_packing check the
-    tree in one pass.
+    The map's insertion order is the tree's one edge order: the packing
+    file lists the edges in it.  Every solver inserts each child after its
+    parent, root outward, which lets verify_packing check the tree in one
+    pass.
 
     The constructor does not check connectivity or edge membership; that is
     verify_packing's job, so damaged packings read from files can still be
@@ -227,24 +229,12 @@ class RootedTree(_Value):
     def __init__(self, root: int, parent: Mapping[int, int]) -> None:
         self.__dict__.update(root=root, parent=dict(parent))
 
-    @classmethod
-    def null(cls, root: int) -> "RootedTree":
-        return cls(root, {})
-
-    @property
-    def is_null(self) -> bool:
-        return not self.parent
-
     @property
     def vertices(self) -> set[int]:
         verts = set(self.parent)
         verts.update(self.parent.values())
         verts.add(self.root)
         return verts
-
-    def edges(self) -> list[tuple[int, int]]:
-        """(parent, child) pairs in the map's insertion order."""
-        return [(p, c) for c, p in self.parent.items()]
 
 
 class Packing(_Value):
@@ -424,21 +414,14 @@ def instance_from_dict(data: Any) -> Instance:
     capacities = data["capacities"]
     if not isinstance(capacities, list):
         raise ValueError("capacities: expected a list")
-    edges_data = data.get("edges")
-    edges: tuple[tuple[int, int], ...] | None = None
-    if edges_data is not None:
-        if not isinstance(edges_data, list):
-            raise ValueError("edges: expected a list")
-        pairs = []
-        for e in edges_data:
-            if not isinstance(e, list) or len(e) != 2:
-                raise ValueError(f"edges: each edge is a [u, v] pair, got {e!r}")
-            pairs.append((e[0], e[1]))
-        edges = tuple(pairs)
+    edges = data.get("edges")
+    if edges is not None and not isinstance(edges, list):
+        raise ValueError("edges: expected a list")
+    # Instance unpacks, checks and normalizes each edge itself.
     return Instance(
         kind=kind.lower(),
         n=data["n"],
-        capacities=tuple(capacities),
+        capacities=capacities,
         num_trees=data["K"],
         root=data.get("root", 0),
         edges=edges,
@@ -468,11 +451,6 @@ def _parse(source: IO, what: str) -> Any:
 def load_instance(source: IO) -> Instance:
     """Parse an instance JSON document from a readable stream."""
     return instance_from_dict(_parse(source, "instance"))
-
-
-def save_instance(inst: Instance, sink: IO[str]) -> None:
-    """Write the instance JSON document to a text stream."""
-    sink.write(json.dumps(instance_to_dict(inst)))
 
 
 def _parent_map(edges: list, i: int) -> dict[int, int]:
@@ -550,11 +528,3 @@ def _packing_json(packing: Packing) -> str:
 def load_packing(source: IO, inst: Instance) -> Packing:
     """Parse a packing JSON document; trees are rooted at the instance root."""
     return packing_from_dict(_parse(source, "packing"), inst.root)
-
-
-def save_packing(packing: Packing, sink: IO[str]) -> None:
-    """Write the packing JSON document to a text stream, edges in map order.
-
-    Loading it back restores the parent maps in the same insertion order.
-    """
-    sink.write(_packing_json(packing))

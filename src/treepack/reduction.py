@@ -74,9 +74,6 @@ class ReductionOutput(_Value):
             num_clauses=num_clauses,
         )
 
-    def selector_vertex(self, i: int) -> int:
-        return i
-
     def literal_vertex(self, i: int, value: bool) -> int:
         return _literal_vertex(self.num_vars, i, value)
 

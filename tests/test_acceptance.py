@@ -170,14 +170,14 @@ def test_criterion_7_invariant_suites():
         full = RootedTree(0, {1: 0, 2: 1, 3: 2})
         adversarial = [
             Packing((full, RootedTree(0, {1: 0}))),  # capacity of 0 exceeded
-            Packing((RootedTree(0, {2: 0}), RootedTree.null(0))),  # fake edge
-            Packing((RootedTree(0, {1: 2, 2: 1}), RootedTree.null(0))),  # cycle
-            Packing((RootedTree(0, {3: 2}), RootedTree.null(0))),  # orphan branch
-            Packing((RootedTree(0, {0: 1, 1: 0}), RootedTree.null(0))),  # rooted root
+            Packing((RootedTree(0, {2: 0}), RootedTree(0, {}))),  # fake edge
+            Packing((RootedTree(0, {1: 2, 2: 1}), RootedTree(0, {}))),  # cycle
+            Packing((RootedTree(0, {3: 2}), RootedTree(0, {}))),  # orphan branch
+            Packing((RootedTree(0, {0: 1, 1: 0}), RootedTree(0, {}))),  # rooted root
         ]
         for packing in adversarial:
             assert not verify_packing(inst, packing).valid
-        good = Packing((full, RootedTree.null(0)))
+        good = Packing((full, RootedTree(0, {})))
         assert verify_packing(inst, good).valid
 
 

@@ -1,4 +1,4 @@
-"""Smoke tests of the benchmark harness: short traced runs of general-mix and bulk.
+"""Smoke tests of the benchmark harness: a short traced run of each workload.
 
 The harness times layers by swapping module attributes of treepack (see
 perfbench/tracing.py), so a rename in the library can break it without
@@ -42,3 +42,7 @@ def test_traced_general_mix_run(tmp_path):
 def test_traced_bulk_run(tmp_path):
     """Complete packings of up to 32,000 vertices through the CLI and the harness's own checker."""
     _traced_run(tmp_path, "bulk")
+
+
+def test_traced_tree_hubs_run(tmp_path):
+    _traced_run(tmp_path, "tree-hubs")

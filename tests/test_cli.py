@@ -5,14 +5,15 @@ from __future__ import annotations
 import gc
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from helpers import EXAMPLE_DIMACS, satlib_uf_text
-from treepack import cli
+from helpers import EXAMPLE_DIMACS, random_complete_instance, satlib_uf_text
+from treepack import cli, instance_to_dict, objective, solve_complete
 from treepack.cli import main
 
 COMPLETE4 = {"kind": "complete", "n": 4, "root": 0, "capacities": [2, 1, 1, 1], "K": 2}
@@ -63,6 +64,34 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", "-i", inst, "--value-only")
         assert code == 0
         assert json.loads(out) == {"objective": 7}
+
+    @pytest.mark.parametrize("alg", ["auto", "complete"])
+    def test_value_only_on_complete_takes_the_closed_form(
+        self, capsys, write_json, monkeypatch, alg
+    ):
+        rng = random.Random(31)
+        cases = [random_complete_instance(rng, max_n=30, max_k=8, cap_hi=6) for _ in range(25)]
+        values = [objective(solve_complete(inst)) for inst in cases]
+
+        def boom(inst):
+            raise AssertionError("solve_complete called under --value-only")
+
+        monkeypatch.setattr(cli, "solve_complete", boom)
+        for inst, value in zip(cases, values):
+            path = write_json("c.json", instance_to_dict(inst))
+            code, out, err = run(capsys, "solve", "-i", path, "--alg", alg, "--value-only")
+            assert code == 0
+            assert out == json.dumps({"objective": value}) + "\n"
+            assert err == (
+                f"objective {value} (complete, kind=complete, n={inst.n}, K={inst.num_trees})\n"
+            )
+
+    def test_value_only_kind_mismatch_is_input_error(self, capsys, write_json):
+        inst = write_json("t3.json", TREE3)
+        for extra in ([], ["--value-only"]):
+            code, out, err = run(capsys, "solve", "-i", inst, "--alg", "complete", *extra)
+            assert (code, out) == (2, "")
+            assert err == "error: kind: expected a complete instance, got 'tree'\n"
 
     def test_auto_matches_tree_alg_exactly(self, capsys, write_json):
         inst = write_json("t3.json", TREE3)
@@ -119,6 +148,29 @@ class TestSolve:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: instance")
         assert "Traceback" not in err
+
+
+class TestMalformedEdges:
+    """Each malformed edge ends in exit 2 and one stderr line, checked by Instance."""
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([[0, 1], [0]], "each edge is a (u, v) pair, got [0]"),
+            ([[0, 1], [0, 1, 2]], "each edge is a (u, v) pair, got [0, 1, 2]"),
+            ([[0, 1], "ab"], "expected an integer, got 'a'"),
+            ([[0, 1], 5], "each edge is a (u, v) pair, got 5"),
+            ([[0, 1], None], "each edge is a (u, v) pair, got None"),
+            ([[0, 1], [True, 1]], "expected an integer, got True"),
+            ({}, "expected a list"),
+        ],
+        ids=["[0]", "[0,1,2]", "ab", "5", "null", "[true,1]", "edges={}"],
+    )
+    def test_exit_2_with_one_line(self, capsys, write_json, edges, message):
+        data = {"kind": "general", "n": 3, "capacities": [1, 1, 1], "K": 1, "edges": edges}
+        code, out, err = run(capsys, "solve", "-i", write_json("bad.json", data))
+        assert (code, out) == (2, "")
+        assert err == f"error: edges: {message}\n"
 
 
 class TestVerify:

@@ -87,7 +87,7 @@ class TestSolveComplete:
     def test_zero_capacity_root(self):
         packing = solve_complete(complete([0, 3, 3], 2))
         assert objective(packing) == 2
-        assert all(t.is_null for t in packing.trees)
+        assert not any(t.parent for t in packing.trees)
 
     def test_root_only_funding(self):
         inst = complete([3, 0, 0, 0, 0], 2)
@@ -131,7 +131,7 @@ class TestSolveComplete:
             active = min(inst.capacities[inst.root], inst.num_trees)
             paths, _ = build_stage_paths(inst)
             packing = solve_complete(inst)
-            non_null = sum(1 for t in packing.trees if not t.is_null)
+            non_null = sum(1 for t in packing.trees if t.parent)
             assert non_null <= active
             if all(len(p) >= 2 for p in paths[:active]):
                 assert non_null == active
@@ -139,7 +139,7 @@ class TestSolveComplete:
     def test_explicit_undercount_example(self):
         inst = complete([3, 0, 0, 0, 0], 2)
         packing = solve_complete(inst)
-        assert sum(1 for t in packing.trees if not t.is_null) == 1
+        assert sum(1 for t in packing.trees if t.parent) == 1
         assert objective(packing) == optimal_objective(inst)
 
     def test_deterministic(self):
@@ -147,7 +147,7 @@ class TestSolveComplete:
         first = solve_complete(inst)
         second = solve_complete(inst)
         assert [t.parent for t in first.trees] == [t.parent for t in second.trees]
-        assert [t.edges() for t in first.trees] == [
+        assert [[(p, c) for c, p in t.parent.items()] for t in first.trees] == [
             [(0, 1), (1, 2), (2, 3)],
             [(0, 3), (3, 1)],
         ]

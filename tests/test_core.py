@@ -23,7 +23,7 @@ from treepack import (
     load_instance,
     load_packing,
     objective,
-    save_packing,
+    packing_to_dict,
     solve_complete,
     verify_packing,
 )
@@ -208,7 +208,7 @@ class TestInstanceValidation:
 class TestVerifyPacking:
     def test_null_packing_valid(self):
         inst = path3_instance(num_trees=1)
-        report = verify_packing(inst, Packing((RootedTree.null(0),)))
+        report = verify_packing(inst, Packing((RootedTree(0, {}),)))
         assert report.valid
         assert report.violations == []
 
@@ -222,7 +222,7 @@ class TestVerifyPacking:
 
     def test_full_path_plus_null_valid(self):
         inst = path3_instance()
-        report = verify_packing(inst, Packing((full_path_tree(), RootedTree.null(0))))
+        report = verify_packing(inst, Packing((full_path_tree(), RootedTree(0, {}))))
         assert report.valid
 
     def test_edge_outside_graph_flagged(self):
@@ -263,11 +263,11 @@ class TestVerifyPacking:
     def test_tree_count_mismatch_raises(self):
         inst = path3_instance(num_trees=2)
         with pytest.raises(ValueError, match="needs K=2"):
-            verify_packing(inst, Packing((RootedTree.null(0),)))
+            verify_packing(inst, Packing((RootedTree(0, {}),)))
 
     def test_wrong_root_flagged(self):
         inst = path3_instance(num_trees=1)
-        report = verify_packing(inst, Packing((RootedTree.null(1),)))
+        report = verify_packing(inst, Packing((RootedTree(1, {}),)))
         assert not report.valid
 
     def test_report_dict_matches_dataclass_form(self):
@@ -309,11 +309,11 @@ class TestVerifyPacking:
 
 class TestObjective:
     def test_null_trees_count_their_root(self):
-        packing = Packing(tuple(RootedTree.null(0) for _ in range(3)))
+        packing = Packing(tuple(RootedTree(0, {}) for _ in range(3)))
         assert objective(packing) == 3
 
     def test_path_plus_null(self):
-        assert objective(Packing((full_path_tree(), RootedTree.null(0)))) == 4
+        assert objective(Packing((full_path_tree(), RootedTree(0, {})))) == 4
 
     def test_reordering_invariance(self):
         rng = random.Random(11)
@@ -327,23 +327,18 @@ class TestObjective:
 
 class TestPackingIO:
     def test_null_packing_json(self):
-        buf = io.StringIO()
-        save_packing(Packing((RootedTree.null(0),)), buf)
-        assert json.loads(buf.getvalue()) == {"trees": [{"edges": []}], "objective": 1}
+        data = packing_to_dict(Packing((RootedTree(0, {}),)))
+        assert data == {"trees": [{"edges": []}], "objective": 1}
 
     def test_path_edges_parent_first(self):
-        buf = io.StringIO()
-        save_packing(Packing((full_path_tree(),)), buf)
-        data = json.loads(buf.getvalue())
+        data = packing_to_dict(Packing((full_path_tree(),)))
         assert data["trees"][0]["edges"] == [[0, 1], [1, 2]]
 
     def test_round_trip_preserves_parent_maps(self):
         rng = random.Random(5)
         inst = random_tree_instance(rng, max_n=8)
         packing = greedy_general(inst)
-        buf = io.StringIO()
-        save_packing(packing, buf)
-        buf.seek(0)
+        buf = io.StringIO(json.dumps(packing_to_dict(packing)))
         again = load_packing(buf, inst)
         assert [t.parent for t in again.trees] == [t.parent for t in packing.trees]
         assert [t.root for t in again.trees] == [t.root for t in packing.trees]
@@ -372,7 +367,3 @@ class TestPackingIO:
             load_instance(io.StringIO(deep))
         with pytest.raises(ValueError, match="packing: JSON nested too deeply"):
             load_packing(io.StringIO(deep), inst)
-
-    def test_save_needs_a_text_sink(self):
-        with pytest.raises(TypeError):
-            save_packing(Packing((RootedTree.null(0),)), io.BytesIO())

@@ -3,7 +3,8 @@
 The reference functions below are the earlier, simpler implementations of
 ``verify_packing``, ``greedy_general``, ``packing_from_dict`` and the two
 complete-solver stages, kept verbatim apart from taking the tree or
-instance as an argument.  The current code must give exactly the same
+instance as an argument; ``Instance.has_edge`` is held to a set of the
+instance's edges.  The current code must give exactly the same
 results: the same violation list in the same order, the same paths and
 residuals, the same parent maps in the same insertion order, the same
 error for a malformed document.  Edges are listed in parent-map order,
@@ -264,9 +265,7 @@ def corrupt(rng: random.Random, inst: Instance, packing: Packing) -> Packing:
 
 
 def assert_map_order_round_trip(packing: Packing, root: int) -> None:
-    """edges() is map order, and save -> load -> save is exact."""
-    for tree in packing.trees:
-        assert tree.edges() == [(p, c) for c, p in tree.parent.items()]
+    """save -> load -> save is exact, and loading keeps each map's order."""
     text = json.dumps(packing_to_dict(packing))
     reloaded = packing_from_dict(json.loads(text), root)
     assert json.dumps(packing_to_dict(reloaded)) == text
@@ -589,3 +588,41 @@ class TestCompleteStagesMatchReference:
         packing = solve_complete(inst)
         assert verify_packing(inst, packing).valid
         assert objective(packing) == optimal_objective(inst)
+
+
+def hub_instance(rng: random.Random, kind: str, degree: int) -> Instance:
+    """A tree or general graph whose vertex 0 is adjacent to `degree` others."""
+    n = degree + 1 + rng.randint(0, 20)
+    edges = {(0, v) for v in range(1, degree + 1)}
+    edges |= {(rng.randrange(v), v) for v in range(degree + 1, n)}
+    if kind == "general":
+        for _ in range(n):
+            u, v = sorted(rng.sample(range(n), 2))
+            edges.add((u, v))
+    caps = tuple(rng.randint(0, 3) for _ in range(n))
+    return Instance(kind, n, caps, 1, root=rng.randrange(n), edges=tuple(sorted(edges)))
+
+
+class TestHasEdgeMatchesEdgeSet:
+    """has_edge searches the sorted adjacency; the reference is a set of the edges."""
+
+    def cases(self):
+        rng = random.Random(2024)
+        for _ in range(40):
+            yield random_tree_instance(rng, max_n=12)
+            yield random_general_instance(rng, max_n=12)
+        for kind in ("tree", "general"):
+            yield hub_instance(rng, kind, degree=60)
+
+    def test_every_pair_in_and_around_the_range(self):
+        seen_hub = False
+        for inst in self.cases():
+            n = inst.n
+            edge_set = set(inst.edges)
+            seen_hub |= any(len(inst.neighbors(v)) >= 50 for v in range(n))
+            for u in range(-1, n + 1):
+                for v in range(-1, n + 1):
+                    in_range = 0 <= u < n and 0 <= v < n and u != v
+                    expected = in_range and (min(u, v), max(u, v)) in edge_set
+                    assert inst.has_edge(u, v) is expected, (inst, u, v)
+        assert seen_hub

@@ -85,7 +85,7 @@ class TestBruteForce:
         inst = Instance(kind="complete", n=4, capacities=(0, 0, 0, 0), num_trees=3)
         value, packing = brute_force_solve(inst, max_k=3)
         assert value == 3
-        assert all(t.is_null for t in packing.trees)
+        assert not any(t.parent for t in packing.trees)
 
     def test_limits_enforced(self):
         big = Instance(kind="complete", n=9, capacities=(1,) * 9, num_trees=1)
@@ -142,7 +142,7 @@ class TestGreedy:
     def test_all_zero_capacities_gives_null_trees(self):
         inst = Instance(kind="complete", n=4, capacities=(0, 0, 0, 0), num_trees=2)
         packing = greedy_general(inst)
-        assert all(t.is_null for t in packing.trees)
+        assert not any(t.parent for t in packing.trees)
         assert objective(packing) == 2
 
     def test_never_beats_complete_optimum(self):

@@ -105,7 +105,7 @@ class TestReduce3Sat:
     def test_example_labels(self):
         out = reduce_3sat(EXAMPLE_FORMULA)
         assert out.labels[0] == "root"
-        assert out.labels[out.selector_vertex(2)] == "selector_2"
+        assert out.labels[2] == "selector_2"
         assert out.labels[out.literal_vertex(2, True)] == "x2"
         assert out.labels[out.literal_vertex(2, False)] == "not_x2"
         assert out.labels[out.clause_vertex(3)] == "clause_3"
@@ -128,7 +128,7 @@ class TestReduce3Sat:
             assert out.gamma == 1 + 2 * n + m
             assert out.instance.capacities[0] == n
             for i in range(1, n + 1):
-                assert out.instance.capacities[out.selector_vertex(i)] == 1
+                assert out.instance.capacities[i] == 1
                 assert out.instance.capacities[out.literal_vertex(i, True)] == m
                 assert out.instance.capacities[out.literal_vertex(i, False)] == m
             for j in range(1, m + 1):
@@ -152,8 +152,8 @@ def example_witness() -> tuple:
     chosen = {1: True, 2: False, 3: True, 4: False}
     parent: dict[int, int] = {}
     for i in range(1, 5):
-        parent[out.selector_vertex(i)] = 0
-        parent[out.literal_vertex(i, chosen[i])] = out.selector_vertex(i)
+        parent[i] = 0
+        parent[out.literal_vertex(i, chosen[i])] = i
     # one true literal carries each clause
     parent[out.clause_vertex(1)] = out.literal_vertex(1, True)
     parent[out.clause_vertex(2)] = out.literal_vertex(1, True)
@@ -172,7 +172,7 @@ class TestExtractAssignment:
 
     def test_below_threshold_returns_none(self):
         out = reduce_3sat(EXAMPLE_FORMULA)
-        packing = Packing((RootedTree.null(0),))
+        packing = Packing((RootedTree(0, {}),))
         assert extract_assignment(out, packing) is None
 
     def test_unverified_packing_rejected(self):

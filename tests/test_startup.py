@@ -48,8 +48,6 @@ PUBLIC_NAMES = [
     "packing_to_dict",
     "parse_dimacs",
     "reduce_3sat",
-    "save_instance",
-    "save_packing",
     "solve_complete",
     "solve_mckp",
     "solve_tree",

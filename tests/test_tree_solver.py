@@ -187,14 +187,14 @@ class TestSolveTree:
         inst = Instance(kind="tree", n=1, capacities=(4,), num_trees=1, edges=())
         value, packing = solve_tree(inst)
         assert value == 1
-        assert packing is not None and packing.trees[0].is_null
+        assert packing is not None and not packing.trees[0].parent
 
     def test_three_path_packing(self):
         inst = tree_instance(((0, 1), (1, 2)), (1, 1, 0), 2)
         value, packing = solve_tree(inst)
         assert value == 4
         assert packing.trees[0].parent == {1: 0, 2: 1}
-        assert packing.trees[1].is_null
+        assert packing.trees[1].parent == {}
 
     def test_star_with_tight_root(self):
         inst = tree_instance(((0, 1), (0, 2), (0, 3)), (2, 0, 0, 0), 1)
