@@ -168,7 +168,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         _write(args.labels, json.dumps(sidecar) + "\n")
     summary = {
         "num_vertices": reduction.instance.n,
-        "num_edges": len(reduction.instance.edges or ()),
+        "num_edges": len(reduction.instance.edges),
         "gamma": reduction.gamma,
     }
     _emit(json.dumps(summary))

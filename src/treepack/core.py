@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from collections import Counter, deque
-from functools import cached_property
+from collections import Counter
 from typing import IO, Any, Mapping
 
 KIND_GENERAL = "general"
@@ -52,7 +51,6 @@ class _Value:
 
     Each subclass's __init__ stores its fields through self.__dict__;
     afterwards assigning or deleting any attribute raises AttributeError.
-    functools.cached_property still works, as it writes to __dict__ itself.
     """
 
     _fields: tuple[str, ...] = ()
@@ -141,8 +139,8 @@ class Instance(_Value):
             return
         if edges is None:
             raise ValueError(f"edges: required for kind={kind!r}")
-        seen: set[tuple[int, int]] = set()
-        norm: list[tuple[int, int]] = []
+        seen: dict[tuple[int, int], None] = {}  # the normalized edges, in input order
+        adjacency: list[list[int]] = [[] for _ in range(n)]
         for e in edges:
             try:
                 u, v = e
@@ -157,38 +155,25 @@ class Instance(_Value):
             key = (u, v) if u < v else (v, u)
             if key in seen:
                 raise ValueError(f"edges: duplicate edge {key}")
-            seen.add(key)
-            norm.append(key)
-        fields["edges"] = tuple(norm)
-        if kind == KIND_TREE and len(norm) != n - 1:
-            raise ValueError(
-                f"edges: {len(norm)} edges on {n} vertices, not a tree"
-            )
-        if not self._connected():
-            if kind == KIND_TREE:
-                raise ValueError("edges: graph is disconnected, not a tree")
-            raise ValueError("edges: graph is not connected")
-
-    def _connected(self) -> bool:
+            seen[key] = None
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+        if kind == KIND_TREE and len(seen) != n - 1:
+            raise ValueError(f"edges: {len(seen)} edges on {n} vertices, not a tree")
         reached = {0}
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for w in self._adjacency[u]:
+        queue = [0]
+        for u in queue:
+            for w in adjacency[u]:
                 if w not in reached:
                     reached.add(w)
                     queue.append(w)
-        return len(reached) == self.n
-
-    @cached_property
-    def _adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges or ():
-            adj[u].append(v)
-            adj[v].append(u)
-        for neighbors in adj:
+        if len(reached) != n:
+            if kind == KIND_TREE:
+                raise ValueError("edges: graph is disconnected, not a tree")
+            raise ValueError("edges: graph is not connected")
+        for neighbors in adjacency:
             neighbors.sort()
-        return adj
+        fields.update(edges=tuple(seen), _adjacency=adjacency)
 
     def neighbors(self, v: int) -> list[int]:
         """Neighbors of v in ascending order (materialized for complete kinds)."""

@@ -29,7 +29,7 @@ def brute_force_solve(inst: Instance, *, max_n: int = 8, max_k: int = 3) -> tupl
     count = inst.num_trees
     root = inst.root
     last = count - 1
-    adjacency = {v: list(inst.neighbors(v)) for v in range(n)}
+    adjacency = {v: inst.neighbors(v) for v in range(n)}
     caps = list(inst.capacities)
     root_edges = [(root, w) for w in adjacency[root]]
 

@@ -35,7 +35,7 @@ class SatInstance(_Value):
     _fields = ("num_vars", "clauses")
 
     def __init__(self, num_vars: int, clauses: tuple[tuple[int, int, int], ...]) -> None:
-        if not isinstance(num_vars, int) or num_vars < 1:
+        if isinstance(num_vars, bool) or not isinstance(num_vars, int) or num_vars < 1:
             raise ValueError(f"num_vars: must be a positive integer, got {num_vars!r}")
         clauses = tuple(tuple(cl) for cl in clauses)
         if not clauses:
@@ -44,7 +44,8 @@ class SatInstance(_Value):
             if len(cl) != 3:
                 raise ValueError(f"clause {j}: needs exactly 3 literals, got {len(cl)}")
             for lit in cl:
-                if not isinstance(lit, int) or lit == 0 or abs(lit) > num_vars:
+                not_int = isinstance(lit, bool) or not isinstance(lit, int)
+                if not_int or lit == 0 or abs(lit) > num_vars:
                     raise ValueError(f"clause {j}: literal {lit!r} out of range")
         self.__dict__.update(num_vars=num_vars, clauses=clauses)
 
@@ -54,31 +55,14 @@ class SatInstance(_Value):
 
 
 class ReductionOutput(_Value):
-    """Gadget instance plus its decision threshold and vertex role map."""
+    """Gadget instance, decision threshold and vertex role map ("x3", "clause_5")."""
 
-    _fields = ("instance", "gamma", "labels", "num_vars", "num_clauses")
+    _fields = ("instance", "gamma", "labels", "num_vars")
 
     def __init__(
-        self,
-        instance: Instance,
-        gamma: int,
-        labels: dict[int, str],
-        num_vars: int,
-        num_clauses: int,
+        self, instance: Instance, gamma: int, labels: dict[int, str], num_vars: int
     ) -> None:
-        self.__dict__.update(
-            instance=instance,
-            gamma=gamma,
-            labels=labels,
-            num_vars=num_vars,
-            num_clauses=num_clauses,
-        )
-
-    def literal_vertex(self, i: int, value: bool) -> int:
-        return _literal_vertex(self.num_vars, i, value)
-
-    def clause_vertex(self, j: int) -> int:
-        return _clause_vertex(self.num_vars, j)
+        self.__dict__.update(instance=instance, gamma=gamma, labels=labels, num_vars=num_vars)
 
 
 def _literal_vertex(num_vars: int, i: int, value: bool) -> int:
@@ -145,7 +129,8 @@ def reduce_3sat(sat: SatInstance, *, max_vertices: int = MAX_VERTICES) -> Reduct
     pairs (positive before negative, per variable), then one vertex per
     clause.  Capacities: root n, selectors 1, literals m, clauses 0.  The
     threshold is 1 + 2n + m.  A clause repeating a literal contributes the
-    connecting edge once; one edge is all the connection needs.
+    connecting edge once; no other edge ends at a clause vertex, so the
+    duplicates are dropped within each clause.
 
     The declared variable count, not the formula's length, sets the
     gadget's size, so a gadget of more than max_vertices vertices raises
@@ -170,15 +155,10 @@ def reduce_3sat(sat: SatInstance, *, max_vertices: int = MAX_VERTICES) -> Reduct
         labels[neg] = f"not_x{i}"
         capacities[i] = 1
         capacities[pos] = capacities[neg] = m
-    seen = set(edges)
     for j, cl in enumerate(sat.clauses, start=1):
         clause = _clause_vertex(n, j)
         labels[clause] = f"clause_{j}"
-        for lit in cl:
-            key = (_literal_vertex(n, abs(lit), lit > 0), clause)
-            if key not in seen:
-                seen.add(key)
-                edges.append(key)
+        edges += dict.fromkeys((_literal_vertex(n, abs(lit), lit > 0), clause) for lit in cl)
 
     instance = Instance(
         kind=KIND_GENERAL,
@@ -188,7 +168,7 @@ def reduce_3sat(sat: SatInstance, *, max_vertices: int = MAX_VERTICES) -> Reduct
         root=0,
         edges=tuple(edges),
     )
-    return ReductionOutput(instance, 1 + 2 * n + m, labels, n, m)
+    return ReductionOutput(instance, 1 + 2 * n + m, labels, n)
 
 
 def extract_assignment(reduction: ReductionOutput, packing: Packing) -> dict[int, bool] | None:
@@ -206,10 +186,11 @@ def extract_assignment(reduction: ReductionOutput, packing: Packing) -> dict[int
     if objective(packing) < reduction.gamma:
         return None
     members = packing.trees[0].vertices
+    n = reduction.num_vars
     assignment: dict[int, bool] = {}
-    for i in range(1, reduction.num_vars + 1):
-        pos = reduction.literal_vertex(i, True) in members
-        neg = reduction.literal_vertex(i, False) in members
+    for i in range(1, n + 1):
+        pos = _literal_vertex(n, i, True) in members
+        neg = _literal_vertex(n, i, False) in members
         if pos and neg:
             raise ValueError(f"variable {i}: both literal vertices are in the tree")
         assignment[i] = pos

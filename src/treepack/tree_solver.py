@@ -177,13 +177,13 @@ def solve_tree(inst: Instance, *, value_only: bool = False) -> tuple[int, Packin
     """Optimal packing of a tree instance.
 
     Returns the optimal objective and, unless value_only is set, a packing
-    achieving it.  Tree k of the packing holds the vertices whose granted
-    stripe set contains k: the root holds all K stripes, and a vertex
-    granted s stripes passes on, per child, the smallest slice of its own
-    set sized by greedy_allocation over levels <= s.  Slices may overlap
-    across children; each grant of a stripe to a child consumes one
-    capacity unit either way.  The walk reads children off the adjacency,
-    so the tree is rooted only once, inside stripe_values.
+    achieving it.  A vertex granted level s is in trees 0..s-1, so each
+    stripe set is a prefix, carried as its length: the root is in all K
+    trees, and a child given level j <= s by greedy_allocation is in its
+    parent's first j.  The trees are nested: tree t+1's parent map is a
+    sub-map of tree t's.  Each grant of a stripe to a child consumes one
+    capacity unit.  The walk reads children off the adjacency, so the
+    tree is rooted only once, inside stripe_values.
     """
     values = stripe_values(inst)
     count = inst.num_trees
@@ -192,17 +192,15 @@ def solve_tree(inst: Instance, *, value_only: bool = False) -> tuple[int, Packin
         return best, None
     caps = inst.capacities
     parent_maps: list[dict[int, int]] = [{} for _ in range(count)]
-    stack: list[tuple[int, int, tuple[int, ...]]] = [(inst.root, -1, tuple(range(count)))]
+    stack = [(inst.root, -1, count)]
     while stack:
-        u, up, stripes = stack.pop()
+        u, up, level = stack.pop()
         kids = [w for w in inst.neighbors(u) if w != up]
-        allocation = greedy_allocation(len(stripes), caps[u], [values[w] for w in kids])
-        for w, level in zip(kids, allocation):
-            if level == 0:
-                continue
-            granted = stripes[:level]
-            for s in granted:
-                parent_maps[s][w] = u
-            stack.append((w, u, granted))
+        allocation = greedy_allocation(level, caps[u], [values[w] for w in kids])
+        for w, granted in zip(kids, allocation):
+            if granted:
+                for s in range(granted):
+                    parent_maps[s][w] = u
+                stack.append((w, u, granted))
     packing = Packing(tuple(RootedTree(inst.root, pm) for pm in parent_maps))
     return best, packing

@@ -52,7 +52,7 @@ def model_values():
         violation,
         VerificationReport(valid=False, violations=[violation]),
         sat,
-        ReductionOutput(instance=inst, gamma=2, labels={0: "root"}, num_vars=1, num_clauses=1),
+        ReductionOutput(instance=inst, gamma=2, labels={0: "root"}, num_vars=1),
     ]
 
 

@@ -1,0 +1,27 @@
+"""README's Library example runs as written, so an API change cannot leave it stale."""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+from helpers import assignment_satisfies
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def library_example() -> str:
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    blocks = re.findall(r"^```python\n(.*?)^```$", section, flags=re.S | re.M)
+    assert blocks, "README's Library section has no python block"
+    return blocks[0]
+
+
+def test_library_example_runs_and_its_comments_hold():
+    scope: dict = {"__name__": "readme_library_example"}
+    exec(compile(library_example(), f"{README.name}: Library", "exec"), scope)
+    assert scope["value"] == 4
+    assert scope["gadget"].instance.n == 16 and scope["gadget"].gamma == 12
+    assert scope["best"] == 12
+    assert scope["vertex"]["x2"] == 7
+    assert assignment_satisfies(scope["sat"], scope["assignment"])

@@ -31,6 +31,11 @@ from treepack import (
 )
 
 
+def vertex_ids(out) -> dict[str, int]:
+    """The gadget's vertex ids by role ("x2", "not_x2", "clause_3"), from its labels."""
+    return {role: v for v, role in out.labels.items()}
+
+
 class TestParseDimacs:
     def test_example_file(self):
         sat = parse_dimacs(EXAMPLE_DIMACS)
@@ -106,9 +111,8 @@ class TestReduce3Sat:
         out = reduce_3sat(EXAMPLE_FORMULA)
         assert out.labels[0] == "root"
         assert out.labels[2] == "selector_2"
-        assert out.labels[out.literal_vertex(2, True)] == "x2"
-        assert out.labels[out.literal_vertex(2, False)] == "not_x2"
-        assert out.labels[out.clause_vertex(3)] == "clause_3"
+        vertex = vertex_ids(out)
+        assert (vertex["x2"], vertex["not_x2"], vertex["clause_3"]) == (7, 8, 15)
         assert len(out.labels) == 16
 
     def test_repeated_literal_edges_deduplicated(self):
@@ -124,15 +128,16 @@ class TestReduce3Sat:
             sat = random_3cnf(rng)
             out = reduce_3sat(sat)
             n, m = sat.num_vars, sat.num_clauses
+            vertex = vertex_ids(out)
             assert out.instance.n == 1 + 3 * n + m
             assert out.gamma == 1 + 2 * n + m
             assert out.instance.capacities[0] == n
             for i in range(1, n + 1):
                 assert out.instance.capacities[i] == 1
-                assert out.instance.capacities[out.literal_vertex(i, True)] == m
-                assert out.instance.capacities[out.literal_vertex(i, False)] == m
+                assert out.instance.capacities[vertex[f"x{i}"]] == m
+                assert out.instance.capacities[vertex[f"not_x{i}"]] == m
             for j in range(1, m + 1):
-                assert out.instance.capacities[out.clause_vertex(j)] == 0
+                assert out.instance.capacities[vertex[f"clause_{j}"]] == 0
             if all(len({abs(l) for l in cl}) == 3 for cl in sat.clauses):
                 assert len(out.instance.edges) == 3 * n + 3 * m
 
@@ -149,15 +154,16 @@ class TestReduce3Sat:
 def example_witness() -> tuple:
     """Hand-built threshold tree for the worked formula: x1, !x2, x3, !x4."""
     out = reduce_3sat(EXAMPLE_FORMULA)
-    chosen = {1: True, 2: False, 3: True, 4: False}
+    vertex = vertex_ids(out)
+    chosen = {1: "x1", 2: "not_x2", 3: "x3", 4: "not_x4"}
     parent: dict[int, int] = {}
     for i in range(1, 5):
         parent[i] = 0
-        parent[out.literal_vertex(i, chosen[i])] = i
+        parent[vertex[chosen[i]]] = i
     # one true literal carries each clause
-    parent[out.clause_vertex(1)] = out.literal_vertex(1, True)
-    parent[out.clause_vertex(2)] = out.literal_vertex(1, True)
-    parent[out.clause_vertex(3)] = out.literal_vertex(2, False)
+    parent[vertex["clause_1"]] = vertex["x1"]
+    parent[vertex["clause_2"]] = vertex["x1"]
+    parent[vertex["clause_3"]] = vertex["not_x2"]
     return out, Packing((RootedTree(0, parent),))
 
 
@@ -177,7 +183,7 @@ class TestExtractAssignment:
 
     def test_unverified_packing_rejected(self):
         out = reduce_3sat(EXAMPLE_FORMULA)
-        bogus = Packing((RootedTree(0, {out.clause_vertex(1): 0}),))  # edge not in gadget
+        bogus = Packing((RootedTree(0, {vertex_ids(out)["clause_1"]: 0}),))  # edge not in gadget
         with pytest.raises(ValueError, match="does not verify"):
             extract_assignment(out, bogus)
 

@@ -275,3 +275,45 @@ class TestGreedyMerge:
         report = verify_packing(inst, packing)
         assert report.valid, report.violations
         assert objective(packing) == value
+
+
+def hub_tree_instance(rng: random.Random, max_n: int = 40) -> Instance:
+    """A tree whose non-hub vertices hang off one of a few hubs, K up to n."""
+    n = rng.randint(2, max_n)
+    hubs = rng.randint(1, min(3, n))
+    edges = [(rng.randrange(v), v) for v in range(1, hubs)]
+    edges += [(rng.randrange(hubs), v) for v in range(hubs, n)]
+    caps = [rng.choice((0, 1, 2, 3)) for _ in range(n)]
+    for h in range(hubs):
+        caps[h] = rng.randint(0, 3 * n)
+    return Instance(
+        kind="tree",
+        n=n,
+        capacities=tuple(caps),
+        num_trees=rng.randint(1, n),
+        root=rng.randrange(n),
+        edges=tuple(edges),
+    )
+
+
+class TestNestedTrees:
+    """Every vertex holds a prefix of the stripes, so tree t+1 lies inside tree t."""
+
+    def test_each_tree_is_a_sub_map_of_the_one_before(self):
+        rng = random.Random(1013)
+        saw_proper_subtree = False
+        for i in range(400):
+            if i % 2:
+                inst = hub_tree_instance(rng)
+            else:
+                inst = random_tree_instance(rng, max_n=30, max_k=30, cap_hi=4)
+            value, packing = solve_tree(inst)
+            assert objective(packing) == value
+            for earlier, later in zip(packing.trees, packing.trees[1:]):
+                assert later.parent.items() <= earlier.parent.items(), inst
+                # same insertion order: the later map is a subsequence of the earlier one
+                assert list(later.parent.items()) == [
+                    item for item in earlier.parent.items() if item[0] in later.parent
+                ]
+                saw_proper_subtree |= len(later.parent) < len(earlier.parent)
+        assert saw_proper_subtree
