@@ -3,9 +3,10 @@
 Results go to stdout as JSON, a one-line summary goes to stderr.  Exit
 codes: 0 success, 1 failed verification, 2 input or parse errors, 3
 search limit violations.  solve and oracle write their packing document
-as text straight from the parent maps (core._packing_json), byte for
-byte what json.dumps of packing_to_dict gives; the other results are
-small dicts passed to json.dumps.
+as text straight from the parent maps (core._packing_json), with the
+instance's n ids formatted once into a table, byte for byte what
+json.dumps of packing_to_dict gives; the other results are small dicts
+passed to json.dumps.
 
 The cyclic garbage collector is paused for the length of each command
 and put back as the caller had it.  A call builds up to about a million
@@ -128,7 +129,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if packing is None or args.value_only:
         text = json.dumps({"objective": value})
     else:
-        text = _packing_json(packing)
+        text = _packing_json(packing, inst.n)
     _note(f"objective {value} ({alg}, kind={inst.kind}, n={inst.n}, K={inst.num_trees})")
     _emit(text, args.output)
     return EXIT_OK
@@ -151,7 +152,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     inst = _read_instance(args.instance)
     value, packing = brute_force_solve(inst, max_n=args.max_n, max_k=args.max_k)
     _note(f"exhaustive optimum {value} (n={inst.n}, K={inst.num_trees})")
-    _emit(_packing_json(packing), args.output)
+    _emit(_packing_json(packing, inst.n), args.output)
     return EXIT_OK
 
 

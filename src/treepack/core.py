@@ -8,10 +8,11 @@ across all K trees stays within its capacity.  The objective of a packing
 is the total number of vertex occurrences: a vertex contained in j of the
 K trees contributes j.
 
-An instance keeps one edge lookup, its sorted adjacency lists: has_edge
+An instance keeps one edge lookup, its sorted adjacency tuples: has_edge
 is a binary search there, and the edges tuple is the normalized input.
 Packing documents are written as text straight from the parent maps
-(_packing_json), with the same bytes as json.dumps of packing_to_dict.
+(_packing_json), with the same bytes as json.dumps of packing_to_dict;
+each vertex id becomes text once per document, in a table indexed by id.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ class Instance(_Value):
         if edges is None:
             raise ValueError(f"edges: required for kind={kind!r}")
         seen: dict[tuple[int, int], None] = {}  # the normalized edges, in input order
-        adjacency: list[list[int]] = [[] for _ in range(n)]
+        adjacency: list[Any] = [[] for _ in range(n)]  # lists, then sorted tuples
         for e in edges:
             try:
                 u, v = e
@@ -171,14 +172,15 @@ class Instance(_Value):
             if kind == KIND_TREE:
                 raise ValueError("edges: graph is disconnected, not a tree")
             raise ValueError("edges: graph is not connected")
-        for neighbors in adjacency:
+        for v, neighbors in enumerate(adjacency):
             neighbors.sort()
+            adjacency[v] = tuple(neighbors)
         fields.update(edges=tuple(seen), _adjacency=adjacency)
 
-    def neighbors(self, v: int) -> list[int]:
+    def neighbors(self, v: int) -> tuple[int, ...]:
         """Neighbors of v in ascending order (materialized for complete kinds)."""
         if self.kind == KIND_COMPLETE:
-            return [u for u in range(self.n) if u != v]
+            return tuple([u for u in range(self.n) if u != v])
         return self._adjacency[v]
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -497,16 +499,28 @@ def packing_to_dict(packing: Packing) -> dict:
     return {"trees": trees, "objective": objective(packing)}
 
 
-def _packing_json(packing: Packing) -> str:
+def _packing_json(packing: Packing, n: int) -> str:
     """json.dumps(packing_to_dict(packing)), written straight from the parent maps.
 
     One join per tree over "[parent, child]" strings, with no list built per
     edge.  Vertex ids must be plain ints, as every solver makes them and as
     packing_from_dict reads them from JSON text: an int is formatted as
-    json.dumps writes it.
+    json.dumps writes it.  Each id in [0, n) is formatted once per call,
+    into a table of names indexed by id; a tree with an id outside [0, n),
+    which only a damaged packing has, formats its ids one by one instead.
     """
-    edges = [", ".join([f"[{p}, {c}]" for c, p in tree.parent.items()]) for tree in packing.trees]
-    trees = ", ".join([f'{{"edges": [{text}]}}' for text in edges])
+    names = list(map(str, range(n)))
+
+    def edges(parent: dict[int, int]) -> str:
+        # A negative id would index the table from its end.
+        if parent and min(min(parent), min(parent.values())) >= 0:
+            try:
+                return ", ".join([f"[{names[p]}, {names[c]}]" for c, p in parent.items()])
+            except IndexError:  # an id >= n
+                pass
+        return ", ".join([f"[{p}, {c}]" for c, p in parent.items()])
+
+    trees = ", ".join([f'{{"edges": [{edges(tree.parent)}]}}' for tree in packing.trees])
     return f'{{"trees": [{trees}], "objective": {objective(packing)}}}'
 
 

@@ -79,7 +79,8 @@ def _clause_vertex(num_vars: int, j: int) -> int:
 def parse_dimacs(text: str) -> SatInstance:
     """Parse DIMACS CNF text; every clause must have exactly three literals.
 
-    A line starting with "%" ends the formula: SATLIB's uf files follow it
+    The clauses must number as many as the "p cnf" header declares.  A
+    line starting with "%" ends the formula: SATLIB's uf files follow it
     with a lone "0", which is not a clause.
     """
     num_vars: int | None = None
@@ -99,6 +100,10 @@ def parse_dimacs(text: str) -> SatInstance:
                 num_vars = int(parts[2])
             except ValueError:
                 raise ValueError(f"dimacs: bad variable count {parts[2]!r}") from None
+            try:
+                num_clauses = int(parts[3])
+            except ValueError:
+                raise ValueError(f"dimacs: bad clause count {parts[3]!r}") from None
             continue
         for tok in line.split():
             try:
@@ -114,6 +119,8 @@ def parse_dimacs(text: str) -> SatInstance:
         raise ValueError("dimacs: missing 'p cnf' problem line")
     if current:
         clauses.append(tuple(current))  # unterminated final clause tolerated
+    if len(clauses) != num_clauses:
+        raise ValueError(f"dimacs: header declares {num_clauses} clauses, found {len(clauses)}")
     return SatInstance(num_vars, tuple(clauses))  # type: ignore[arg-type]
 
 

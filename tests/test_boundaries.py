@@ -95,6 +95,12 @@ class TestMessageDetails:
         with pytest.raises(ValueError, match=r"^dimacs: bad variable count 'x'$"):
             parse_dimacs("p cnf x 3\n1 2 3 0\n")
 
+    def test_clause_count_must_match_the_header(self):
+        with pytest.raises(ValueError, match=r"^dimacs: bad clause count 'abc'$"):
+            parse_dimacs("p cnf 3 abc\n1 2 3 0\n")
+        with pytest.raises(ValueError, match=r"^dimacs: header declares 5 clauses, found 1$"):
+            parse_dimacs("p cnf 3 5\n1 2 3 0\n")
+
     def test_zero_vertices_names_n(self):
         # n = 0 must fail on n itself, not on the root check that follows it
         with pytest.raises(ValueError, match=r"^n: must be positive, got 0$"):

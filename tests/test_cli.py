@@ -323,6 +323,21 @@ class TestReduce:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p cnf 3 abc\n1 2 3 0\n", "bad clause count 'abc'"),
+            ("p cnf 3 5\n1 2 3 0\n", "header declares 5 clauses, found 1"),
+        ],
+    )
+    def test_clause_count_off_the_header_is_input_error(self, capsys, tmp_path, text, message):
+        cnf = tmp_path / "short.cnf"
+        cnf.write_text(text)
+        gadget = tmp_path / "gadget.json"
+        code, out, err = run(capsys, "reduce", "--cnf", str(cnf), "-o", str(gadget))
+        assert (code, out, err) == (2, "", f"error: dimacs: {message}\n")
+        assert not gadget.exists()
+
     def test_header_past_vertex_limit_is_limit_error(self, capsys, tmp_path):
         cnf = tmp_path / "wide.cnf"
         cnf.write_text("p cnf 80000 1\n1 2 3 0\n")

@@ -102,8 +102,15 @@ class TestValueClasses:
 
     def test_cached_adjacency_after_construction(self):
         inst = path3_instance()
-        assert inst.neighbors(1) == [0, 2]
+        assert inst.neighbors(1) == (0, 2)
         assert inst.neighbors(1) is inst.neighbors(1)
+
+    def test_neighbors_cannot_change_the_instance(self):
+        for inst in (path3_instance(), Instance("complete", 3, (1, 1, 1), 1)):
+            with pytest.raises(AttributeError):
+                inst.neighbors(1).append(0)
+            assert inst.neighbors(1) == (0, 2)
+            assert inst.has_edge(1, 2)
 
 
 class TestInstanceValidation:

@@ -3,8 +3,9 @@
 solve and oracle write their packing straight from the parent maps
 (core._packing_json) instead of encoding packing_to_dict.  These tests hold
 that text to json.dumps(packing_to_dict(p)) on every solver's output,
-null trees included, and on the damaged packings of the Hypothesis
-strategy, and hold objective to the vertex count on packings that verify.
+null trees included, on the damaged packings of the Hypothesis strategy
+and on trees with ids outside the writer's [0, n) id table, and hold
+objective to the vertex count on packings that verify.
 """
 
 from __future__ import annotations
@@ -72,12 +73,12 @@ def _map_items(packing: Packing) -> list[list[tuple[int, int]]]:
 @pytest.mark.parametrize("kind", KINDS)
 class TestSolverPackings:
     def test_text_equals_json_dumps(self, kind):
-        for _, packing in _family(kind):
-            assert _packing_json(packing) == json.dumps(packing_to_dict(packing))
+        for inst, packing in _family(kind):
+            assert _packing_json(packing, inst.n) == json.dumps(packing_to_dict(packing))
 
     def test_text_loads_to_the_same_maps_in_order(self, kind):
         for inst, packing in _family(kind):
-            loaded = packing_from_dict(json.loads(_packing_json(packing)), inst.root)
+            loaded = packing_from_dict(json.loads(_packing_json(packing, inst.n)), inst.root)
             assert _map_items(loaded) == _map_items(packing)
 
     def test_objective_counts_vertices(self, kind):
@@ -93,17 +94,33 @@ def test_family_has_null_trees():
 
 def test_null_packing_text():
     packing = Packing((RootedTree(2, {}), RootedTree(2, {})))
-    assert _packing_json(packing) == '{"trees": [{"edges": []}, {"edges": []}], "objective": 2}'
+    assert _packing_json(packing, 3) == '{"trees": [{"edges": []}, {"edges": []}], "objective": 2}'
+
+
+@pytest.mark.parametrize(
+    "parent",
+    [{1: -1}, {-1: 0}, {1: 0, -1: 1}, {3: 0}, {1: 0, 2: 7}, {5: 9}],
+    ids=["parent -1", "child -1", "later child -1", "child n", "parent n+4", "both past n"],
+)
+def test_ids_outside_the_table(parent):
+    # A valid tree next to a damaged one: each tree picks its own way to write ids.
+    packing = Packing((RootedTree(0, {1: 0, 2: 1}), RootedTree(0, parent)))
+    assert _packing_json(packing, 3) == json.dumps(packing_to_dict(packing))
+
+
+# The damaged trees' ids run from -3 to 12: some fall inside [0, DAMAGED_N), some not.
+DAMAGED_N = 8
 
 
 class TestDamagedPackings:
     @given(packings())
     def test_text_equals_json_dumps(self, packing):
-        assert _packing_json(packing) == json.dumps(packing_to_dict(packing))
+        assert _packing_json(packing, DAMAGED_N) == json.dumps(packing_to_dict(packing))
 
     @given(packings())
     def test_text_loads_to_the_same_maps_in_order(self, packing):
-        loaded = packing_from_dict(json.loads(_packing_json(packing)), packing.trees[0].root)
+        text = _packing_json(packing, DAMAGED_N)
+        loaded = packing_from_dict(json.loads(text), packing.trees[0].root)
         assert _map_items(loaded) == _map_items(packing)
 
 
