@@ -349,26 +349,17 @@ def verify_packing(inst: Instance, packing: Packing) -> VerificationReport:
                 violations.append(
                     Violation(ti, child, f"edge ({par}, {child}) not in the instance graph")
                 )
-        status = {root: True}
+        status: dict[int, bool | None] = {root: True}  # None: cut off, or on the walk's chain
         for v in sorted(tree.vertices):
             if v in status or v in bad_ids:
                 continue
             chain: list[int] = []
-            chain_set: set[int] = set()
             x = v
-            while True:
-                if x in status:
-                    ok = status[x]
-                    break
-                if x in chain_set:
-                    ok = False  # parent cycle
-                    break
+            while x not in status:
+                status[x] = None
                 chain.append(x)
-                chain_set.add(x)
-                if x not in parent:
-                    ok = False  # orphan that is not the root
-                    break
-                x = parent[x]
+                x = parent.get(x, x)  # an orphan is its own parent, which ends the walk
+            ok = status[x]  # None: a parent cycle, an orphan, or a chain into either
             for y in chain:
                 status[y] = ok
                 if not ok:

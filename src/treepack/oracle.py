@@ -29,7 +29,7 @@ def brute_force_solve(inst: Instance, *, max_n: int = 8, max_k: int = 3) -> tupl
     count = inst.num_trees
     root = inst.root
     last = count - 1
-    adjacency = {v: inst.neighbors(v) for v in range(n)}
+    adjacency = [inst.neighbors(v) for v in range(n)]
     caps = list(inst.capacities)
     root_edges = [(root, w) for w in adjacency[root]]
 
@@ -37,48 +37,41 @@ def brute_force_solve(inst: Instance, *, max_n: int = 8, max_k: int = 3) -> tupl
     best_value = count
     best_trees: list[dict[int, int]] = [{} for _ in range(count)]
     cap_total = sum(caps)
-    done: list[dict[int, int]] = []
-    encs: list[tuple] = []
+    done: list[tuple[tuple, dict[int, int]]] = []  # (encoding, parent map) per filled slot
 
-    def grow(slot: int, done_value: int, parent: dict[int, int], members: set[int], ext: list[tuple[int, int]]) -> None:
+    def grow(slot: int, done_value: int, parent: dict[int, int], ext: list[tuple[int, int]]) -> None:
         nonlocal best_value, best_trees, cap_total
+        size = len(parent) + 1  # the tree's vertices: the root and the map's keys
         slots_left = last - slot
-        spare = min(caps[root], slots_left) * (n - 1) + (n - len(members))
-        if done_value + len(members) + slots_left + min(spare, cap_total) <= best_value:
+        spare = min(caps[root], slots_left) * (n - 1) + (n - size)
+        if done_value + size + slots_left + min(spare, cap_total) <= best_value:
             return
         # The tree as currently built is itself a candidate for this slot.
-        if slot == last:
-            if count == 1 or tuple(sorted(parent.items())) <= encs[-1]:
-                value = done_value + len(members)
-                if value > best_value:
-                    best_value = value
-                    best_trees = [dict(t) for t in done] + [dict(parent)]
-        else:
-            enc = tuple(sorted(parent.items()))
-            if slot == 0 or enc <= encs[-1]:
-                done.append(parent)
-                encs.append(enc)
-                grow(slot + 1, done_value + len(members), {}, {root}, list(root_edges))
-                encs.pop()
+        enc = tuple(sorted(parent.items())) if last else None
+        if not done or enc <= done[-1][0]:
+            if slot < last:
+                done.append((enc, parent))
+                grow(slot + 1, done_value + size, {}, root_edges)
                 done.pop()
+            elif done_value + size > best_value:
+                best_value = done_value + size
+                best_trees = [dict(t) for _, t in done] + [dict(parent)]
         # Grow further: take candidate edges in order; skipping one bans it
         # for the rest of this branch, which makes every tree reachable by
         # exactly one decision path.
         for idx, (u, v) in enumerate(ext):
-            if v in members or caps[u] == 0:
+            if v == root or v in parent or caps[u] == 0:
                 continue
             caps[u] -= 1
             cap_total -= 1
             parent[v] = u
-            members.add(v)
-            new_ext = [(v, w) for w in adjacency[v] if w not in members] + ext[idx + 1 :]
-            grow(slot, done_value, parent, members, new_ext)
+            new_ext = [(v, w) for w in adjacency[v] if w != root and w not in parent] + ext[idx + 1 :]
+            grow(slot, done_value, parent, new_ext)
             del parent[v]
-            members.remove(v)
             caps[u] += 1
             cap_total += 1
 
-    grow(0, 0, {}, {root}, list(root_edges))
+    grow(0, 0, {}, root_edges)
     packing = Packing(tuple(RootedTree(root, pm) for pm in best_trees))
     return best_value, packing
 
@@ -93,51 +86,44 @@ def greedy_general(inst: Instance) -> Packing:
 
     Runs in O((n + m)·K): capacities only fall and member sets only grow,
     so a member that cannot adopt now never can again.  Each tree keeps a
-    head index past its leading dead members and, per member, a cursor
-    into the sorted neighbor list past neighbors it already holds.
+    head index past its leading dead members and a cursor into the head's
+    sorted neighbor list past neighbors the tree already holds.  A scan
+    stops at the first member that can adopt, so no member past the head
+    has been scanned and none needs a cursor of its own.
     """
-    n = inst.n
     root = inst.root
+    count = inst.num_trees
     caps = list(inst.capacities)
-    parents: list[dict[int, int]] = []
-    orders: list[list[int]] = []
-    members: list[bytearray] = []
-    cursors: list[list[int]] = []  # per member, parallel to orders[k]
-    for _ in range(inst.num_trees):
-        parents.append({})
-        orders.append([root])
-        member = bytearray(n)
+    parents: list[dict[int, int]] = [{} for _ in range(count)]
+    orders = [[root] for _ in range(count)]
+    members = [bytearray(inst.n) for _ in range(count)]
+    for member in members:
         member[root] = 1
-        members.append(member)
-        cursors.append([0])
-    heads = [0] * inst.num_trees
-    live = list(range(inst.num_trees))
+    scans = [(0, 0)] * count  # (head, cursor) per tree
+    live = list(range(count))
     while live:
         growing = []
         for k in live:
-            order, member, cursor = orders[k], members[k], cursors[k]
-            i = heads[k]
+            order, member = orders[k], members[k]
+            i, j = scans[k]
             found = None
             while i < len(order):
                 u = order[i]
                 if caps[u] > 0:
                     nbrs = inst.neighbors(u)
-                    j = cursor[i]
                     while j < len(nbrs) and member[nbrs[j]]:
                         j += 1
-                    cursor[i] = j
                     if j < len(nbrs):
                         found = u, nbrs[j]
                         break
-                i += 1
-            heads[k] = i
+                i, j = i + 1, 0
+            scans[k] = i, j
             if found:
                 u, w = found
                 caps[u] -= 1
                 parents[k][w] = u
                 member[w] = 1
                 order.append(w)
-                cursor.append(0)
                 growing.append(k)
         live = growing
     return Packing(tuple(RootedTree(root, pm) for pm in parents))

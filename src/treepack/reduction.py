@@ -79,9 +79,10 @@ def _clause_vertex(num_vars: int, j: int) -> int:
 def parse_dimacs(text: str) -> SatInstance:
     """Parse DIMACS CNF text; every clause must have exactly three literals.
 
-    The clauses must number as many as the "p cnf" header declares.  A
-    line starting with "%" ends the formula: SATLIB's uf files follow it
-    with a lone "0", which is not a clause.
+    Exactly one "p cnf" header comes before the first clause, and the
+    clauses must number as many as it declares.  A line starting with "%"
+    ends the formula: SATLIB's uf files follow it with a lone "0", which
+    is not a clause.
     """
     num_vars: int | None = None
     clauses: list[tuple[int, ...]] = []
@@ -93,6 +94,8 @@ def parse_dimacs(text: str) -> SatInstance:
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
+            if num_vars is not None:
+                raise ValueError(f"dimacs: second problem line {line!r}")
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError(f"dimacs: bad problem line {line!r}")
@@ -105,6 +108,8 @@ def parse_dimacs(text: str) -> SatInstance:
             except ValueError:
                 raise ValueError(f"dimacs: bad clause count {parts[3]!r}") from None
             continue
+        if num_vars is None:
+            raise ValueError("dimacs: clause before the 'p cnf' problem line")
         for tok in line.split():
             try:
                 lit = int(tok)

@@ -28,7 +28,6 @@ Reconstruction reads each child's level off the same ranking.
 
 from __future__ import annotations
 
-from collections import deque
 from heapq import heappush, heapreplace, nsmallest
 from typing import Sequence
 
@@ -121,23 +120,18 @@ def greedy_allocation(
     return levels
 
 
-def _rooted(inst: Instance) -> tuple[list[list[int]], list[int]]:
-    """Children lists oriented away from the root, plus a root-first order."""
+def _rooted(inst: Instance) -> tuple[list[int], list[int]]:
+    """Each vertex's parent toward the root (-1 at the root), plus a root-first order."""
     if inst.kind != KIND_TREE:
         raise ValueError(f"kind: expected a tree instance, got {inst.kind!r}")
-    children: list[list[int]] = [[] for _ in range(inst.n)]
+    up = [-1] * inst.n
     order = [inst.root]
-    seen = {inst.root}
-    queue = deque([inst.root])
-    while queue:
-        u = queue.popleft()
+    for u in order:
         for w in inst.neighbors(u):
-            if w not in seen:
-                seen.add(w)
-                children[u].append(w)
+            if w != up[u]:
+                up[w] = u
                 order.append(w)
-                queue.append(w)
-    return children, order
+    return up, order
 
 
 def stripe_values(inst: Instance) -> dict[int, list[int]]:
@@ -150,12 +144,12 @@ def stripe_values(inst: Instance) -> dict[int, list[int]]:
     into a min-heap holding the best `capacity` marginals so far, keeping
     their sum; entry k-1 is k plus that sum.
     """
-    children, order = _rooted(inst)
+    up, order = _rooted(inst)
     caps = inst.capacities
     count = inst.num_trees
     values: dict[int, list[int]] = {}
     for u in reversed(order):
-        vecs = [values[w] for w in children[u]]
+        vecs = [values[w] for w in inst.neighbors(u) if w != up[u]]
         capacity = caps[u]
         taken: list[int] = []  # min-heap of the chosen marginals
         total = 0

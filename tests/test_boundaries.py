@@ -91,6 +91,11 @@ class TestMessageDetails:
         with pytest.raises(ValueError, match=r"^clause 2: literal 4 out of range$"):
             SatInstance(3, ((1, 2, 3), (1, 2, 4)))
 
+    def test_tree_with_n_minus_1_edges_and_a_cycle_is_disconnected(self):
+        # Three edges on four vertices pass the edge count; vertex 3 is left out.
+        with pytest.raises(ValueError, match=r"^edges: graph is disconnected, not a tree$"):
+            Instance("tree", 4, (1,) * 4, 1, edges=((0, 1), (1, 2), (2, 0)))
+
     def test_bad_variable_count_names_its_token(self):
         with pytest.raises(ValueError, match=r"^dimacs: bad variable count 'x'$"):
             parse_dimacs("p cnf x 3\n1 2 3 0\n")

@@ -126,6 +126,13 @@ class TestSolve:
         assert code == 2
         assert "error" in err
 
+    def test_tree_with_a_cycle_and_an_isolated_vertex_is_input_error(self, capsys, write_json):
+        # n - 1 edges, so only the connectivity test can reject it.
+        edges = [[0, 1], [1, 2], [2, 0]]
+        data = {"kind": "tree", "n": 4, "edges": edges, "capacities": [1] * 4, "K": 1}
+        code, out, err = run(capsys, "solve", "-i", write_json("t4.json", data))
+        assert (code, out, err) == (2, "", "error: edges: graph is disconnected, not a tree\n")
+
     def test_missing_file_is_input_error(self, capsys):
         code, _, err = run(capsys, "solve", "-i", "no-such-file.json")
         assert code == 2
@@ -332,6 +339,22 @@ class TestReduce:
     )
     def test_clause_count_off_the_header_is_input_error(self, capsys, tmp_path, text, message):
         cnf = tmp_path / "short.cnf"
+        cnf.write_text(text)
+        gadget = tmp_path / "gadget.json"
+        code, out, err = run(capsys, "reduce", "--cnf", str(cnf), "-o", str(gadget))
+        assert (code, out, err) == (2, "", f"error: dimacs: {message}\n")
+        assert not gadget.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p cnf 3 1\n1 2 3 0\np cnf 5 1\n", "second problem line 'p cnf 5 1'"),
+            ("1 2 3 0\np cnf 3 1\n", "clause before the 'p cnf' problem line"),
+        ],
+        ids=["second-header", "clause-first"],
+    )
+    def test_header_out_of_place_is_input_error(self, capsys, tmp_path, text, message):
+        cnf = tmp_path / "placed.cnf"
         cnf.write_text(text)
         gadget = tmp_path / "gadget.json"
         code, out, err = run(capsys, "reduce", "--cnf", str(cnf), "-o", str(gadget))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -48,6 +49,19 @@ class TestParseDimacs:
     def test_comments_ignored(self):
         sat = parse_dimacs("c hello\np cnf 1 1\nc mid\n1 1 1 0\n")
         assert sat.num_vars == 1
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p cnf 3 1\n1 2 3 0\np cnf 5 1\n", "second problem line 'p cnf 5 1'"),
+            ("p cnf 3 1\np cnf 3 1\n1 2 3 0\n", "second problem line 'p cnf 3 1'"),
+            ("1 2 3 0\np cnf 3 1\n", "clause before the 'p cnf' problem line"),
+        ],
+        ids=["second-after-clause", "repeated", "clause-first"],
+    )
+    def test_exactly_one_header_before_the_clauses(self, text, message):
+        with pytest.raises(ValueError, match=f"^dimacs: {re.escape(message)}$"):
+            parse_dimacs(text)
 
     def test_missing_header_rejected(self):
         with pytest.raises(ValueError, match="problem line"):
