@@ -12,8 +12,12 @@ The cyclic garbage collector is paused for the length of each command
 and put back as the caller had it.  A call builds up to about a million
 small containers (parsed JSON, parent maps, edge lists) with no
 reference cycles, which reference counting frees; the collector's
-repeated sweeps over them would only cost time.  The argument parser's
-few hundred cyclic objects wait for the next collection after the call.
+repeated sweeps over them would only cost time.
+
+Options are read from one table, COMMANDS, which also prints --help and
+the usage line of a usage error (exit 2).  A value is the next word, or
+follows "=" or a short flag (-ifile); a next word starting with "-" is a
+value only if it is "-" or a negative number.  The last repeat wins.
 
 A call loads only the modules its command runs: this module imports
 core alone, and each solver entry point below is a stand-in that imports
@@ -24,13 +28,14 @@ collector's sweep over every live object at exit.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import os
+import re
 import stat
 import sys
 from importlib import import_module
+from types import SimpleNamespace
 
 from .core import (
     KIND_COMPLETE,
@@ -109,7 +114,7 @@ def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
+def cmd_solve(args: SimpleNamespace) -> int:
     inst = _read_instance(args.instance)
     alg = args.alg
     if alg == "auto":
@@ -135,7 +140,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     inst = _read_instance(args.instance)
     with open(args.packing, "rb") as fh:
         packing = load_packing(fh, inst)
@@ -148,7 +153,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_INVALID
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
+def cmd_oracle(args: SimpleNamespace) -> int:
     inst = _read_instance(args.instance)
     value, packing = brute_force_solve(inst, max_n=args.max_n, max_k=args.max_k)
     _note(f"exhaustive optimum {value} (n={inst.n}, K={inst.num_trees})")
@@ -156,72 +161,92 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_reduce(args: argparse.Namespace) -> int:
+def cmd_reduce(args: SimpleNamespace) -> int:
     with open(args.cnf, "rb") as fh:
         sat = load_dimacs(fh)
     reduction = reduce_3sat(sat, max_vertices=args.max_vertices)
-    _write(args.output, json.dumps(instance_to_dict(reduction.instance)) + "\n")
+    gadget, gamma = reduction.instance, reduction.gamma
+    _write(args.output, json.dumps(instance_to_dict(gadget)) + "\n")
     if args.labels:
-        sidecar = {
-            "gamma": reduction.gamma,
-            "labels": {str(v): role for v, role in sorted(reduction.labels.items())},
-        }
-        _write(args.labels, json.dumps(sidecar) + "\n")
-    summary = {
-        "num_vertices": reduction.instance.n,
-        "num_edges": len(reduction.instance.edges),
-        "gamma": reduction.gamma,
-    }
-    _emit(json.dumps(summary))
-    _note(
-        f"gadget written to {args.output}: {reduction.instance.n} vertices, "
-        f"threshold {reduction.gamma}"
-    )
+        labels = {str(v): role for v, role in sorted(reduction.labels.items())}
+        _write(args.labels, json.dumps({"gamma": gamma, "labels": labels}) + "\n")
+    _emit(json.dumps({"num_vertices": gadget.n, "num_edges": len(gadget.edges), "gamma": gamma}))
+    _note(f"gadget written to {args.output}: {gadget.n} vertices, threshold {gamma}")
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="treepack",
-        description="Exact and heuristic solvers for capacity-bounded rooted-tree packing.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_INSTANCE = ("-i", "--instance"), ..., str, "instance JSON file"
+_OUTPUT = ("-o", "--output"), None, str, "also write the result JSON here"
 
-    p = sub.add_parser("solve", help="solve an instance")
-    p.add_argument("-i", "--instance", required=True, help="instance JSON file")
-    p.add_argument("--alg", choices=("auto", "complete", "tree", "greedy"), default="auto")
-    p.add_argument("-o", "--output", help="also write the result JSON here")
-    p.add_argument("--value-only", action="store_true", help="emit the objective only")
-    p.set_defaults(func=cmd_solve)
+# Per command: handler, help, options.  Per option: flags (the last one names the
+# attribute), default (... if required), kind (int, str, choices tuple, bool switch), help.
+COMMANDS = {
+    "solve": (cmd_solve, "solve an instance", [_INSTANCE, _OUTPUT,
+        (("--alg",), "auto", ("auto", "complete", "tree", "greedy"), "solver (default auto)"),
+        (("--value-only",), False, bool, "emit the objective only")]),
+    "verify": (cmd_verify, "verify a packing against an instance",
+        [_INSTANCE, (("-p", "--packing"), ..., str, "packing JSON file")]),
+    "oracle": (cmd_oracle, "exhaustive exact search (small instances)", [_INSTANCE, _OUTPUT,
+        (("--max-n",), 8, int, "vertex count limit (default 8)"),
+        (("--max-k",), 3, int, "tree count limit (default 3)")]),
+    "reduce": (cmd_reduce, "turn a 3-CNF into a packing instance", [
+        (("--cnf",), ..., str, "DIMACS CNF file"),
+        (("-o", "--output"), ..., str, "instance JSON to write"),
+        (("--labels",), None, str, "sidecar JSON for the threshold and vertex roles"),
+        (("--max-vertices",), MAX_VERTICES, int, f"gadget vertex limit (default {MAX_VERTICES})")]),
+}  # fmt: skip
+_VALUE = {bool: "", int: " N", str: " FILE"}  # how help shows the value of each kind
 
-    p = sub.add_parser("verify", help="verify a packing against an instance")
-    p.add_argument("-i", "--instance", required=True)
-    p.add_argument("-p", "--packing", required=True, help="packing JSON file")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("oracle", help="exhaustive exact search (small instances)")
-    p.add_argument("-i", "--instance", required=True)
-    p.add_argument("-o", "--output")
-    p.add_argument("--max-n", type=int, default=8, help="vertex count limit (default 8)")
-    p.add_argument("--max-k", type=int, default=3, help="tree count limit (default 3)")
-    p.set_defaults(func=cmd_oracle)
+def _exit(command: str | None, error: str = "") -> None:
+    """Print usage and the error to stderr and exit 2, or help to stdout and exit 0."""
+    usage = "usage: treepack {" + ",".join(COMMANDS) + "} ..."
+    rows = [f"  {name:8} {about}" for name, (_, about, _) in COMMANDS.items()]
+    if command:
+        usage, rows = f"usage: treepack {command} [-h]", [f"{COMMANDS[command][1]}:"]
+        for flags, default, kind, text in COMMANDS[command][2]:
+            value = " {" + ",".join(kind) + "}" if isinstance(kind, tuple) else _VALUE[kind]
+            usage += f" {flags[0]}{value}" if default is ... else f" [{flags[0]}{value}]"
+            rows.append(f"  {', '.join(flags) + value:34} {text}" + " (required)" * (default is ...))
+    if error:
+        rows = [f"{' '.join(filter(None, ['treepack', command]))}: error: {error}"]
+    print(usage, *rows, sep="\n", file=sys.stderr if error else sys.stdout)
+    sys.exit(EXIT_INPUT if error else EXIT_OK)
 
-    p = sub.add_parser("reduce", help="turn a 3-CNF into a packing instance")
-    p.add_argument("--cnf", required=True, help="DIMACS CNF file")
-    p.add_argument("-o", "--output", required=True, help="instance JSON to write")
-    p.add_argument("--labels", help="sidecar JSON for the threshold and vertex roles")
-    p.add_argument(
-        "--max-vertices",
-        type=int,
-        default=MAX_VERTICES,
-        help=f"gadget vertex limit (default {MAX_VERTICES})",
-    )
-    p.set_defaults(func=cmd_reduce)
-    return parser
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command in argv and its options' values, read by the rules of COMMANDS."""
+    command = argv[0] if argv else ""
+    if command not in COMMANDS:  # --help, or a usage error
+        _exit(None, "" if command in ("-h", "--help") else f"expected a command, got {command!r}")
+    (func, _, table), words = COMMANDS[command], iter(argv[1:])
+    by_flag = {flag: option for option in table for flag in option[0]}
+    values = {flags[-1]: default for flags, default, _, _ in table}
+    for word in words:
+        flag, eq, value = word.partition("=")
+        if flag not in by_flag and word[:2] in by_flag and word[1] != "-":  # -ifile
+            flag, eq, value = word[:2], "=", word[2:]
+        if flag not in by_flag or eq and by_flag[flag][2] is bool:  # or --help
+            _exit(command, "" if word in ("-h", "--help") else f"unrecognized argument {word!r}")
+        flags, _, kind, _ = by_flag[flag]
+        if kind is not bool and not eq:
+            value = next(words, "--")
+            if value[:1] == "-" and value != "-" and not re.fullmatch(r"-\d*\.?\d+", value):
+                _exit(command, f"argument {flag}: expected a value")
+        try:
+            values[flags[-1]] = True if kind is bool else int(value) if kind is int else value
+        except ValueError:
+            _exit(command, f"argument {flag}: invalid int value {value!r}")
+        if isinstance(kind, tuple) and value not in kind:
+            _exit(command, f"argument {flag}: invalid choice {value!r}")
+    if missing := [flag for flag, value in values.items() if value is ...]:
+        _exit(command, "the following arguments are required: " + ", ".join(missing))
+    values = {flag[2:].replace("-", "_"): value for flag, value in values.items()}
+    return SimpleNamespace(command=command, func=func, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     collecting = gc.isenabled()
     gc.disable()
     try:

@@ -20,7 +20,8 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from collections import Counter
-from typing import IO, Any, Mapping
+from collections.abc import Mapping
+from io import IOBase
 
 KIND_GENERAL = "general"
 KIND_COMPLETE = "complete"
@@ -41,7 +42,7 @@ class SearchLimitExceeded(RuntimeError):
     """
 
 
-def _as_int(value: Any, name: str) -> int:
+def _as_int(value: object, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name}: expected an integer, got {value!r}")
     return value
@@ -71,7 +72,7 @@ class _Value:
         args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({args})"
 
-    def __setattr__(self, name: str, value: Any) -> None:
+    def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
@@ -141,7 +142,7 @@ class Instance(_Value):
         if edges is None:
             raise ValueError(f"edges: required for kind={kind!r}")
         seen: dict[tuple[int, int], None] = {}  # the normalized edges, in input order
-        adjacency: list[Any] = [[] for _ in range(n)]  # lists, then sorted tuples
+        adjacency: list = [[] for _ in range(n)]  # lists, then sorted tuples
         for e in edges:
             try:
                 u, v = e
@@ -380,7 +381,7 @@ def verify_packing(inst: Instance, packing: Packing) -> VerificationReport:
     return VerificationReport(not violations, violations)
 
 
-def instance_from_dict(data: Any) -> Instance:
+def instance_from_dict(data: object) -> Instance:
     if not isinstance(data, dict):
         raise ValueError("instance: expected a JSON object")
     missing = [key for key in ("kind", "n", "capacities", "K") if key not in data]
@@ -407,7 +408,7 @@ def instance_from_dict(data: Any) -> Instance:
 
 
 def instance_to_dict(inst: Instance) -> dict:
-    data: dict[str, Any] = {
+    data: dict[str, object] = {
         "kind": inst.kind,
         "n": inst.n,
         "root": inst.root,
@@ -419,14 +420,14 @@ def instance_to_dict(inst: Instance) -> dict:
     return data
 
 
-def _parse(source: IO, what: str) -> Any:
+def _parse(source: IOBase, what: str) -> object:
     try:
         return json.load(source)
     except RecursionError:
         raise ValueError(f"{what}: JSON nested too deeply") from None
 
 
-def load_instance(source: IO) -> Instance:
+def load_instance(source: IOBase) -> Instance:
     """Parse an instance JSON document from a readable stream."""
     return instance_from_dict(_parse(source, "instance"))
 
@@ -462,7 +463,7 @@ def _parent_map(edges: list, i: int) -> dict[int, int]:
     return parent
 
 
-def packing_from_dict(data: Any, root: int) -> Packing:
+def packing_from_dict(data: object, root: int) -> Packing:
     if not isinstance(data, dict) or "trees" not in data:
         raise ValueError("packing: missing field trees")
     trees_data = data["trees"]
@@ -515,6 +516,6 @@ def _packing_json(packing: Packing, n: int) -> str:
     return f'{{"trees": [{trees}], "objective": {objective(packing)}}}'
 
 
-def load_packing(source: IO, inst: Instance) -> Packing:
+def load_packing(source: IOBase, inst: Instance) -> Packing:
     """Parse a packing JSON document; trees are rooted at the instance root."""
     return packing_from_dict(_parse(source, "packing"), inst.root)

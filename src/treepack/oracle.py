@@ -16,8 +16,9 @@ from .core import Instance, Packing, RootedTree, SearchLimitExceeded
 def brute_force_solve(inst: Instance, *, max_n: int = 8, max_k: int = 3) -> tuple[int, Packing]:
     """Exact optimum by exhaustive enumeration.
 
-    Intended for desk-size verification only; instances beyond the limits
-    raise SearchLimitExceeded instead of running unboundedly.
+    Intended for desk-size verification only; instances beyond the limits,
+    or whose search is deeper than Python's recursion limit, raise
+    SearchLimitExceeded instead of running unboundedly.
     """
     if inst.n > max_n:
         raise SearchLimitExceeded(f"n={inst.n} exceeds the search limit max_n={max_n}")
@@ -71,7 +72,10 @@ def brute_force_solve(inst: Instance, *, max_n: int = 8, max_k: int = 3) -> tupl
             caps[u] += 1
             cap_total += 1
 
-    grow(0, 0, {}, root_edges)
+    try:
+        grow(0, 0, {}, root_edges)
+    except RecursionError:  # one level per edge taken, so a long path can run out of stack
+        raise SearchLimitExceeded(f"n={n}: the search is deeper than the recursion limit") from None
     packing = Packing(tuple(RootedTree(root, pm) for pm in best_trees))
     return best_value, packing
 

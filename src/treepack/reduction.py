@@ -11,7 +11,7 @@ satisfiable, and the literals inside such a tree spell the assignment.
 
 from __future__ import annotations
 
-from typing import IO
+from io import IOBase
 
 from .core import (
     KIND_GENERAL,
@@ -129,7 +129,7 @@ def parse_dimacs(text: str) -> SatInstance:
     return SatInstance(num_vars, tuple(clauses))  # type: ignore[arg-type]
 
 
-def load_dimacs(source: IO[bytes]) -> SatInstance:
+def load_dimacs(source: IOBase) -> SatInstance:
     """Parse DIMACS CNF from a binary stream; the bytes must be UTF-8."""
     return parse_dimacs(source.read().decode("utf-8"))
 

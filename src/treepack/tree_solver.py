@@ -29,7 +29,7 @@ Reconstruction reads each child's level off the same ranking.
 from __future__ import annotations
 
 from heapq import heappush, heapreplace, nsmallest
-from typing import Sequence
+from collections.abc import Sequence
 
 from .core import KIND_TREE, Instance, Packing, RootedTree
 

@@ -1,11 +1,14 @@
-"""Shared builders for randomized test families."""
+"""Shared builders for randomized test families, and the CLI's argparse reference."""
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import random
 
 from treepack import Instance, SatInstance
+from treepack.cli import cmd_oracle, cmd_reduce, cmd_solve, cmd_verify
+from treepack.core import MAX_VERTICES
 
 # Worked example used across the reduction and CLI tests:
 # (x1 v x2 v !x3) & (x1 v !x2 v x4) & (!x2 v x3 v !x4)
@@ -104,3 +107,45 @@ def cnf_satisfiable(sat: SatInstance) -> bool:
         if assignment_satisfies(sat, assignment):
             return True
     return False
+
+
+# The CLI's argparse parser as it was before cli.parse_args replaced it;
+# tests compare the two on valid argv.
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="treepack",
+        description="Exact and heuristic solvers for capacity-bounded rooted-tree packing.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("solve", help="solve an instance")
+    p.add_argument("-i", "--instance", required=True, help="instance JSON file")
+    p.add_argument("--alg", choices=("auto", "complete", "tree", "greedy"), default="auto")
+    p.add_argument("-o", "--output", help="also write the result JSON here")
+    p.add_argument("--value-only", action="store_true", help="emit the objective only")
+    p.set_defaults(func=cmd_solve)
+
+    p = sub.add_parser("verify", help="verify a packing against an instance")
+    p.add_argument("-i", "--instance", required=True)
+    p.add_argument("-p", "--packing", required=True, help="packing JSON file")
+    p.set_defaults(func=cmd_verify)
+
+    p = sub.add_parser("oracle", help="exhaustive exact search (small instances)")
+    p.add_argument("-i", "--instance", required=True)
+    p.add_argument("-o", "--output")
+    p.add_argument("--max-n", type=int, default=8, help="vertex count limit (default 8)")
+    p.add_argument("--max-k", type=int, default=3, help="tree count limit (default 3)")
+    p.set_defaults(func=cmd_oracle)
+
+    p = sub.add_parser("reduce", help="turn a 3-CNF into a packing instance")
+    p.add_argument("--cnf", required=True, help="DIMACS CNF file")
+    p.add_argument("-o", "--output", required=True, help="instance JSON to write")
+    p.add_argument("--labels", help="sidecar JSON for the threshold and vertex roles")
+    p.add_argument(
+        "--max-vertices",
+        type=int,
+        default=MAX_VERTICES,
+        help=f"gadget vertex limit (default {MAX_VERTICES})",
+    )
+    p.set_defaults(func=cmd_reduce)
+    return parser

@@ -267,6 +267,14 @@ class TestOracle:
         assert code == 3
         assert "exceeds" in err
 
+    def test_search_deeper_than_the_recursion_limit_is_limit_error(self, capsys, write_json):
+        n = 1200  # one search level per edge of the path
+        path = {"kind": "tree", "n": n, "edges": [[v - 1, v] for v in range(1, n)]}
+        inst = write_json("path.json", {**path, "capacities": [1] * n, "K": 1})
+        code, out, err = run(capsys, "oracle", "-i", inst, "--max-n", "2000")
+        assert (code, out) == (3, "")
+        assert err == "error: n=1200: the search is deeper than the recursion limit\n"
+
     def test_limit_can_be_raised(self, capsys, write_json):
         big = {"kind": "complete", "n": 9, "capacities": [0] * 9, "K": 1}
         inst = write_json("big.json", big)
@@ -467,22 +475,44 @@ class TestOutputFiles:
             assert pack.read_bytes() == proc.stdout
 
 
-def test_startup_imports_no_dataclasses():
-    """Loading the CLI pulls in none of dataclasses' heavy dependencies.
+def test_startup_imports_no_dataclasses(tmp_path):
+    """No command pulls in dataclasses' heavy dependencies, argparse or typing.
 
     -S keeps site's .pth imports out, so only treepack's own imports count.
+    Each command runs in one process, with --help and a usage error.
     """
     heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
-    code = f"import sys, treepack.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    heavy += ("argparse", "gettext", "locale", "typing")
+    for name, data in (("c4.json", COMPLETE4), ("t3.json", TREE3), ("g4.json", GENERAL4)):
+        (tmp_path / name).write_text(json.dumps(data))
+    (tmp_path / "f.cnf").write_text(EXAMPLE_DIMACS)
+    argvs = [
+        ["solve", "-i", "c4.json", "-o", "p.json"],
+        ["solve", "-i", "t3.json"],
+        ["solve", "-i", "g4.json"],
+        ["verify", "-i", "c4.json", "-p", "p.json"],
+        ["oracle", "-i", "c4.json"],
+        ["reduce", "--cnf", "f.cnf", "-o", "gadget.json"],
+        ["--help"],
+        ["solve", "--help"],
+        ["solve", "--alg", "nope"],
+    ]
+    code = (
+        "import sys\nfrom treepack.cli import main\n"
+        f"for argv in {argvs!r}:\n"
+        "    try:\n        assert main(argv) == 0\n    except SystemExit:\n        pass\n"
+        f"print([m for m in {heavy!r} if m in sys.modules])"
+    )
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
+        cwd=tmp_path,
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
         check=True,
     )
-    assert proc.stdout == "[]\n"
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.fixture

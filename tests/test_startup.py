@@ -71,13 +71,11 @@ def fixtures(tmp_path, monkeypatch):
         (tmp_path / name).write_text(json.dumps(data))
     (tmp_path / "f.cnf").write_text(EXAMPLE_DIMACS)
     monkeypatch.chdir(tmp_path)
-    # argparse wraps help to the terminal width; fix it on both sides.
-    monkeypatch.setenv("COLUMNS", "80")
     return tmp_path
 
 
 def python(*args: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), COLUMNS="80")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
