@@ -26,13 +26,13 @@ _SOURCES = {
     "RootedTree": "core",
     "SatInstance": "reduction",
     "SearchLimitExceeded": "core",
-    "VerificationReport": "core",
-    "Violation": "core",
+    "VerificationReport": "verifier",
+    "Violation": "verifier",
     "attach_stage": "complete_solver",
     "brute_force_solve": "oracle",
     "build_stage_paths": "complete_solver",
     "extract_assignment": "reduction",
-    "greedy_general": "oracle",
+    "greedy_general": "greedy",
     "instance_from_dict": "core",
     "instance_to_dict": "core",
     "load_dimacs": "reduction",
@@ -48,7 +48,7 @@ _SOURCES = {
     "solve_mckp": "tree_solver",
     "solve_tree": "tree_solver",
     "stripe_values": "tree_solver",
-    "verify_packing": "core",
+    "verify_packing": "verifier",
 }
 
 __all__ = list(_SOURCES)

@@ -19,11 +19,12 @@ the usage line of a usage error (exit 2).  A value is the next word, or
 follows "=" or a short flag (-ifile); a next word starting with "-" is a
 value only if it is "-" or a negative number.  The last repeat wins.
 
-A call loads only the modules its command runs: this module imports
-core alone, and each solver entry point below is a stand-in that imports
-its submodule when first called.  The console script and ``python -m
-treepack.cli`` go through run(), which also spares the process the
-collector's sweep over every live object at exit.
+A call loads, and compiles, only the modules its command runs: this
+module imports core alone, and each solver entry point below, and the
+verifier, is a stand-in that imports its submodule when first called.
+The console script and ``python -m treepack.cli`` go through run(),
+which flushes the standard streams and ends the process without
+tearing the interpreter down.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from .core import (
     load_packing,
     objective,
     packing_to_dict,  # unused here; the benchmark's tracer swaps cli.packing_to_dict
-    verify_packing,
 )
 
 
@@ -70,11 +70,12 @@ def _on_first_call(module: str, name: str):
 
 solve_complete = _on_first_call("complete_solver", "solve_complete")
 solve_tree = _on_first_call("tree_solver", "solve_tree")
-greedy_general = _on_first_call("oracle", "greedy_general")
+greedy_general = _on_first_call("greedy", "greedy_general")
 brute_force_solve = _on_first_call("oracle", "brute_force_solve")
 load_dimacs = _on_first_call("reduction", "load_dimacs")
 reduce_3sat = _on_first_call("reduction", "reduce_3sat")
 optimal_objective = _on_first_call("complete_solver", "optimal_objective")
+verify_packing = _on_first_call("verifier", "verify_packing")
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -106,7 +107,7 @@ def _emit(text: str, path: str | None = None) -> None:
     """Print one JSON document as a line, and write the same line to path if given."""
     line = text + "\n"
     sys.stdout.write(line)
-    if path:
+    if path is not None:
         _write(path, line)
 
 
@@ -167,7 +168,7 @@ def cmd_reduce(args: SimpleNamespace) -> int:
     reduction = reduce_3sat(sat, max_vertices=args.max_vertices)
     gadget, gamma = reduction.instance, reduction.gamma
     _write(args.output, json.dumps(instance_to_dict(gadget)) + "\n")
-    if args.labels:
+    if args.labels is not None:
         labels = {str(v): role for v, role in sorted(reduction.labels.items())}
         _write(args.labels, json.dumps({"gamma": gamma, "labels": labels}) + "\n")
     _emit(json.dumps({"num_vertices": gadget.n, "num_edges": len(gadget.edges), "gamma": gamma}))
@@ -263,18 +264,24 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    """Console entry point: exit with main's code, without the collector's exit sweep.
+    """Console entry point: flush stdout and stderr, then end with main's code.
 
-    At exit CPython collects every generation once more, over every
-    object still alive, including those the site imports made.  Freezing
-    moves them all into the permanent generation, which that sweep skips;
-    reference counting, module teardown, stream flushes and atexit still
-    run.  main itself never freezes, so in-process callers are unaffected.
+    os._exit skips the interpreter's teardown (clearing modules, the
+    collector's last sweep, atexit handlers), which takes longer than a
+    desk-size search.  Every file main writes is closed before it
+    returns.  If a flush fails, the normal exit runs instead and reports
+    it as before; so does an exception that escapes main.
     """
     try:
-        sys.exit(main())
-    finally:
-        gc.freeze()
+        code = main()
+    except SystemExit as exc:  # --help and usage errors
+        code = exc.code
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):  # no stream, a failed write, a closed file
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -21,8 +21,8 @@ from .core import (
     SearchLimitExceeded,
     _Value,
     objective,
-    verify_packing,
 )
+from .verifier import verify_packing
 
 
 class SatInstance(_Value):

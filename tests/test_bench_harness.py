@@ -1,5 +1,7 @@
 """Smoke tests of the benchmark harness: a short traced run of each workload.
 
+A fast test checks first that every name the tracer swaps or reads exists.
+
 The harness times layers by swapping module attributes of treepack (see
 perfbench/tracing.py), so a rename in the library can break it without
 any library test noticing.  The bulk run also sends complete packings of
@@ -10,6 +12,7 @@ into the source tree.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import shutil
 import subprocess
@@ -33,6 +36,26 @@ def _traced_run(tmp_path, workload: str) -> None:
     assert result["correct"] is True
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     assert list(result["metrics"]) == [m["name"] for m in declared]
+
+
+def test_tracer_finds_every_name_it_swaps():
+    """The tracer's names exist where it looks them up: a fast guard for the three runs below."""
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    from treepack import cli, core, reduction
+
+    for module, attr, span in tracing.WRAPPED:
+        assert callable(getattr(module, attr)), f"{module.__name__}.{attr}"
+        assert span in tracing.SPANS
+    for module, attr in [
+        (core, "json"),
+        (cli, "json"),
+        (core, "load_packing"),
+        (cli, "main"),
+        (reduction, "extract_assignment"),
+    ]:
+        assert hasattr(module, attr), f"{module.__name__}.{attr}"
 
 
 def test_traced_general_mix_run(tmp_path):

@@ -459,6 +459,23 @@ class TestOutputFiles:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "command, option",
+        [("solve", "-o"), ("oracle", "-o"), ("reduce", "-o"), ("reduce", "--labels")],
+    )
+    def test_empty_path_is_input_error(self, capsys, write_json, tmp_path, command, option):
+        """An empty path names no file: exit 2 with one error line, like any other unwritable path."""
+        if command == "reduce":
+            cnf = tmp_path / "f.cnf"
+            cnf.write_text(EXAMPLE_DIMACS)
+            argv = ["reduce", "--cnf", str(cnf), "-o", str(tmp_path / "gadget.json"), option, ""]
+        else:
+            argv = [command, "-i", write_json("g4.json", GENERAL4), option, ""]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert [line for line in err.splitlines() if line.startswith("error: ")] == [err.splitlines()[-1]]
+        assert "Traceback" not in err
+
     def test_rerun_into_same_path(self, write_json, tmp_path):
         inst = write_json("c4.json", COMPLETE4)
         pack = tmp_path / "pack.json"

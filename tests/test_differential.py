@@ -42,7 +42,7 @@ from treepack import (
     solve_tree,
     verify_packing,
 )
-from treepack import core
+from treepack import core, verifier
 
 
 def reference_verify(inst: Instance, packing: Packing) -> VerificationReport:
@@ -333,7 +333,7 @@ class TestVerifyMatchesReference:
             invalid += not report.valid
             for tree in damaged.trees:
                 if tree.root == inst.root:
-                    ordered = core._rooted_outward(inst, tree)
+                    ordered = verifier._rooted_outward(inst, tree)
                     outward += ordered
                     fallback += not ordered
         assert invalid > 1500
@@ -354,7 +354,7 @@ class TestVerifyMatchesReference:
             report = verify_packing(inst, shuffled)
             assert report.valid
             assert report == reference_verify(inst, shuffled)
-            fallback += sum(not core._rooted_outward(inst, t) for t in shuffled.trees)
+            fallback += sum(not verifier._rooted_outward(inst, t) for t in shuffled.trees)
         assert fallback > 500
 
     def test_capacity_overflow_in_root_outward_packings(self):
@@ -375,7 +375,7 @@ class TestVerifyMatchesReference:
                         members.append(w)
                 maps.append(parent)
             grown = Packing(tuple(RootedTree(inst.root, pm) for pm in maps))
-            assert all(core._rooted_outward(inst, t) for t in grown.trees)
+            assert all(verifier._rooted_outward(inst, t) for t in grown.trees)
             report = verify_packing(inst, grown)
             assert report == reference_verify(inst, grown)
             assert all(v.tree is None for v in report.violations)
@@ -393,7 +393,7 @@ class TestVerifyMatchesReference:
         def forbidden(*args):
             raise AssertionError("fallback path used on a root-outward tree")
 
-        monkeypatch.setattr(core, "sorted", counting_sorted, raising=False)
+        monkeypatch.setattr(verifier, "sorted", counting_sorted, raising=False)
         monkeypatch.setattr(RootedTree, "vertices", property(forbidden))
         rng = random.Random(13)
         for _ in range(30):

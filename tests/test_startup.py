@@ -18,7 +18,7 @@ from test_cli import COMPLETE4, GENERAL4, TREE3
 from treepack.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
-SUBMODULES = ("complete_solver", "core", "oracle", "reduction", "tree_solver")
+SUBMODULES = ("complete_solver", "core", "greedy", "oracle", "reduction", "tree_solver", "verifier")
 
 PUBLIC_NAMES = [
     "KIND_COMPLETE",
@@ -74,9 +74,15 @@ def fixtures(tmp_path, monkeypatch):
     return tmp_path
 
 
+def environment(unbuffered: bool = True) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONUNBUFFERED="1")
+    if not unbuffered:
+        del env["PYTHONUNBUFFERED"]
+    return env
+
+
 def python(*args: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], env=environment(), capture_output=True, text=True)
 
 
 LOADED = "import sys; print(' '.join(sorted(m for m in sys.modules if m.startswith('treepack'))))"
@@ -85,18 +91,28 @@ LOADED = "import sys; print(' '.join(sorted(m for m in sys.modules if m.startswi
 @pytest.mark.parametrize(
     "argv, extra",
     [
-        (["verify", "-i", "c4.json", "-p", "good.json"], []),
+        (["verify", "-i", "c4.json", "-p", "good.json"], ["verifier"]),
         (["solve", "-i", "c4.json"], ["complete_solver"]),
         (["solve", "-i", "t3.json"], ["tree_solver"]),
-        (["solve", "-i", "g4.json"], ["oracle"]),
+        (["solve", "-i", "g4.json"], ["greedy"]),
         (["oracle", "-i", "g4.json"], ["oracle"]),
-        (["reduce", "--cnf", "f.cnf", "-o", "gadget.json"], ["reduction"]),
+        (["reduce", "--cnf", "f.cnf", "-o", "gadget.json"], ["reduction", "verifier"]),
+        (["--help"], []),
     ],
-    ids=["verify", "solve-complete", "solve-tree", "solve-general", "oracle", "reduce"],
+    ids=["verify", "solve-complete", "solve-tree", "solve-general", "oracle", "reduce", "help"],
 )
 def test_command_loads_only_its_modules(fixtures, argv, extra):
-    """-S keeps site's .pth imports out, so only treepack's own imports count."""
-    code = f"from treepack.cli import main; assert main({argv!r}) == 0; {LOADED}"
+    """-S keeps site's .pth imports out, so only treepack's own imports count.
+
+    The oracle loads neither the greedy baseline nor the verifier, a
+    general solve loads the greedy baseline and not the oracle, and --help
+    loads no more than the CLI and core.
+    """
+    code = (
+        "from treepack.cli import main\n"
+        f"try:\n    code = main({argv!r})\nexcept SystemExit as exc:\n    code = exc.code\n"
+        f"assert code == 0\n{LOADED}"
+    )
     proc = python("-S", "-c", code)
     assert proc.returncode == 0, proc.stderr
     loaded = proc.stdout.splitlines()[-1].split()
@@ -154,7 +170,11 @@ class TestPackageApi:
     ids=["exit-0", "exit-1", "exit-2", "exit-3", "reduce", "help", "usage-error"],
 )
 def test_subprocess_exit_matches_main(fixtures, capsys, argv):
-    """python -m treepack.cli exits through run(); codes and streams equal main's."""
+    """python -m treepack.cli exits through run(); codes and streams equal main's.
+
+    The second run block-buffers both streams into files, so output that
+    run() did not flush before ending the process would be missing.
+    """
     frozen = gc.get_freeze_count()
     try:
         code = main(argv)
@@ -164,6 +184,35 @@ def test_subprocess_exit_matches_main(fixtures, capsys, argv):
     assert gc.get_freeze_count() == frozen
     proc = python("-m", "treepack.cli", *argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    with open("stdout.txt", "wb") as fo, open("stderr.txt", "wb") as fe:
+        command = [sys.executable, "-m", "treepack.cli", *argv]
+        returncode = subprocess.run(command, env=environment(False), stdout=fo, stderr=fe).returncode
+    got = (returncode, Path("stdout.txt").read_text(), Path("stderr.txt").read_text())
+    assert got == (code, out, err)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_as_before(fixtures, unbuffered):
+    """stdout is a pipe nobody reads: run() reports the failed write or flush as the normal exit does.
+
+    Unbuffered, the write fails inside main (exit 2); buffered, the flush
+    fails after it (exit 120, the interpreter's code for a failed flush).
+    """
+    argv = ["oracle", "-i", "g4.json"]
+    normal_exit = f"import sys; from treepack.cli import main; sys.exit(main({argv!r}))"
+    results = []
+    for args in (["-m", "treepack.cli", *argv], ["-c", normal_exit]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, *args], env=environment(unbuffered), stdout=write_end, stderr=subprocess.PIPE
+            )
+        finally:
+            os.close(write_end)
+        results.append((proc.returncode, proc.stderr))
+    assert results[0] == results[1]
+    assert results[0][0] == (2 if unbuffered else 120)
 
 
 def test_console_script_target():
