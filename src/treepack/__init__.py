@@ -23,7 +23,6 @@ _SOURCES = {
     "Instance": "core",
     "Packing": "core",
     "ReductionOutput": "reduction",
-    "RootedTree": "core",
     "SatInstance": "reduction",
     "SearchLimitExceeded": "core",
     "VerificationReport": "verifier",

@@ -35,7 +35,6 @@ import os
 import re
 import stat
 import sys
-from importlib import import_module
 from types import SimpleNamespace
 
 from .core import (
@@ -45,6 +44,7 @@ from .core import (
     MAX_VERTICES,
     Instance,
     SearchLimitExceeded,
+    _on_first_call,
     _packing_json,
     instance_to_dict,
     load_instance,
@@ -52,20 +52,6 @@ from .core import (
     objective,
     packing_to_dict,  # unused here; the benchmark's tracer swaps cli.packing_to_dict
 )
-
-
-def _on_first_call(module: str, name: str):
-    """A stand-in for treepack.<module>.<name> that imports the module when called.
-
-    The stand-in stays the module attribute, so callers that swap it out
-    (tests, the benchmark's tracer) keep working.
-    """
-
-    def call(*args, **kwargs):
-        return getattr(import_module(f"treepack.{module}"), name)(*args, **kwargs)
-
-    call.__name__ = call.__qualname__ = name
-    return call
 
 
 solve_complete = _on_first_call("complete_solver", "solve_complete")
@@ -106,6 +92,8 @@ def _write(path: str, text: str) -> None:
 def _emit(text: str, path: str | None = None) -> None:
     """Print one JSON document as a line, and write the same line to path if given."""
     line = text + "\n"
+    if sys.stdout is None:  # file descriptor 1 was closed when Python started
+        raise OSError("standard output is closed")
     sys.stdout.write(line)
     if path is not None:
         _write(path, line)

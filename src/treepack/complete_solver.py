@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from itertools import compress, filterfalse, islice
 
-from .core import KIND_COMPLETE, Instance, Packing, RootedTree
+from .core import KIND_COMPLETE, Instance, Packing
 
 
 def _require_complete(inst: Instance) -> None:
@@ -72,7 +72,8 @@ def attach_stage(inst: Instance, paths: list[list[int]], residual: list[int]) ->
     capacities), and the missing vertices are drawn lazily, so a tree
     costs O(path + attached) rather than O(n).  A tree whose path has no
     spare vertex is just its path: its member set and the missing-vertex
-    iterator are never built.
+    iterator are never built.  Each parent map goes into the Packing as
+    built, root outward, with no copy.
     """
     _require_complete(inst)
     caps = list(residual)
@@ -91,8 +92,8 @@ def attach_stage(inst: Instance, paths: list[list[int]], residual: list[int]) ->
             caps[v] = spare - len(adopted)
             if len(adopted) < spare:
                 break  # the tree spans every vertex
-        trees.append(RootedTree(inst.root, parent))
-    return Packing(tuple(trees))
+        trees.append(parent)
+    return Packing(inst.root, trees)
 
 
 def solve_complete(inst: Instance) -> Packing:

@@ -1,8 +1,9 @@
-"""Problem model: instances, rooted trees, packings, JSON I/O.
+"""Problem model: instances, packings, JSON I/O.
 
 An instance is an undirected connected graph with a designated root, a
 per-vertex child budget (the capacity), and a tree count K.  A packing is
-an ordered family of K trees, each rooted at the instance root.  It is
+an ordered family of K trees, all rooted at the instance root: the root
+once, and one child -> parent map per tree.  It is
 feasible when, for every vertex, the number of children it has summed
 across all K trees stays within its capacity.  The objective of a packing
 is the total number of vertex occurrences: a vertex contained in j of the
@@ -19,7 +20,8 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from collections.abc import Mapping
+from collections.abc import Sequence
+from importlib import import_module
 from io import IOBase
 
 KIND_GENERAL = "general"
@@ -39,6 +41,20 @@ class SearchLimitExceeded(RuntimeError):
     The oracle's max_n and max_k and reduce_3sat's max_vertices are such
     limits; the CLI exits with code 3 on this error.
     """
+
+
+def _on_first_call(module: str, name: str):
+    """A stand-in for treepack.<module>.<name> that imports the module when called.
+
+    The stand-in stays the module attribute, so callers that swap it out
+    (tests, the benchmark's tracer) keep working.
+    """
+
+    def call(*args, **kwargs):
+        return getattr(import_module(f"treepack.{module}"), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
 
 
 def _as_int(value: object, name: str) -> int:
@@ -194,43 +210,25 @@ class Instance(_Value):
         return i < len(neighbors) and neighbors[i] == v
 
 
-class RootedTree(_Value):
-    """One rooted tree, stored as a child -> parent map (root has no entry).
+class Packing(_Value):
+    """K trees rooted at one vertex: the root, and one child -> parent map per tree.
 
-    The map fixes the tree completely: vertex set {root} plus the map keys,
-    edges (parent[v], v).  An empty map is the null tree, just the root.
-    Trees are treated as immutable after construction.
+    A map fixes its tree: vertex set {root} plus the map's keys, edges
+    (parent[v], v); the empty map {} is the null tree, just the root.  Its
+    insertion order is the tree's one edge order, the order the packing
+    file lists: every solver inserts each child after its parent, root
+    outward, which lets verify_packing check the tree in one pass.  The
+    maps are kept as given, not copied, and treated as immutable.
 
-    The map's insertion order is the tree's one edge order: the packing
-    file lists the edges in it.  Every solver inserts each child after its
-    parent, root outward, which lets verify_packing check the tree in one
-    pass.
-
-    The constructor does not check connectivity or edge membership; that is
-    verify_packing's job, so damaged packings read from files can still be
-    represented and reported on instead of failing to load.
+    Construction does no validation: connectivity, edge membership and the
+    root are verify_packing's job, so damaged packings read from files can
+    still be represented and reported on instead of failing to load.
     """
 
-    _fields = ("root", "parent")
+    _fields = ("root", "trees")
 
-    def __init__(self, root: int, parent: Mapping[int, int]) -> None:
-        self.__dict__.update(root=root, parent=dict(parent))
-
-    @property
-    def vertices(self) -> set[int]:
-        verts = set(self.parent)
-        verts.update(self.parent.values())
-        verts.add(self.root)
-        return verts
-
-
-class Packing(_Value):
-    """An ordered family of rooted trees, one per stripe."""
-
-    _fields = ("trees",)
-
-    def __init__(self, trees: tuple[RootedTree, ...]) -> None:
-        self.__dict__["trees"] = tuple(trees)
+    def __init__(self, root: int, trees: Sequence[dict[int, int]]) -> None:
+        self.__dict__.update(root=root, trees=tuple(trees))
 
 
 def objective(packing: Packing) -> int:
@@ -240,9 +238,9 @@ def objective(packing: Packing) -> int:
     and its map's children, so each tree counts len(parent) + 1 and no
     vertex set is built.  On a damaged tree (a parent that is neither a
     child nor the root, or a root with a parent) the count can differ
-    from len(tree.vertices).
+    from the size of its vertex set.
     """
-    return sum(len(tree.parent) + 1 for tree in packing.trees)
+    return sum(map(len, packing.trees)) + len(packing.trees)
 
 
 def instance_from_dict(data: object) -> Instance:
@@ -340,8 +338,8 @@ def packing_from_dict(data: object, root: int) -> Packing:
         edges = td["edges"]
         if not isinstance(edges, list):
             raise ValueError(f"trees[{i}].edges: expected a list, got {type(edges).__name__}")
-        trees.append(RootedTree(root, _parent_map(edges, i)))
-    return Packing(tuple(trees))
+        trees.append(_parent_map(edges, i))
+    return Packing(root, trees)
 
 
 def packing_to_dict(packing: Packing) -> dict:
@@ -351,7 +349,7 @@ def packing_to_dict(packing: Packing) -> dict:
     root outward and packing_from_dict keeps, so saving, loading and saving
     again gives the same document.
     """
-    trees = [{"edges": [[p, c] for c, p in tree.parent.items()]} for tree in packing.trees]
+    trees = [{"edges": [[p, c] for c, p in parent.items()]} for parent in packing.trees]
     return {"trees": trees, "objective": objective(packing)}
 
 
@@ -376,10 +374,10 @@ def _packing_json(packing: Packing, n: int) -> str:
                 pass
         return ", ".join([f"[{p}, {c}]" for c, p in parent.items()])
 
-    trees = ", ".join([f'{{"edges": [{edges(tree.parent)}]}}' for tree in packing.trees])
+    trees = ", ".join([f'{{"edges": [{edges(parent)}]}}' for parent in packing.trees])
     return f'{{"trees": [{trees}], "objective": {objective(packing)}}}'
 
 
 def load_packing(source: IOBase, inst: Instance) -> Packing:
-    """Parse a packing JSON document; trees are rooted at the instance root."""
+    """Parse a packing JSON document; its root is the instance root."""
     return packing_from_dict(_parse(source, "packing"), inst.root)

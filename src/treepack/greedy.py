@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .core import Instance, Packing, RootedTree
+from .core import Instance, Packing
 
 
 def greedy_general(inst: Instance) -> Packing:
@@ -55,4 +55,4 @@ def greedy_general(inst: Instance) -> Packing:
                 order.append(w)
                 growing.append(k)
         live = growing
-    return Packing(tuple(RootedTree(root, pm) for pm in parents))
+    return Packing(root, parents)

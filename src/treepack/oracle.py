@@ -10,7 +10,7 @@ completion prunes hopeless branches without affecting exactness.
 
 from __future__ import annotations
 
-from .core import Instance, Packing, RootedTree, SearchLimitExceeded
+from .core import Instance, Packing, SearchLimitExceeded
 
 
 def brute_force_solve(inst: Instance, *, max_n: int = 8, max_k: int = 3) -> tuple[int, Packing]:
@@ -76,5 +76,4 @@ def brute_force_solve(inst: Instance, *, max_n: int = 8, max_k: int = 3) -> tupl
         grow(0, 0, {}, root_edges)
     except RecursionError:  # one level per edge taken, so a long path can run out of stack
         raise SearchLimitExceeded(f"n={n}: the search is deeper than the recursion limit") from None
-    packing = Packing(tuple(RootedTree(root, pm) for pm in best_trees))
-    return best_value, packing
+    return best_value, Packing(root, best_trees)

@@ -19,10 +19,12 @@ from .core import (
     Instance,
     Packing,
     SearchLimitExceeded,
+    _on_first_call,
     _Value,
     objective,
 )
-from .verifier import verify_packing
+
+verify_packing = _on_first_call("verifier", "verify_packing")  # loaded only by extract_assignment
 
 
 class SatInstance(_Value):
@@ -197,7 +199,7 @@ def extract_assignment(reduction: ReductionOutput, packing: Packing) -> dict[int
         raise ValueError("packing does not verify against the gadget instance")
     if objective(packing) < reduction.gamma:
         return None
-    members = packing.trees[0].vertices
+    members = {packing.root, *packing.trees[0]}  # a verified tree: its root and children
     n = reduction.num_vars
     assignment: dict[int, bool] = {}
     for i in range(1, n + 1):

@@ -31,7 +31,7 @@ from __future__ import annotations
 from heapq import heappush, heapreplace, nsmallest
 from collections.abc import Sequence
 
-from .core import KIND_TREE, Instance, Packing, RootedTree
+from .core import KIND_TREE, Instance, Packing
 
 
 def solve_mckp(
@@ -196,5 +196,4 @@ def solve_tree(inst: Instance, *, value_only: bool = False) -> tuple[int, Packin
                 for s in range(granted):
                     parent_maps[s][w] = u
                 stack.append((w, u, granted))
-    packing = Packing(tuple(RootedTree(inst.root, pm) for pm in parent_maps))
-    return best, packing
+    return best, Packing(inst.root, parent_maps)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .core import KIND_COMPLETE, Instance, Packing, RootedTree, _Value
+from .core import KIND_COMPLETE, Instance, Packing, _Value
 
 
 class Violation(_Value):
@@ -34,8 +34,8 @@ class VerificationReport(_Value):
         }
 
 
-def _rooted_outward(inst: Instance, tree: RootedTree) -> bool:
-    """One pass over the parent map, in insertion order: is the tree sound?
+def _rooted_outward(inst: Instance, parent: dict[int, int]) -> bool:
+    """One pass over a tree's parent map, in insertion order: is the tree sound?
 
     True when the root has no parent and each (child, parent) entry has
     its parent already reached (the root or an earlier child) and is an
@@ -44,10 +44,9 @@ def _rooted_outward(inst: Instance, tree: RootedTree) -> bool:
     parent is in range, and a self edge's parent is its own, not yet
     reached, child.
     """
-    root, parent = tree.root, tree.parent
-    if root in parent:
+    if inst.root in parent:
         return False
-    reached = {root}
+    reached = {inst.root}
     add = reached.add
     if inst.kind == KIND_COMPLETE:
         n = inst.n
@@ -67,11 +66,11 @@ def _rooted_outward(inst: Instance, tree: RootedTree) -> bool:
 def verify_packing(inst: Instance, packing: Packing) -> VerificationReport:
     """Check a packing against its instance.
 
-    Per tree: rooted at the instance root, every edge present in the
-    instance graph, every vertex reaching the root through the parent chain
-    (no cycles, no orphans).  Across trees: per-vertex child totals within
-    capacity.  Failures are collected and reported, never raised; only a
-    tree-count mismatch is an error.
+    Per tree: every edge present in the instance graph, every vertex
+    reaching the root through the parent chain (no cycles, no orphans).
+    Across trees: per-vertex child totals within capacity.  Failures are
+    collected and reported, never raised; only a packing whose root is not
+    the instance root, or whose tree count is not K, is an error.
 
     A tree whose parent map lists its edges root outward, as every solver
     and load_packing build them, is checked in one pass over the map
@@ -81,21 +80,14 @@ def verify_packing(inst: Instance, packing: Packing) -> VerificationReport:
     and walking each vertex's parent chain, which finds and orders its
     violations.
     """
-    trees = packing.trees
+    root, n, trees = inst.root, inst.n, packing.trees
+    if packing.root != root:
+        raise ValueError(f"packing rooted at {packing.root}, instance root is {root}")
     if len(trees) != inst.num_trees:
-        raise ValueError(
-            f"packing has {len(trees)} trees, instance needs K={inst.num_trees}"
-        )
-    n = inst.n
+        raise ValueError(f"packing has {len(trees)} trees, instance needs K={inst.num_trees}")
     violations: list[Violation] = []
-    for ti, tree in enumerate(trees):
-        root, parent = tree.root, tree.parent
-        if root != inst.root:
-            violations.append(
-                Violation(ti, root, f"tree rooted at {root}, instance root is {inst.root}")
-            )
-            continue
-        if _rooted_outward(inst, tree):
+    for ti, parent in enumerate(trees):
+        if _rooted_outward(inst, parent):
             continue
         if root in parent:
             violations.append(Violation(ti, root, "root must not have a parent"))
@@ -112,7 +104,7 @@ def verify_packing(inst: Instance, packing: Packing) -> VerificationReport:
                     Violation(ti, child, f"edge ({par}, {child}) not in the instance graph")
                 )
         status: dict[int, bool | None] = {root: True}  # None: cut off, or on the walk's chain
-        for v in sorted(tree.vertices):
+        for v in sorted({root, *parent, *parent.values()}):
             if v in status or v in bad_ids:
                 continue
             chain: list[int] = []
@@ -127,16 +119,11 @@ def verify_packing(inst: Instance, packing: Packing) -> VerificationReport:
                 if not ok:
                     violations.append(Violation(ti, y, "not connected to the root"))
     totals: Counter = Counter()
-    for tree in trees:
-        totals.update(tree.parent.values())
+    for parent in trees:
+        totals.update(parent.values())
     caps = inst.capacities
     over = [v for v, total in totals.items() if 0 <= v < n and total > caps[v]]
     for v in sorted(over):
-        violations.append(
-            Violation(
-                None,
-                v,
-                f"capacity exceeded: {totals[v]} children across trees, capacity {caps[v]}",
-            )
-        )
+        reason = f"capacity exceeded: {totals[v]} children across trees, capacity {caps[v]}"
+        violations.append(Violation(None, v, reason))
     return VerificationReport(not violations, violations)

@@ -22,7 +22,6 @@ from helpers import (
 from treepack import (
     Instance,
     Packing,
-    RootedTree,
     brute_force_solve,
     extract_assignment,
     objective,
@@ -167,17 +166,17 @@ def test_criterion_7_invariant_suites():
             num_trees=2,
             edges=((0, 1), (1, 2), (2, 3)),
         )
-        full = RootedTree(0, {1: 0, 2: 1, 3: 2})
+        full = {1: 0, 2: 1, 3: 2}
         adversarial = [
-            Packing((full, RootedTree(0, {1: 0}))),  # capacity of 0 exceeded
-            Packing((RootedTree(0, {2: 0}), RootedTree(0, {}))),  # fake edge
-            Packing((RootedTree(0, {1: 2, 2: 1}), RootedTree(0, {}))),  # cycle
-            Packing((RootedTree(0, {3: 2}), RootedTree(0, {}))),  # orphan branch
-            Packing((RootedTree(0, {0: 1, 1: 0}), RootedTree(0, {}))),  # rooted root
+            Packing(0, (full, {1: 0})),  # capacity of 0 exceeded
+            Packing(0, ({2: 0}, {})),  # fake edge
+            Packing(0, ({1: 2, 2: 1}, {})),  # cycle
+            Packing(0, ({3: 2}, {})),  # orphan branch
+            Packing(0, ({0: 1, 1: 0}, {})),  # rooted root
         ]
         for packing in adversarial:
             assert not verify_packing(inst, packing).valid
-        good = Packing((full, RootedTree(0, {})))
+        good = Packing(0, (full, {}))
         assert verify_packing(inst, good).valid
 
 

@@ -69,13 +69,13 @@ class TestAttachStage:
         paths, residual = build_stage_paths(inst)
         packing = attach_stage(inst, [list(p) for p in paths], [0] * 4)
         for path, tree in zip(paths, packing.trees):
-            assert tree.vertices == set(path)
-            assert tree.parent == {path[i]: path[i - 1] for i in range(1, len(path))}
+            assert {packing.root, *tree} == set(path)
+            assert tree == {path[i]: path[i - 1] for i in range(1, len(path))}
 
     def test_ample_capacity_spans_everything(self):
         inst = complete([5, 5, 5], 2)
         packing = solve_complete(inst)
-        assert all(len(t.vertices) == 3 for t in packing.trees)
+        assert all(len(t) == 2 for t in packing.trees)  # both non-root vertices
         assert objective(packing) == 6
 
     def test_worked_objective(self):
@@ -87,7 +87,7 @@ class TestSolveComplete:
     def test_zero_capacity_root(self):
         packing = solve_complete(complete([0, 3, 3], 2))
         assert objective(packing) == 2
-        assert not any(t.parent for t in packing.trees)
+        assert not any(packing.trees)
 
     def test_root_only_funding(self):
         inst = complete([3, 0, 0, 0, 0], 2)
@@ -131,7 +131,7 @@ class TestSolveComplete:
             active = min(inst.capacities[inst.root], inst.num_trees)
             paths, _ = build_stage_paths(inst)
             packing = solve_complete(inst)
-            non_null = sum(1 for t in packing.trees if t.parent)
+            non_null = sum(1 for t in packing.trees if t)
             assert non_null <= active
             if all(len(p) >= 2 for p in paths[:active]):
                 assert non_null == active
@@ -139,15 +139,15 @@ class TestSolveComplete:
     def test_explicit_undercount_example(self):
         inst = complete([3, 0, 0, 0, 0], 2)
         packing = solve_complete(inst)
-        assert sum(1 for t in packing.trees if t.parent) == 1
+        assert sum(1 for t in packing.trees if t) == 1
         assert objective(packing) == optimal_objective(inst)
 
     def test_deterministic(self):
         inst = complete([2, 1, 1, 1], 2)
         first = solve_complete(inst)
         second = solve_complete(inst)
-        assert [t.parent for t in first.trees] == [t.parent for t in second.trees]
-        assert [[(p, c) for c, p in t.parent.items()] for t in first.trees] == [
+        assert first == second
+        assert [[(p, c) for c, p in t.items()] for t in first.trees] == [
             [(0, 1), (1, 2), (2, 3)],
             [(0, 3), (3, 1)],
         ]

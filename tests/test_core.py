@@ -14,7 +14,6 @@ from treepack import (
     Instance,
     Packing,
     ReductionOutput,
-    RootedTree,
     SatInstance,
     VerificationReport,
     Violation,
@@ -23,6 +22,7 @@ from treepack import (
     load_instance,
     load_packing,
     objective,
+    packing_from_dict,
     packing_to_dict,
     solve_complete,
     verify_packing,
@@ -35,20 +35,18 @@ def path3_instance(num_trees: int = 2) -> Instance:
     )
 
 
-def full_path_tree() -> RootedTree:
-    return RootedTree(0, {1: 0, 2: 1})
+def full_path_tree() -> dict[int, int]:
+    return {1: 0, 2: 1}
 
 
 def model_values():
     """One value of each model type, built by keyword."""
     inst = Instance(kind="complete", n=2, capacities=(1, 0), num_trees=1)
     sat = SatInstance(num_vars=1, clauses=((1, 1, -1),))
-    tree = RootedTree(root=0, parent={1: 0})
     violation = Violation(tree=0, vertex=1, reason="x")
     return [
         inst,
-        tree,
-        Packing(trees=(tree,)),
+        Packing(root=0, trees=({1: 0},)),
         violation,
         VerificationReport(valid=False, violations=[violation]),
         sat,
@@ -71,7 +69,8 @@ class TestValueClasses:
                 assert (value != other) is (i != j)
         assert Violation(0, 1, "x") != Violation(0, 2, "x")
         assert Violation(0, 1, "x") != (0, 1, "x")
-        assert RootedTree(0, {1: 0}) != RootedTree(1, {1: 0})
+        assert Packing(0, ({1: 0},)) != Packing(1, ({1: 0},))
+        assert Packing(0, ({1: 0},)) == Packing(0, [{1: 0}])
 
     def test_equal_instances_hash_equal(self):
         a = Instance(kind="general", n=3, capacities=(1, 1, 1), num_trees=1, edges=((0, 1), (2, 1)))
@@ -215,13 +214,13 @@ class TestInstanceValidation:
 class TestVerifyPacking:
     def test_null_packing_valid(self):
         inst = path3_instance(num_trees=1)
-        report = verify_packing(inst, Packing((RootedTree(0, {}),)))
+        report = verify_packing(inst, Packing(0, ({},)))
         assert report.valid
         assert report.violations == []
 
     def test_two_full_paths_overrun_capacity(self):
         inst = path3_instance()
-        packing = Packing((full_path_tree(), full_path_tree()))
+        packing = Packing(0, (full_path_tree(), full_path_tree()))
         report = verify_packing(inst, packing)
         assert not report.valid
         over = {v.vertex for v in report.violations if "capacity exceeded" in v.reason}
@@ -229,40 +228,40 @@ class TestVerifyPacking:
 
     def test_full_path_plus_null_valid(self):
         inst = path3_instance()
-        report = verify_packing(inst, Packing((full_path_tree(), RootedTree(0, {}))))
+        report = verify_packing(inst, Packing(0, (full_path_tree(), {})))
         assert report.valid
 
     def test_edge_outside_graph_flagged(self):
         inst = path3_instance(num_trees=1)
-        packing = Packing((RootedTree(0, {2: 0}),))  # (0, 2) is not a path edge
+        packing = Packing(0, ({2: 0},))  # (0, 2) is not a path edge
         report = verify_packing(inst, packing)
         assert not report.valid
         assert any("not in the instance graph" in v.reason for v in report.violations)
 
     def test_parent_cycle_flagged(self):
         inst = Instance(kind="complete", n=4, capacities=(3, 3, 3, 3), num_trees=1)
-        packing = Packing((RootedTree(0, {1: 2, 2: 1}),))
+        packing = Packing(0, ({1: 2, 2: 1},))
         report = verify_packing(inst, packing)
         assert not report.valid
         assert any("not connected to the root" in v.reason for v in report.violations)
 
     def test_orphan_branch_flagged(self):
         inst = Instance(kind="complete", n=4, capacities=(3, 3, 3, 3), num_trees=1)
-        packing = Packing((RootedTree(0, {3: 2}),))  # 2 never joins the root
+        packing = Packing(0, ({3: 2},))  # 2 never joins the root
         report = verify_packing(inst, packing)
         assert not report.valid
         assert any(v.vertex in (2, 3) for v in report.violations)
 
     def test_root_with_parent_flagged(self):
         inst = Instance(kind="complete", n=3, capacities=(2, 2, 2), num_trees=1)
-        packing = Packing((RootedTree(0, {0: 1, 1: 0}),))
+        packing = Packing(0, ({0: 1, 1: 0},))
         report = verify_packing(inst, packing)
         assert not report.valid
         assert any("root must not have a parent" in v.reason for v in report.violations)
 
     def test_vertex_out_of_range_flagged(self):
         inst = Instance(kind="complete", n=3, capacities=(2, 2, 2), num_trees=1)
-        packing = Packing((RootedTree(0, {7: 0}),))
+        packing = Packing(0, ({7: 0},))
         report = verify_packing(inst, packing)
         assert not report.valid
         assert any("outside" in v.reason for v in report.violations)
@@ -270,20 +269,30 @@ class TestVerifyPacking:
     def test_tree_count_mismatch_raises(self):
         inst = path3_instance(num_trees=2)
         with pytest.raises(ValueError, match="needs K=2"):
-            verify_packing(inst, Packing((RootedTree(0, {}),)))
+            verify_packing(inst, Packing(0, ({},)))
 
-    def test_wrong_root_flagged(self):
+    def test_wrong_root_raises(self):
         inst = path3_instance(num_trees=1)
-        report = verify_packing(inst, Packing((RootedTree(1, {}),)))
-        assert not report.valid
+        with pytest.raises(ValueError, match=r"^packing rooted at 1, instance root is 0$"):
+            verify_packing(inst, Packing(1, ({},)))
+        inst = Instance(kind="complete", n=3, capacities=(2, 2, 2), num_trees=2, root=2)
+        with pytest.raises(ValueError, match=r"^packing rooted at 0, instance root is 2$"):
+            verify_packing(inst, Packing(0, ({1: 0, 2: 1}, {})))
+
+    def test_maps_kept_as_given(self):
+        maps = [{1: 0}, {}]
+        packing = Packing(0, maps)
+        assert len(packing.trees) == 2
+        assert all(kept is given for kept, given in zip(packing.trees, maps))
 
     def test_report_dict_matches_dataclass_form(self):
         inst = Instance(kind="complete", n=5, capacities=(1, 1, 0, 1, 1), num_trees=2)
         packing = Packing(
+            0,
             (
-                RootedTree(0, {0: 1, 1: 0, 2: 1, 9: 2}),  # root parent, capacity, range
-                RootedTree(0, {3: 4, 4: 3, 1: 0}),  # cycle, shared capacity
-            )
+                {0: 1, 1: 0, 2: 1, 9: 2},  # root parent, capacity, range
+                {3: 4, 4: 3, 1: 0},  # cycle, shared capacity
+            ),
         )
         report = verify_packing(inst, packing)
         capacity = "capacity exceeded: {} children across trees, capacity {}"
@@ -316,11 +325,11 @@ class TestVerifyPacking:
 
 class TestObjective:
     def test_null_trees_count_their_root(self):
-        packing = Packing(tuple(RootedTree(0, {}) for _ in range(3)))
+        packing = Packing(0, ({}, {}, {}))
         assert objective(packing) == 3
 
     def test_path_plus_null(self):
-        assert objective(Packing((full_path_tree(), RootedTree(0, {})))) == 4
+        assert objective(Packing(0, (full_path_tree(), {}))) == 4
 
     def test_reordering_invariance(self):
         rng = random.Random(11)
@@ -329,16 +338,16 @@ class TestObjective:
             packing = solve_complete(inst)
             shuffled = list(packing.trees)
             rng.shuffle(shuffled)
-            assert objective(Packing(tuple(shuffled))) == objective(packing)
+            assert objective(Packing(packing.root, shuffled)) == objective(packing)
 
 
 class TestPackingIO:
     def test_null_packing_json(self):
-        data = packing_to_dict(Packing((RootedTree(0, {}),)))
+        data = packing_to_dict(Packing(0, ({},)))
         assert data == {"trees": [{"edges": []}], "objective": 1}
 
     def test_path_edges_parent_first(self):
-        data = packing_to_dict(Packing((full_path_tree(),)))
+        data = packing_to_dict(Packing(0, (full_path_tree(),)))
         assert data["trees"][0]["edges"] == [[0, 1], [1, 2]]
 
     def test_round_trip_preserves_parent_maps(self):
@@ -347,8 +356,15 @@ class TestPackingIO:
         packing = greedy_general(inst)
         buf = io.StringIO(json.dumps(packing_to_dict(packing)))
         again = load_packing(buf, inst)
-        assert [t.parent for t in again.trees] == [t.parent for t in packing.trees]
-        assert [t.root for t in again.trees] == [t.root for t in packing.trees]
+        assert again == packing
+        assert again.root == inst.root
+
+    def test_loaded_packing_takes_the_given_root(self):
+        data = {"trees": [{"edges": [[2, 1]]}, {"edges": []}]}
+        for root in (0, 2, 7):
+            packing = packing_from_dict(data, root)
+            assert packing.root == root
+            assert packing.trees == ({1: 2}, {})
 
     def test_duplicate_child_rejected(self):
         inst = path3_instance(num_trees=1)

@@ -27,7 +27,6 @@ from helpers import (
 from treepack import (
     Instance,
     Packing,
-    RootedTree,
     VerificationReport,
     Violation,
     attach_stage,
@@ -47,19 +46,14 @@ from treepack import core, verifier
 
 def reference_verify(inst: Instance, packing: Packing) -> VerificationReport:
     """A has_edge call per edge and a memoized parent-chain walk per vertex."""
-    trees = packing.trees
+    trees, root = packing.trees, packing.root
     violations: list[Violation] = []
-    for ti, tree in enumerate(trees):
-        if tree.root != inst.root:
-            violations.append(
-                Violation(ti, tree.root, f"tree rooted at {tree.root}, instance root is {inst.root}")
-            )
-            continue
-        if tree.root in tree.parent:
-            violations.append(Violation(ti, tree.root, "root must not have a parent"))
+    for ti, parent in enumerate(trees):
+        if root in parent:
+            violations.append(Violation(ti, root, "root must not have a parent"))
         bad_ids = set()
-        for child in sorted(tree.parent):
-            par = tree.parent[child]
+        for child in sorted(parent):
+            par = parent[child]
             if not (0 <= child < inst.n and 0 <= par < inst.n):
                 violations.append(
                     Violation(ti, child, f"edge ({par}, {child}) uses a vertex outside [0, {inst.n})")
@@ -69,8 +63,8 @@ def reference_verify(inst: Instance, packing: Packing) -> VerificationReport:
                 violations.append(
                     Violation(ti, child, f"edge ({par}, {child}) not in the instance graph")
                 )
-        status: dict[int, bool] = {tree.root: True}
-        for v in sorted(tree.vertices):
+        status: dict[int, bool] = {root: True}
+        for v in sorted({root, *parent, *parent.values()}):
             if v in status or v in bad_ids:
                 continue
             chain: list[int] = []
@@ -85,17 +79,17 @@ def reference_verify(inst: Instance, packing: Packing) -> VerificationReport:
                     break
                 chain.append(x)
                 chain_set.add(x)
-                if x not in tree.parent:
+                if x not in parent:
                     ok = False
                     break
-                x = tree.parent[x]
+                x = parent[x]
             for y in chain:
                 status[y] = ok
                 if not ok:
                     violations.append(Violation(ti, y, "not connected to the root"))
     totals: Counter = Counter()
-    for tree in trees:
-        for par in tree.parent.values():
+    for parent in trees:
+        for par in parent.values():
             totals[par] += 1
     for v in sorted(totals):
         if 0 <= v < inst.n and totals[v] > inst.capacities[v]:
@@ -134,8 +128,8 @@ def reference_packing_from_dict(data, root: int) -> Packing:
             if child in parent:
                 raise ValueError(f"trees[{i}]: vertex {child} has two parents")
             parent[child] = par
-        trees.append(RootedTree(root, parent))
-    return Packing(tuple(trees))
+        trees.append(parent)
+    return Packing(root, trees)
 
 
 def reference_greedy(inst: Instance) -> Packing:
@@ -167,7 +161,7 @@ def reference_greedy(inst: Instance) -> Packing:
                 members[k].add(w)
                 orders[k].append(w)
                 grew = True
-    return Packing(tuple(RootedTree(root, pm) for pm in parents))
+    return Packing(root, parents)
 
 
 def reference_stage_paths(inst: Instance) -> tuple[list[list[int]], list[int]]:
@@ -203,8 +197,8 @@ def reference_attach(inst: Instance, paths: list[list[int]], residual: list[int]
                 caps[v] -= 1
             if at == len(missing):
                 break
-        trees.append(RootedTree(inst.root, parent))
-    return Packing(tuple(trees))
+        trees.append(parent)
+    return Packing(inst.root, trees)
 
 
 FAMILIES = (
@@ -223,18 +217,16 @@ def seeded_cases(seed: int, count: int, max_n: int = 12, max_k: int = 4):
         yield rng, inst, solve(inst)
 
 
-def corrupt(rng: random.Random, inst: Instance, packing: Packing) -> Packing:
-    """Apply one to four random faults to a valid packing."""
+def corrupt_maps(rng: random.Random, inst: Instance, maps: list[dict[int, int]]) -> None:
+    """Apply one to four random faults to a packing's parent maps, in place."""
     n, root = inst.n, inst.root
-    roots = [t.root for t in packing.trees]
-    maps = [dict(t.parent) for t in packing.trees]
     for _ in range(rng.randint(1, 4)):
         ti = rng.randrange(len(maps))
         parent = maps[ti]
         v = rng.randrange(n)
         u = rng.randrange(n)
         fault = rng.choice(
-            ("out_of_range", "wrong_root", "root_parent", "non_edge", "self_edge",
+            ("out_of_range", "root_parent", "non_edge", "self_edge",
              "overflow", "cycle", "orphan", "delete")
         )
         if fault == "out_of_range":
@@ -243,8 +235,6 @@ def corrupt(rng: random.Random, inst: Instance, packing: Packing) -> Packing:
                 parent[v if v != root else bad] = bad
             else:
                 parent[bad] = u
-        elif fault == "wrong_root":
-            roots[ti] = rng.choice([w for w in range(-1, n + 1) if w != root])
         elif fault == "root_parent":
             parent[root] = u
         elif fault == "non_edge" and v != root:
@@ -261,7 +251,13 @@ def corrupt(rng: random.Random, inst: Instance, packing: Packing) -> Packing:
             parent[v] = n + rng.randrange(3)
         elif fault == "delete" and parent:
             del parent[rng.choice(sorted(parent))]
-    return Packing(tuple(RootedTree(r, pm) for r, pm in zip(roots, maps)))
+
+
+def corrupt(rng: random.Random, inst: Instance, packing: Packing) -> Packing:
+    """A damaged copy of a valid packing: corrupt_maps on copies of its maps."""
+    maps = [dict(parent) for parent in packing.trees]
+    corrupt_maps(rng, inst, maps)
+    return Packing(inst.root, maps)
 
 
 def assert_map_order_round_trip(packing: Packing, root: int) -> None:
@@ -269,8 +265,9 @@ def assert_map_order_round_trip(packing: Packing, root: int) -> None:
     text = json.dumps(packing_to_dict(packing))
     reloaded = packing_from_dict(json.loads(text), root)
     assert json.dumps(packing_to_dict(reloaded)) == text
-    for tree, back in zip(packing.trees, reloaded.trees):
-        assert list(back.parent.items()) == list(tree.parent.items())
+    assert reloaded.root == root
+    for parent, back in zip(packing.trees, reloaded.trees):
+        assert list(back.items()) == list(parent.items())
 
 
 class TestEdgesInMapOrder:
@@ -282,9 +279,7 @@ class TestEdgesInMapOrder:
         checked = 0
         for rng, inst, packing in seeded_cases(2, 1500):
             damaged = corrupt(rng, inst, packing)
-            # corrupt() may move a tree's root; a file's trees take the instance root.
-            rerooted = Packing(tuple(RootedTree(inst.root, t.parent) for t in damaged.trees))
-            assert_map_order_round_trip(rerooted, inst.root)
+            assert_map_order_round_trip(damaged, inst.root)
             checked += len(damaged.trees)
         assert checked > 2500
 
@@ -296,13 +291,13 @@ class TestEdgesInMapOrder:
 
     def test_root_with_parent_keeps_every_edge(self):
         trees = [
-            RootedTree(0, {0: 1, 1: 0}),
-            RootedTree(0, {0: 2, 1: 0, 2: 1}),
-            RootedTree(0, {0: 3, 1: 0, 3: 5}),
-            RootedTree(0, {0: 0, 2: 0}),
+            {0: 1, 1: 0},
+            {0: 2, 1: 0, 2: 1},
+            {0: 3, 1: 0, 3: 5},
+            {0: 0, 2: 0},
         ]
         for tree in trees:
-            assert_map_order_round_trip(Packing((tree,)), 0)
+            assert_map_order_round_trip(Packing(0, (tree,)), 0)
 
 
 class TestVerifyMatchesReference:
@@ -331,11 +326,10 @@ class TestVerifyMatchesReference:
             report = verify_packing(inst, damaged)
             assert report == reference_verify(inst, damaged)
             invalid += not report.valid
-            for tree in damaged.trees:
-                if tree.root == inst.root:
-                    ordered = verifier._rooted_outward(inst, tree)
-                    outward += ordered
-                    fallback += not ordered
+            for parent in damaged.trees:
+                ordered = verifier._rooted_outward(inst, parent)
+                outward += ordered
+                fallback += not ordered
         assert invalid > 1500
         assert outward > 2000 and fallback > 1500
 
@@ -343,14 +337,14 @@ class TestVerifyMatchesReference:
         fallback = 0
         for rng, inst, packing in seeded_cases(11, 900, max_n=16):
             maps = []
-            for tree in packing.trees:
-                items = list(tree.parent.items())
+            for parent in packing.trees:
+                items = list(parent.items())
                 if rng.random() < 0.5:
                     items.reverse()
                 else:
                     rng.shuffle(items)
                 maps.append(dict(items))
-            shuffled = Packing(tuple(RootedTree(inst.root, pm) for pm in maps))
+            shuffled = Packing(inst.root, maps)
             report = verify_packing(inst, shuffled)
             assert report.valid
             assert report == reference_verify(inst, shuffled)
@@ -364,7 +358,7 @@ class TestVerifyMatchesReference:
         for rng, inst, packing in seeded_cases(12, 900):
             maps = []
             for tree in packing.trees:
-                parent = dict(tree.parent)
+                parent = dict(tree)
                 members = [inst.root, *parent]
                 for w in range(inst.n):
                     if w in members:
@@ -374,7 +368,7 @@ class TestVerifyMatchesReference:
                         parent[w] = adopter
                         members.append(w)
                 maps.append(parent)
-            grown = Packing(tuple(RootedTree(inst.root, pm) for pm in maps))
+            grown = Packing(inst.root, maps)
             assert all(verifier._rooted_outward(inst, t) for t in grown.trees)
             report = verify_packing(inst, grown)
             assert report == reference_verify(inst, grown)
@@ -390,18 +384,14 @@ class TestVerifyMatchesReference:
             sorted_args.append(items)
             return sorted(items, **kwargs)
 
-        def forbidden(*args):
-            raise AssertionError("fallback path used on a root-outward tree")
-
         monkeypatch.setattr(verifier, "sorted", counting_sorted, raising=False)
-        monkeypatch.setattr(RootedTree, "vertices", property(forbidden))
         rng = random.Random(13)
         for _ in range(30):
             for make, solve in FAMILIES:
                 inst = make(rng, max_n=60, max_k=5, cap_hi=4)
                 sorted_args.clear()
                 assert verify_packing(inst, solve(inst)).valid
-                assert sorted_args == [[]]  # only the empty overflow list
+                assert sorted_args == [[]]  # only the empty overflow list: no fallback sort
                 desk = make(rng, max_n=5, max_k=3, cap_hi=3)
                 sorted_args.clear()
                 assert verify_packing(desk, brute_force_solve(desk)[1]).valid
@@ -409,7 +399,7 @@ class TestVerifyMatchesReference:
 
     def test_self_edges_on_complete_kind(self):
         inst = Instance("complete", 4, (3, 3, 3, 3), 1)
-        packing = Packing((RootedTree(0, {1: 0, 2: 2, 3: 1}),))
+        packing = Packing(0, ({1: 0, 2: 2, 3: 1},))
         report = verify_packing(inst, packing)
         assert report == reference_verify(inst, packing)
         assert Violation(0, 2, "edge (2, 2) not in the instance graph") in report.violations
@@ -459,7 +449,7 @@ def malform(rng: random.Random, doc: dict) -> dict:
 def load_outcome(load, doc: dict, root: int):
     """Parent maps with their insertion order, or the ValueError's text."""
     try:
-        return [list(t.parent.items()) for t in load(doc, root).trees]
+        return [list(parent.items()) for parent in load(doc, root).trees]
     except ValueError as exc:
         return f"ValueError: {exc}"
 
@@ -499,7 +489,7 @@ class TestGreedyMatchesReference:
             make = (random_complete_instance, random_tree_instance, random_general_instance)[i % 3]
             inst = make(rng, max_n=14, max_k=4, cap_hi=4)
             got, want = greedy_general(inst), reference_greedy(inst)
-            assert [t.parent for t in got.trees] == [t.parent for t in want.trees]
+            assert got == want
 
     def test_larger_instances(self):
         rng = random.Random(7)
@@ -507,7 +497,7 @@ class TestGreedyMatchesReference:
             for _ in range(5):
                 inst = make(rng, max_n=n, max_k=5, cap_hi=3)
                 got, want = greedy_general(inst), reference_greedy(inst)
-                assert [t.parent for t in got.trees] == [t.parent for t in want.trees]
+                assert got == want
 
     def test_long_path(self):
         n = 2000
@@ -515,7 +505,7 @@ class TestGreedyMatchesReference:
             "general", n, (3,) * n, 3, edges=tuple((v, v + 1) for v in range(n - 1))
         )
         got, want = greedy_general(inst), reference_greedy(inst)
-        assert [t.parent for t in got.trees] == [t.parent for t in want.trees]
+        assert got == want
 
 
 def complete_case(rng: random.Random) -> Instance:
@@ -544,8 +534,8 @@ def assert_stages_match(inst: Instance) -> None:
     assert residual == want_residual
     got = attach_stage(inst, paths, residual)
     want = reference_attach(inst, want_paths, want_residual)
-    assert [list(t.parent.items()) for t in got.trees] == [
-        list(t.parent.items()) for t in want.trees
+    assert [list(parent.items()) for parent in got.trees] == [
+        list(parent.items()) for parent in want.trees
     ]
     assert residual == want_residual  # attach works on a copy
 

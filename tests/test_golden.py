@@ -1,15 +1,19 @@
-"""Golden output: the exact packings the oracle, the greedy and the tree DP write.
+"""Golden output: the exact packings the solvers write and the verifier's reports.
 
 The other tests check values, feasibility and agreement between solvers,
 which any optimal packing passes.  This one pins the packing text itself:
 the sha256 of `_packing_json` over a seeded family, so a change to a
 solver's search or walk order that keeps every value still shows here.
-A deliberate change of output must replace the digest and say so.
+It pins the verifier's reports the same way: the sha256 of each
+report's JSON over valid packings and copies damaged by the faults of
+test_differential.corrupt_maps.  A deliberate change of output must
+replace the digest and say so.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 
 from helpers import (
@@ -18,10 +22,20 @@ from helpers import (
     random_general_instance,
     random_tree_instance,
 )
-from treepack import brute_force_solve, greedy_general, reduce_3sat, solve_tree
+from test_differential import corrupt_maps, seeded_cases
+from treepack import (
+    brute_force_solve,
+    greedy_general,
+    packing_from_dict,
+    packing_to_dict,
+    reduce_3sat,
+    solve_tree,
+    verify_packing,
+)
 from treepack.core import _packing_json
 
 GOLDEN = "c80dd0bf336946b378a37b41cf17762434cec882e2c7795d59bbfc3c53501f9e"
+GOLDEN_REPORTS = "e0b8143073c6056e74cc3d8a641f488ab1c5b602c560ccbd84cef482f2ebe6eb"
 
 
 def packing_texts():
@@ -43,9 +57,26 @@ def packing_texts():
         yield f"greedy {_packing_json(greedy_general(inst), inst.n)}"
 
 
-def digest() -> str:
-    return hashlib.sha256("\n".join(packing_texts()).encode()).hexdigest()
+def verifier_reports():
+    """One line per report: a valid packing's, then its damaged copy's.
+
+    The damaged copy is read from its document, as the verify command reads it.
+    """
+    for rng, inst, packing in seeded_cases(1519, 600):
+        yield json.dumps(verify_packing(inst, packing).to_dict())
+        maps = [{c: p for p, c in tree["edges"]} for tree in packing_to_dict(packing)["trees"]]
+        corrupt_maps(rng, inst, maps)
+        doc = {"trees": [{"edges": [[p, c] for c, p in parent.items()]} for parent in maps]}
+        yield json.dumps(verify_packing(inst, packing_from_dict(doc, inst.root)).to_dict())
+
+
+def digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def test_packings_match_the_golden_digest():
-    assert digest() == GOLDEN
+    assert digest(packing_texts()) == GOLDEN
+
+
+def test_verifier_reports_match_the_golden_digest():
+    assert digest(verifier_reports()) == GOLDEN_REPORTS

@@ -21,7 +21,6 @@ from test_properties import packings
 from treepack import (
     Instance,
     Packing,
-    RootedTree,
     brute_force_solve,
     greedy_general,
     instance_to_dict,
@@ -67,7 +66,7 @@ KINDS = ("complete", "tree", "general", "oracle")
 
 
 def _map_items(packing: Packing) -> list[list[tuple[int, int]]]:
-    return [list(tree.parent.items()) for tree in packing.trees]
+    return [list(parent.items()) for parent in packing.trees]
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -84,16 +83,17 @@ class TestSolverPackings:
     def test_objective_counts_vertices(self, kind):
         for inst, packing in _family(kind):
             assert verify_packing(inst, packing).valid
-            assert objective(packing) == sum(len(tree.vertices) for tree in packing.trees)
+            sizes = [len({packing.root, *parent, *parent.values()}) for parent in packing.trees]
+            assert objective(packing) == sum(sizes)
 
 
 def test_family_has_null_trees():
     packings_ = [packing for _, packing in _family("complete")]
-    assert any(not tree.parent for packing in packings_ for tree in packing.trees)
+    assert any(not parent for packing in packings_ for parent in packing.trees)
 
 
 def test_null_packing_text():
-    packing = Packing((RootedTree(2, {}), RootedTree(2, {})))
+    packing = Packing(2, ({}, {}))
     assert _packing_json(packing, 3) == '{"trees": [{"edges": []}, {"edges": []}], "objective": 2}'
 
 
@@ -104,7 +104,7 @@ def test_null_packing_text():
 )
 def test_ids_outside_the_table(parent):
     # A valid tree next to a damaged one: each tree picks its own way to write ids.
-    packing = Packing((RootedTree(0, {1: 0, 2: 1}), RootedTree(0, parent)))
+    packing = Packing(0, ({1: 0, 2: 1}, parent))
     assert _packing_json(packing, 3) == json.dumps(packing_to_dict(packing))
 
 
@@ -120,7 +120,7 @@ class TestDamagedPackings:
     @given(packings())
     def test_text_loads_to_the_same_maps_in_order(self, packing):
         text = _packing_json(packing, DAMAGED_N)
-        loaded = packing_from_dict(json.loads(text), packing.trees[0].root)
+        loaded = packing_from_dict(json.loads(text), packing.root)
         assert _map_items(loaded) == _map_items(packing)
 
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from treepack import (
     Instance,
     Packing,
-    RootedTree,
     instance_from_dict,
     instance_to_dict,
     objective,
@@ -72,7 +71,7 @@ def packings(draw) -> Packing:
     )
     damaged = st.dictionaries(st.integers(-3, 12), st.integers(-3, 12), max_size=12)
     trees = draw(st.lists(st.one_of(valid, damaged), min_size=1, max_size=4))
-    return Packing(tuple(RootedTree(root, parent) for parent in trees))
+    return Packing(root, trees)
 
 
 class TestClosedForm:
@@ -93,8 +92,6 @@ class TestRoundTrips:
 
     @given(packings())
     def test_packing_round_trip_restores_parent_maps(self, packing):
-        root = packing.trees[0].root
-        expected = [tree.parent for tree in packing.trees]
         data = packing_to_dict(packing)
         for doc in (data, json.loads(json.dumps(data))):
-            assert [t.parent for t in packing_from_dict(doc, root).trees] == expected
+            assert packing_from_dict(doc, packing.root) == packing

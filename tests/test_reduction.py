@@ -19,7 +19,6 @@ from helpers import (
 )
 from treepack import (
     Packing,
-    RootedTree,
     SatInstance,
     SearchLimitExceeded,
     brute_force_solve,
@@ -178,7 +177,7 @@ def example_witness() -> tuple:
     parent[vertex["clause_1"]] = vertex["x1"]
     parent[vertex["clause_2"]] = vertex["x1"]
     parent[vertex["clause_3"]] = vertex["not_x2"]
-    return out, Packing((RootedTree(0, parent),))
+    return out, Packing(0, (parent,))
 
 
 class TestExtractAssignment:
@@ -192,12 +191,12 @@ class TestExtractAssignment:
 
     def test_below_threshold_returns_none(self):
         out = reduce_3sat(EXAMPLE_FORMULA)
-        packing = Packing((RootedTree(0, {}),))
+        packing = Packing(0, ({},))
         assert extract_assignment(out, packing) is None
 
     def test_unverified_packing_rejected(self):
         out = reduce_3sat(EXAMPLE_FORMULA)
-        bogus = Packing((RootedTree(0, {vertex_ids(out)["clause_1"]: 0}),))  # edge not in gadget
+        bogus = Packing(0, ({vertex_ids(out)["clause_1"]: 0},))  # edge not in gadget
         with pytest.raises(ValueError, match="does not verify"):
             extract_assignment(out, bogus)
 

@@ -19,6 +19,8 @@ from treepack.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 SUBMODULES = ("complete_solver", "core", "greedy", "oracle", "reduction", "tree_solver", "verifier")
+# Module attributes that are core._on_first_call stand-ins, not the defining object.
+STAND_INS = {("reduction", "verify_packing")}
 
 PUBLIC_NAMES = [
     "KIND_COMPLETE",
@@ -27,7 +29,6 @@ PUBLIC_NAMES = [
     "Instance",
     "Packing",
     "ReductionOutput",
-    "RootedTree",
     "SatInstance",
     "SearchLimitExceeded",
     "VerificationReport",
@@ -96,7 +97,7 @@ LOADED = "import sys; print(' '.join(sorted(m for m in sys.modules if m.startswi
         (["solve", "-i", "t3.json"], ["tree_solver"]),
         (["solve", "-i", "g4.json"], ["greedy"]),
         (["oracle", "-i", "g4.json"], ["oracle"]),
-        (["reduce", "--cnf", "f.cnf", "-o", "gadget.json"], ["reduction", "verifier"]),
+        (["reduce", "--cnf", "f.cnf", "-o", "gadget.json"], ["reduction"]),
         (["--help"], []),
     ],
     ids=["verify", "solve-complete", "solve-tree", "solve-general", "oracle", "reduce", "help"],
@@ -133,11 +134,14 @@ class TestPackageApi:
 
     @pytest.mark.parametrize("name", PUBLIC_NAMES)
     def test_name_is_the_defining_object(self, name):
-        holders = [import_module(f"treepack.{m}") for m in SUBMODULES]
-        holders = [module for module in holders if hasattr(module, name)]
+        holders = [m for m in SUBMODULES if hasattr(import_module(f"treepack.{m}"), name)]
         assert holders
-        for module in holders:
-            assert getattr(treepack, name) is getattr(module, name)
+        for m in holders:
+            held = getattr(import_module(f"treepack.{m}"), name)
+            if (m, name) in STAND_INS:
+                assert held.__qualname__ == name and held is not getattr(treepack, name)
+            else:
+                assert held is getattr(treepack, name)
 
     def test_star_import_binds_every_name(self):
         namespace: dict = {}
@@ -213,6 +217,22 @@ def test_closed_stdout_exits_as_before(fixtures, unbuffered):
         results.append((proc.returncode, proc.stderr))
     assert results[0] == results[1]
     assert results[0][0] == (2 if unbuffered else 120)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["oracle", "-i", "g4.json"], ["solve", "-i", "c4.json"], ["verify", "-i", "c4.json", "-p", "good.json"]],
+    ids=["oracle", "solve", "verify"],
+)
+def test_closed_stdout_descriptor_is_input_error(fixtures, argv):
+    """File descriptor 1 closed at start-up (sys.stdout is None): exit 2 with one error line."""
+    command = ["sh", "-c", 'exec "$0" -m treepack.cli "$@" >&-', sys.executable, *argv]
+    proc = subprocess.run(command, env=environment(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert [line for line in proc.stderr.splitlines() if "error" in line] == [
+        "error: standard output is closed"
+    ]
 
 
 def test_console_script_target():

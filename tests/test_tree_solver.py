@@ -187,20 +187,20 @@ class TestSolveTree:
         inst = Instance(kind="tree", n=1, capacities=(4,), num_trees=1, edges=())
         value, packing = solve_tree(inst)
         assert value == 1
-        assert packing is not None and not packing.trees[0].parent
+        assert packing is not None and not packing.trees[0]
 
     def test_three_path_packing(self):
         inst = tree_instance(((0, 1), (1, 2)), (1, 1, 0), 2)
         value, packing = solve_tree(inst)
         assert value == 4
-        assert packing.trees[0].parent == {1: 0, 2: 1}
-        assert packing.trees[1].parent == {}
+        assert packing.trees[0] == {1: 0, 2: 1}
+        assert packing.trees[1] == {}
 
     def test_star_with_tight_root(self):
         inst = tree_instance(((0, 1), (0, 2), (0, 3)), (2, 0, 0, 0), 1)
         value, packing = solve_tree(inst)
         assert value == 3
-        assert len(packing.trees[0].vertices) == 3
+        assert len(packing.trees[0]) == 2  # the root and two children
 
     def test_value_only_skips_reconstruction(self):
         inst = tree_instance(((0, 1), (1, 2)), (1, 1, 0), 2)
@@ -227,7 +227,7 @@ class TestSolveTree:
         )
         value, packing = solve_tree(inst)
         assert value == n
-        assert len(packing.trees[0].vertices) == n
+        assert len(packing.trees[0]) == n - 1  # every vertex but the root
 
     def test_kind_mismatch(self):
         inst = Instance(kind="complete", n=3, capacities=(1, 1, 1), num_trees=1)
@@ -310,10 +310,10 @@ class TestNestedTrees:
             value, packing = solve_tree(inst)
             assert objective(packing) == value
             for earlier, later in zip(packing.trees, packing.trees[1:]):
-                assert later.parent.items() <= earlier.parent.items(), inst
+                assert later.items() <= earlier.items(), inst
                 # same insertion order: the later map is a subsequence of the earlier one
-                assert list(later.parent.items()) == [
-                    item for item in earlier.parent.items() if item[0] in later.parent
+                assert list(later.items()) == [
+                    item for item in earlier.items() if item[0] in later
                 ]
-                saw_proper_subtree |= len(later.parent) < len(earlier.parent)
+                saw_proper_subtree |= len(later) < len(earlier)
         assert saw_proper_subtree
