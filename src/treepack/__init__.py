@@ -25,8 +25,6 @@ _SOURCES = {
     "ReductionOutput": "reduction",
     "SatInstance": "reduction",
     "SearchLimitExceeded": "core",
-    "VerificationReport": "verifier",
-    "Violation": "verifier",
     "attach_stage": "complete_solver",
     "brute_force_solve": "oracle",
     "build_stage_paths": "complete_solver",

@@ -27,8 +27,6 @@ which flushes the standard streams and ends the process without
 tearing the interpreter down.
 """
 
-from __future__ import annotations
-
 import gc
 import json
 import os
@@ -100,7 +98,11 @@ def _emit(text: str, path: str | None = None) -> None:
 
 
 def _note(message: str) -> None:
-    print(message, file=sys.stderr)
+    """Print a summary or error line to stderr; if stderr is closed, drop it."""
+    try:
+        sys.stderr.write(message + "\n")
+    except (AttributeError, OSError):  # no stream, or a closed descriptor
+        pass
 
 
 def cmd_solve(args: SimpleNamespace) -> int:
@@ -134,11 +136,11 @@ def cmd_verify(args: SimpleNamespace) -> int:
     with open(args.packing, "rb") as fh:
         packing = load_packing(fh, inst)
     report = verify_packing(inst, packing)
-    _emit(json.dumps(report.to_dict()))
-    if report.valid:
+    _emit(json.dumps(report))
+    if report["valid"]:
         _note("packing is valid")
         return EXIT_OK
-    _note(f"packing is invalid: {len(report.violations)} violation(s)")
+    _note(f"packing is invalid: {len(report['violations'])} violation(s)")
     return EXIT_INVALID
 
 
@@ -199,7 +201,7 @@ def _exit(command: str | None, error: str = "") -> None:
             rows.append(f"  {', '.join(flags) + value:34} {text}" + " (required)" * (default is ...))
     if error:
         rows = [f"{' '.join(filter(None, ['treepack', command]))}: error: {error}"]
-    print(usage, *rows, sep="\n", file=sys.stderr if error else sys.stdout)
+    (_note if error else print)("\n".join([usage, *rows]))
     sys.exit(EXIT_INPUT if error else EXIT_OK)
 
 
@@ -257,8 +259,9 @@ def run() -> None:
     os._exit skips the interpreter's teardown (clearing modules, the
     collector's last sweep, atexit handlers), which takes longer than a
     desk-size search.  Every file main writes is closed before it
-    returns.  If a flush fails, the normal exit runs instead and reports
-    it as before; so does an exception that escapes main.
+    returns.  If the flush of stdout fails, the normal exit runs instead
+    and reports it as before; so does an exception that escapes main.  A
+    failed flush of stderr only drops its lines, as _note does.
     """
     try:
         code = main()
@@ -266,9 +269,12 @@ def run() -> None:
         code = exc.code
     try:
         sys.stdout.flush()
-        sys.stderr.flush()
     except (AttributeError, OSError, ValueError):  # no stream, a failed write, a closed file
         sys.exit(code)
+    try:
+        sys.stderr.flush()
+    except (AttributeError, OSError):
+        pass
     os._exit(code)
 
 

@@ -22,8 +22,6 @@ vertices run out, so a tree costs its path plus the vertices it adopts
 and the members skipped on the way to them.
 """
 
-from __future__ import annotations
-
 from itertools import compress, filterfalse, islice
 
 from .core import KIND_COMPLETE, Instance, Packing

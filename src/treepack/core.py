@@ -16,8 +16,6 @@ Packing documents are written as text straight from the parent maps
 each vertex id becomes text once per document, in a table indexed by id.
 """
 
-from __future__ import annotations
-
 import json
 from bisect import bisect_left
 from collections.abc import Sequence
@@ -68,6 +66,8 @@ class _Value:
 
     Each subclass's __init__ stores its fields through self.__dict__;
     afterwards assigning or deleting any attribute raises AttributeError.
+    Instance and SatInstance hash; hash() of a Packing or a ReductionOutput
+    raises TypeError, as their fields hold dicts.
     """
 
     _fields: tuple[str, ...] = ()

@@ -1,7 +1,5 @@
 """Round-robin greedy baseline: a feasible packing of any instance kind, no optimality claim."""
 
-from __future__ import annotations
-
 from .core import Instance, Packing
 
 

@@ -8,8 +8,6 @@ across the K slots, and an admissible bound on the best possible
 completion prunes hopeless branches without affecting exactness.
 """
 
-from __future__ import annotations
-
 from .core import Instance, Packing, SearchLimitExceeded
 
 

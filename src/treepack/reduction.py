@@ -9,8 +9,6 @@ then reaches 1 + 2n + m total vertices exactly when the formula is
 satisfiable, and the literals inside such a tree spell the assignment.
 """
 
-from __future__ import annotations
-
 from io import IOBase
 
 from .core import (
@@ -194,8 +192,7 @@ def extract_assignment(reduction: ReductionOutput, packing: Packing) -> dict[int
     selector has a single child slot and clauses have none), so that case
     raises, as does an unverified packing.
     """
-    report = verify_packing(reduction.instance, packing)
-    if not report.valid:
+    if not verify_packing(reduction.instance, packing)["valid"]:
         raise ValueError("packing does not verify against the gadget instance")
     if objective(packing) < reduction.gamma:
         return None

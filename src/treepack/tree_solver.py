@@ -26,8 +26,6 @@ gives all K entries of a vertex with d children in O(d*K*log c) time.
 Reconstruction reads each child's level off the same ranking.
 """
 
-from __future__ import annotations
-
 from heapq import heappush, heapreplace, nsmallest
 from collections.abc import Sequence
 

@@ -1,37 +1,14 @@
-"""The packing verifier: every way a packing breaks its instance, in one report."""
+"""The packing verifier: every way a packing breaks its instance, in one report.
 
-from __future__ import annotations
+The report is the JSON document treepack verify prints:
+{"valid": bool, "violations": [{"tree": t, "vertex": v, "reason": r}, ...]},
+valid exactly when violations is empty.  tree is None on a capacity
+violation, which no one tree causes.
+"""
 
 from collections import Counter
 
-from .core import KIND_COMPLETE, Instance, Packing, _Value
-
-
-class Violation(_Value):
-    """One verification failure; tree/vertex are None when not applicable."""
-
-    _fields = ("tree", "vertex", "reason")
-
-    def __init__(self, tree: int | None, vertex: int | None, reason: str) -> None:
-        self.__dict__.update(tree=tree, vertex=vertex, reason=reason)
-
-
-class VerificationReport(_Value):
-    """verify_packing's result: valid exactly when violations is empty."""
-
-    _fields = ("valid", "violations")
-
-    def __init__(self, valid: bool, violations: list[Violation]) -> None:
-        self.__dict__.update(valid=valid, violations=violations)
-
-    def to_dict(self) -> dict:
-        return {
-            "valid": self.valid,
-            "violations": [
-                {"tree": v.tree, "vertex": v.vertex, "reason": v.reason}
-                for v in self.violations
-            ],
-        }
+from .core import KIND_COMPLETE, Instance, Packing
 
 
 def _rooted_outward(inst: Instance, parent: dict[int, int]) -> bool:
@@ -63,8 +40,8 @@ def _rooted_outward(inst: Instance, parent: dict[int, int]) -> bool:
     return True
 
 
-def verify_packing(inst: Instance, packing: Packing) -> VerificationReport:
-    """Check a packing against its instance.
+def verify_packing(inst: Instance, packing: Packing) -> dict:
+    """Check a packing against its instance; return the report document.
 
     Per tree: every edge present in the instance graph, every vertex
     reaching the root through the parent chain (no cycles, no orphans).
@@ -85,24 +62,22 @@ def verify_packing(inst: Instance, packing: Packing) -> VerificationReport:
         raise ValueError(f"packing rooted at {packing.root}, instance root is {root}")
     if len(trees) != inst.num_trees:
         raise ValueError(f"packing has {len(trees)} trees, instance needs K={inst.num_trees}")
-    violations: list[Violation] = []
+    violations: list[dict] = []
     for ti, parent in enumerate(trees):
         if _rooted_outward(inst, parent):
             continue
         if root in parent:
-            violations.append(Violation(ti, root, "root must not have a parent"))
+            violations.append({"tree": ti, "vertex": root, "reason": "root must not have a parent"})
         bad_ids = set()
         for child in sorted(parent):
             par = parent[child]
             if not (0 <= child < n and 0 <= par < n):
-                violations.append(
-                    Violation(ti, child, f"edge ({par}, {child}) uses a vertex outside [0, {n})")
-                )
+                reason = f"edge ({par}, {child}) uses a vertex outside [0, {n})"
+                violations.append({"tree": ti, "vertex": child, "reason": reason})
                 bad_ids.add(child)
             elif not inst.has_edge(par, child):
-                violations.append(
-                    Violation(ti, child, f"edge ({par}, {child}) not in the instance graph")
-                )
+                reason = f"edge ({par}, {child}) not in the instance graph"
+                violations.append({"tree": ti, "vertex": child, "reason": reason})
         status: dict[int, bool | None] = {root: True}  # None: cut off, or on the walk's chain
         for v in sorted({root, *parent, *parent.values()}):
             if v in status or v in bad_ids:
@@ -117,7 +92,7 @@ def verify_packing(inst: Instance, packing: Packing) -> VerificationReport:
             for y in chain:
                 status[y] = ok
                 if not ok:
-                    violations.append(Violation(ti, y, "not connected to the root"))
+                    violations.append({"tree": ti, "vertex": y, "reason": "not connected to the root"})
     totals: Counter = Counter()
     for parent in trees:
         totals.update(parent.values())
@@ -125,5 +100,5 @@ def verify_packing(inst: Instance, packing: Packing) -> VerificationReport:
     over = [v for v, total in totals.items() if 0 <= v < n and total > caps[v]]
     for v in sorted(over):
         reason = f"capacity exceeded: {totals[v]} children across trees, capacity {caps[v]}"
-        violations.append(Violation(None, v, reason))
-    return VerificationReport(not violations, violations)
+        violations.append({"tree": None, "vertex": v, "reason": reason})
+    return {"valid": not violations, "violations": violations}

@@ -93,7 +93,7 @@ def test_criterion_4_reconstruction_soundness():
         for inst in tree_family(303):
             value, packing = solve_tree(inst)
             report = verify_packing(inst, packing)
-            assert report.valid, report.violations
+            assert report["valid"], report["violations"]
             assert objective(packing) == value
             assert value == stripe_values(inst)[inst.root][inst.num_trees - 1]
 
@@ -175,9 +175,9 @@ def test_criterion_7_invariant_suites():
             Packing(0, ({0: 1, 1: 0}, {})),  # rooted root
         ]
         for packing in adversarial:
-            assert not verify_packing(inst, packing).valid
+            assert not verify_packing(inst, packing)["valid"]
         good = Packing(0, (full, {}))
-        assert verify_packing(inst, good).valid
+        assert verify_packing(inst, good)["valid"]
 
 
 def test_criterion_8_complexity_smoke():
@@ -207,5 +207,5 @@ def test_criterion_8_complexity_smoke():
         start = time.perf_counter()
         value, packing = solve_tree(tree_inst)
         assert time.perf_counter() - start < 30.0
-        assert verify_packing(tree_inst, packing).valid
+        assert verify_packing(tree_inst, packing)["valid"]
         assert objective(packing) == value

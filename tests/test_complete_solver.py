@@ -110,7 +110,7 @@ class TestSolveComplete:
                 [rng.randint(0, n) for _ in range(n)], rng.randint(1, n), root=rng.randrange(n)
             )
             report = verify_packing(inst, solve_complete(inst))
-            assert report.valid, report.violations
+            assert report["valid"], report["violations"]
 
     def test_agrees_with_oracle(self):
         rng = random.Random(2024)

@@ -15,8 +15,6 @@ from treepack import (
     Packing,
     ReductionOutput,
     SatInstance,
-    VerificationReport,
-    Violation,
     greedy_general,
     instance_from_dict,
     load_instance,
@@ -43,12 +41,9 @@ def model_values():
     """One value of each model type, built by keyword."""
     inst = Instance(kind="complete", n=2, capacities=(1, 0), num_trees=1)
     sat = SatInstance(num_vars=1, clauses=((1, 1, -1),))
-    violation = Violation(tree=0, vertex=1, reason="x")
     return [
         inst,
         Packing(root=0, trees=({1: 0},)),
-        violation,
-        VerificationReport(valid=False, violations=[violation]),
         sat,
         ReductionOutput(instance=inst, gamma=2, labels={0: "root"}, num_vars=1),
     ]
@@ -67,8 +62,6 @@ class TestValueClasses:
             for j, other in enumerate(again):
                 assert (value == other) is (i == j)
                 assert (value != other) is (i != j)
-        assert Violation(0, 1, "x") != Violation(0, 2, "x")
-        assert Violation(0, 1, "x") != (0, 1, "x")
         assert Packing(0, ({1: 0},)) != Packing(1, ({1: 0},))
         assert Packing(0, ({1: 0},)) == Packing(0, [{1: 0}])
 
@@ -76,7 +69,13 @@ class TestValueClasses:
         a = Instance(kind="general", n=3, capacities=(1, 1, 1), num_trees=1, edges=((0, 1), (2, 1)))
         b = Instance("general", 3, [1, 1, 1], 1, 0, [[1, 0], [1, 2]])
         assert a == b and hash(a) == hash(b)
-        assert len({a, b, Violation(0, 1, "x"), Violation(0, 1, "x")}) == 2
+        assert len({a, b, SatInstance(1, ((1, 1, -1),)), SatInstance(1, [[1, 1, -1]])}) == 2
+
+    def test_values_holding_dicts_do_not_hash(self):
+        _, packing, _, reduction = model_values()
+        for value in (packing, reduction):
+            with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+                hash(value)
 
     def test_repr_names_every_field(self):
         for value in model_values():
@@ -85,7 +84,6 @@ class TestValueClasses:
             assert text.startswith(type(value).__name__ + "(")
             for name in value._fields:
                 assert f"{name}={getattr(value, name)!r}" in text
-        assert repr(Violation(None, 3, "r")) == "Violation(tree=None, vertex=3, reason='r')"
 
     def test_fields_are_read_only(self):
         for value in model_values():
@@ -215,56 +213,55 @@ class TestVerifyPacking:
     def test_null_packing_valid(self):
         inst = path3_instance(num_trees=1)
         report = verify_packing(inst, Packing(0, ({},)))
-        assert report.valid
-        assert report.violations == []
+        assert report == {"valid": True, "violations": []}
 
     def test_two_full_paths_overrun_capacity(self):
         inst = path3_instance()
         packing = Packing(0, (full_path_tree(), full_path_tree()))
         report = verify_packing(inst, packing)
-        assert not report.valid
-        over = {v.vertex for v in report.violations if "capacity exceeded" in v.reason}
+        assert not report["valid"]
+        over = {v["vertex"] for v in report["violations"] if "capacity exceeded" in v["reason"]}
         assert over == {0, 1}
 
     def test_full_path_plus_null_valid(self):
         inst = path3_instance()
         report = verify_packing(inst, Packing(0, (full_path_tree(), {})))
-        assert report.valid
+        assert report["valid"]
 
     def test_edge_outside_graph_flagged(self):
         inst = path3_instance(num_trees=1)
         packing = Packing(0, ({2: 0},))  # (0, 2) is not a path edge
         report = verify_packing(inst, packing)
-        assert not report.valid
-        assert any("not in the instance graph" in v.reason for v in report.violations)
+        assert not report["valid"]
+        assert any("not in the instance graph" in v["reason"] for v in report["violations"])
 
     def test_parent_cycle_flagged(self):
         inst = Instance(kind="complete", n=4, capacities=(3, 3, 3, 3), num_trees=1)
         packing = Packing(0, ({1: 2, 2: 1},))
         report = verify_packing(inst, packing)
-        assert not report.valid
-        assert any("not connected to the root" in v.reason for v in report.violations)
+        assert not report["valid"]
+        assert any("not connected to the root" in v["reason"] for v in report["violations"])
 
     def test_orphan_branch_flagged(self):
         inst = Instance(kind="complete", n=4, capacities=(3, 3, 3, 3), num_trees=1)
         packing = Packing(0, ({3: 2},))  # 2 never joins the root
         report = verify_packing(inst, packing)
-        assert not report.valid
-        assert any(v.vertex in (2, 3) for v in report.violations)
+        assert not report["valid"]
+        assert any(v["vertex"] in (2, 3) for v in report["violations"])
 
     def test_root_with_parent_flagged(self):
         inst = Instance(kind="complete", n=3, capacities=(2, 2, 2), num_trees=1)
         packing = Packing(0, ({0: 1, 1: 0},))
         report = verify_packing(inst, packing)
-        assert not report.valid
-        assert any("root must not have a parent" in v.reason for v in report.violations)
+        assert not report["valid"]
+        assert any("root must not have a parent" in v["reason"] for v in report["violations"])
 
     def test_vertex_out_of_range_flagged(self):
         inst = Instance(kind="complete", n=3, capacities=(2, 2, 2), num_trees=1)
         packing = Packing(0, ({7: 0},))
         report = verify_packing(inst, packing)
-        assert not report.valid
-        assert any("outside" in v.reason for v in report.violations)
+        assert not report["valid"]
+        assert any("outside" in v["reason"] for v in report["violations"])
 
     def test_tree_count_mismatch_raises(self):
         inst = path3_instance(num_trees=2)
@@ -285,7 +282,7 @@ class TestVerifyPacking:
         assert len(packing.trees) == 2
         assert all(kept is given for kept, given in zip(packing.trees, maps))
 
-    def test_report_dict_matches_dataclass_form(self):
+    def test_report_is_its_json_document(self):
         inst = Instance(kind="complete", n=5, capacities=(1, 1, 0, 1, 1), num_trees=2)
         packing = Packing(
             0,
@@ -308,8 +305,8 @@ class TestVerifyPacking:
                 {"tree": None, "vertex": 2, "reason": capacity.format(1, 0)},
             ],
         }
-        assert report.to_dict() == expected
-        assert json.dumps(report.to_dict()) == json.dumps(expected)
+        assert report == expected
+        assert json.dumps(report) == json.dumps(expected)
 
     def test_valid_packings_respect_objective_bounds(self):
         rng = random.Random(4242)
@@ -317,7 +314,7 @@ class TestVerifyPacking:
             inst = random_general_instance(rng)
             packing = greedy_general(inst)
             report = verify_packing(inst, packing)
-            assert report.valid
+            assert report["valid"]
             value = objective(packing)
             assert value <= inst.num_trees + sum(inst.capacities)
             assert value <= inst.num_trees * inst.n

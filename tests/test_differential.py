@@ -3,7 +3,8 @@
 The reference functions below are the earlier, simpler implementations of
 ``verify_packing``, ``greedy_general``, ``packing_from_dict`` and the two
 complete-solver stages, kept verbatim apart from taking the tree or
-instance as an argument; ``Instance.has_edge`` is held to a set of the
+instance as an argument and building the report as its JSON document
+(``violation``); ``Instance.has_edge`` is held to a set of the
 instance's edges.  The current code must give exactly the same
 results: the same violation list in the same order, the same paths and
 residuals, the same parent maps in the same insertion order, the same
@@ -27,8 +28,6 @@ from helpers import (
 from treepack import (
     Instance,
     Packing,
-    VerificationReport,
-    Violation,
     attach_stage,
     brute_force_solve,
     build_stage_paths,
@@ -44,24 +43,28 @@ from treepack import (
 from treepack import core, verifier
 
 
-def reference_verify(inst: Instance, packing: Packing) -> VerificationReport:
+def violation(tree: int | None, vertex: int, reason: str) -> dict:
+    return {"tree": tree, "vertex": vertex, "reason": reason}
+
+
+def reference_verify(inst: Instance, packing: Packing) -> dict:
     """A has_edge call per edge and a memoized parent-chain walk per vertex."""
     trees, root = packing.trees, packing.root
-    violations: list[Violation] = []
+    violations: list[dict] = []
     for ti, parent in enumerate(trees):
         if root in parent:
-            violations.append(Violation(ti, root, "root must not have a parent"))
+            violations.append(violation(ti, root, "root must not have a parent"))
         bad_ids = set()
         for child in sorted(parent):
             par = parent[child]
             if not (0 <= child < inst.n and 0 <= par < inst.n):
                 violations.append(
-                    Violation(ti, child, f"edge ({par}, {child}) uses a vertex outside [0, {inst.n})")
+                    violation(ti, child, f"edge ({par}, {child}) uses a vertex outside [0, {inst.n})")
                 )
                 bad_ids.add(child)
             elif not inst.has_edge(par, child):
                 violations.append(
-                    Violation(ti, child, f"edge ({par}, {child}) not in the instance graph")
+                    violation(ti, child, f"edge ({par}, {child}) not in the instance graph")
                 )
         status: dict[int, bool] = {root: True}
         for v in sorted({root, *parent, *parent.values()}):
@@ -86,7 +89,7 @@ def reference_verify(inst: Instance, packing: Packing) -> VerificationReport:
             for y in chain:
                 status[y] = ok
                 if not ok:
-                    violations.append(Violation(ti, y, "not connected to the root"))
+                    violations.append(violation(ti, y, "not connected to the root"))
     totals: Counter = Counter()
     for parent in trees:
         for par in parent.values():
@@ -94,13 +97,13 @@ def reference_verify(inst: Instance, packing: Packing) -> VerificationReport:
     for v in sorted(totals):
         if 0 <= v < inst.n and totals[v] > inst.capacities[v]:
             violations.append(
-                Violation(
+                violation(
                     None,
                     v,
                     f"capacity exceeded: {totals[v]} children across trees, capacity {inst.capacities[v]}",
                 )
             )
-    return VerificationReport(not violations, violations)
+    return {"valid": not violations, "violations": violations}
 
 
 def reference_packing_from_dict(data, root: int) -> Packing:
@@ -304,7 +307,7 @@ class TestVerifyMatchesReference:
     def test_valid_packings(self):
         for _, inst, packing in seeded_cases(4, 600):
             report = verify_packing(inst, packing)
-            assert report.valid
+            assert report["valid"]
             assert report == reference_verify(inst, packing)
 
     def test_corrupted_packings(self):
@@ -313,7 +316,7 @@ class TestVerifyMatchesReference:
             damaged = corrupt(rng, inst, packing)
             report = verify_packing(inst, damaged)
             assert report == reference_verify(inst, damaged)
-            invalid += not report.valid
+            invalid += not report["valid"]
         assert invalid > 1500
 
     def test_corrupted_reloaded_packings(self):
@@ -325,7 +328,7 @@ class TestVerifyMatchesReference:
             damaged = corrupt(rng, inst, reloaded)
             report = verify_packing(inst, damaged)
             assert report == reference_verify(inst, damaged)
-            invalid += not report.valid
+            invalid += not report["valid"]
             for parent in damaged.trees:
                 ordered = verifier._rooted_outward(inst, parent)
                 outward += ordered
@@ -346,7 +349,7 @@ class TestVerifyMatchesReference:
                 maps.append(dict(items))
             shuffled = Packing(inst.root, maps)
             report = verify_packing(inst, shuffled)
-            assert report.valid
+            assert report["valid"]
             assert report == reference_verify(inst, shuffled)
             fallback += sum(not verifier._rooted_outward(inst, t) for t in shuffled.trees)
         assert fallback > 500
@@ -372,8 +375,8 @@ class TestVerifyMatchesReference:
             assert all(verifier._rooted_outward(inst, t) for t in grown.trees)
             report = verify_packing(inst, grown)
             assert report == reference_verify(inst, grown)
-            assert all(v.tree is None for v in report.violations)
-            invalid += not report.valid
+            assert all(v["tree"] is None for v in report["violations"])
+            invalid += not report["valid"]
         assert invalid > 300
 
     def test_root_outward_trees_skip_sort_and_walk(self, monkeypatch):
@@ -390,11 +393,11 @@ class TestVerifyMatchesReference:
             for make, solve in FAMILIES:
                 inst = make(rng, max_n=60, max_k=5, cap_hi=4)
                 sorted_args.clear()
-                assert verify_packing(inst, solve(inst)).valid
+                assert verify_packing(inst, solve(inst))["valid"]
                 assert sorted_args == [[]]  # only the empty overflow list: no fallback sort
                 desk = make(rng, max_n=5, max_k=3, cap_hi=3)
                 sorted_args.clear()
-                assert verify_packing(desk, brute_force_solve(desk)[1]).valid
+                assert verify_packing(desk, brute_force_solve(desk)[1])["valid"]
                 assert sorted_args == [[]]
 
     def test_self_edges_on_complete_kind(self):
@@ -402,7 +405,7 @@ class TestVerifyMatchesReference:
         packing = Packing(0, ({1: 0, 2: 2, 3: 1},))
         report = verify_packing(inst, packing)
         assert report == reference_verify(inst, packing)
-        assert Violation(0, 2, "edge (2, 2) not in the instance graph") in report.violations
+        assert violation(0, 2, "edge (2, 2) not in the instance graph") in report["violations"]
 
 
 class Vertex(int):
@@ -576,7 +579,7 @@ class TestCompleteStagesMatchReference:
         caps[0] = k
         inst = Instance("complete", n, tuple(caps), k)
         packing = solve_complete(inst)
-        assert verify_packing(inst, packing).valid
+        assert verify_packing(inst, packing)["valid"]
         assert objective(packing) == optimal_objective(inst)
 
 

@@ -6,7 +6,9 @@ the sha256 of `_packing_json` over a seeded family, so a change to a
 solver's search or walk order that keeps every value still shows here.
 It pins the verifier's reports the same way: the sha256 of each
 report's JSON over valid packings and copies damaged by the faults of
-test_differential.corrupt_maps.  A deliberate change of output must
+test_differential.corrupt_maps, and what `treepack verify` gives on the
+first 100 damaged copies written to files: its exit code and stdout.
+A deliberate change of output must
 replace the digest and say so.
 """
 
@@ -26,16 +28,19 @@ from test_differential import corrupt_maps, seeded_cases
 from treepack import (
     brute_force_solve,
     greedy_general,
+    instance_to_dict,
     packing_from_dict,
     packing_to_dict,
     reduce_3sat,
     solve_tree,
     verify_packing,
 )
+from treepack.cli import main
 from treepack.core import _packing_json
 
 GOLDEN = "c80dd0bf336946b378a37b41cf17762434cec882e2c7795d59bbfc3c53501f9e"
 GOLDEN_REPORTS = "e0b8143073c6056e74cc3d8a641f488ab1c5b602c560ccbd84cef482f2ebe6eb"
+GOLDEN_CLI_REPORTS = "b4d39e2d2a5cc2f899e154bdb93f079df1b82faa9cadb12e73eab139ad206325"
 
 
 def packing_texts():
@@ -57,17 +62,35 @@ def packing_texts():
         yield f"greedy {_packing_json(greedy_general(inst), inst.n)}"
 
 
+def damaged_cases(count: int):
+    """(instance, valid packing, the document of a damaged copy) over a seeded family."""
+    for rng, inst, packing in seeded_cases(1519, count):
+        maps = [{c: p for p, c in tree["edges"]} for tree in packing_to_dict(packing)["trees"]]
+        corrupt_maps(rng, inst, maps)
+        doc = {"trees": [{"edges": [[p, c] for c, p in parent.items()]} for parent in maps]}
+        yield inst, packing, doc
+
+
 def verifier_reports():
     """One line per report: a valid packing's, then its damaged copy's.
 
     The damaged copy is read from its document, as the verify command reads it.
     """
-    for rng, inst, packing in seeded_cases(1519, 600):
-        yield json.dumps(verify_packing(inst, packing).to_dict())
-        maps = [{c: p for p, c in tree["edges"]} for tree in packing_to_dict(packing)["trees"]]
-        corrupt_maps(rng, inst, maps)
-        doc = {"trees": [{"edges": [[p, c] for c, p in parent.items()]} for parent in maps]}
-        yield json.dumps(verify_packing(inst, packing_from_dict(doc, inst.root)).to_dict())
+    for inst, packing, doc in damaged_cases(600):
+        yield json.dumps(verify_packing(inst, packing))
+        yield json.dumps(verify_packing(inst, packing_from_dict(doc, inst.root)))
+
+
+def cli_reports(tmp_path, capsys):
+    """One line per damaged copy of the first 100: treepack verify's exit code and stdout."""
+    inst_path, packing_path = str(tmp_path / "instance.json"), str(tmp_path / "packing.json")
+    for inst, _, doc in damaged_cases(100):
+        with open(inst_path, "w") as fh:
+            json.dump(instance_to_dict(inst), fh)
+        with open(packing_path, "w") as fh:
+            json.dump(doc, fh)
+        code = main(["verify", "-i", inst_path, "-p", packing_path])
+        yield f"{code} {capsys.readouterr().out}"
 
 
 def digest(lines) -> str:
@@ -80,3 +103,7 @@ def test_packings_match_the_golden_digest():
 
 def test_verifier_reports_match_the_golden_digest():
     assert digest(verifier_reports()) == GOLDEN_REPORTS
+
+
+def test_cli_reports_match_the_golden_digest(tmp_path, capsys):
+    assert digest(cli_reports(tmp_path, capsys)) == GOLDEN_CLI_REPORTS

@@ -72,7 +72,7 @@ class TestBruteForce:
         value, packing = brute_force_solve(inst)
         assert value == 3
         assert objective(packing) == 3
-        assert verify_packing(inst, packing).valid
+        assert verify_packing(inst, packing)["valid"]
 
     def test_path_two_trees(self):
         inst = Instance(
@@ -101,7 +101,7 @@ class TestBruteForce:
         for _ in range(40):
             inst = random_general_instance(rng, max_n=5)
             value, packing = brute_force_solve(inst)
-            assert verify_packing(inst, packing).valid
+            assert verify_packing(inst, packing)["valid"]
             assert objective(packing) == value
 
     def test_dominates_any_verified_packing(self):
@@ -150,7 +150,7 @@ class TestGreedy:
         for _ in range(50):
             inst = random_complete_instance(rng, max_n=7, cap_hi=4)
             packing = greedy_general(inst)
-            assert verify_packing(inst, packing).valid
+            assert verify_packing(inst, packing)["valid"]
             assert objective(packing) <= optimal_objective(inst)
 
     def test_never_beats_tree_optimum(self):
@@ -158,11 +158,11 @@ class TestGreedy:
         for _ in range(50):
             inst = random_tree_instance(rng)
             packing = greedy_general(inst)
-            assert verify_packing(inst, packing).valid
+            assert verify_packing(inst, packing)["valid"]
             assert objective(packing) <= solve_tree(inst, value_only=True)[0]
 
     def test_output_verifies_on_general_graphs(self):
         rng = random.Random(69)
         for _ in range(50):
             inst = random_general_instance(rng)
-            assert verify_packing(inst, greedy_general(inst)).valid
+            assert verify_packing(inst, greedy_general(inst))["valid"]

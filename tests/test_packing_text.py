@@ -82,7 +82,7 @@ class TestSolverPackings:
 
     def test_objective_counts_vertices(self, kind):
         for inst, packing in _family(kind):
-            assert verify_packing(inst, packing).valid
+            assert verify_packing(inst, packing)["valid"]
             sizes = [len({packing.root, *parent, *parent.values()}) for parent in packing.trees]
             assert objective(packing) == sum(sizes)
 

@@ -80,7 +80,7 @@ class TestClosedForm:
         packing = solve_complete(inst)
         assert objective(packing) == optimal_objective(inst)
         report = verify_packing(inst, packing)
-        assert report.valid, report.violations
+        assert report["valid"], report["violations"]
 
 
 class TestRoundTrips:

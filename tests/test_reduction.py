@@ -183,7 +183,7 @@ def example_witness() -> tuple:
 class TestExtractAssignment:
     def test_witness_assignment(self):
         out, packing = example_witness()
-        assert verify_packing(out.instance, packing).valid
+        assert verify_packing(out.instance, packing)["valid"]
         assert objective(packing) == 12
         assignment = extract_assignment(out, packing)
         assert assignment == {1: True, 2: False, 3: True, 4: False}

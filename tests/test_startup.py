@@ -31,8 +31,6 @@ PUBLIC_NAMES = [
     "ReductionOutput",
     "SatInstance",
     "SearchLimitExceeded",
-    "VerificationReport",
-    "Violation",
     "attach_stage",
     "brute_force_solve",
     "build_stage_paths",
@@ -89,19 +87,19 @@ def python(*args: str) -> subprocess.CompletedProcess:
 LOADED = "import sys; print(' '.join(sorted(m for m in sys.modules if m.startswith('treepack'))))"
 
 
-@pytest.mark.parametrize(
-    "argv, extra",
-    [
-        (["verify", "-i", "c4.json", "-p", "good.json"], ["verifier"]),
-        (["solve", "-i", "c4.json"], ["complete_solver"]),
-        (["solve", "-i", "t3.json"], ["tree_solver"]),
-        (["solve", "-i", "g4.json"], ["greedy"]),
-        (["oracle", "-i", "g4.json"], ["oracle"]),
-        (["reduce", "--cnf", "f.cnf", "-o", "gadget.json"], ["reduction"]),
-        (["--help"], []),
-    ],
-    ids=["verify", "solve-complete", "solve-tree", "solve-general", "oracle", "reduce", "help"],
-)
+# One call of each command, and the treepack modules beyond cli and core that it loads.
+COMMAND_MODULES = {
+    "verify": (["verify", "-i", "c4.json", "-p", "good.json"], ["verifier"]),
+    "solve-complete": (["solve", "-i", "c4.json"], ["complete_solver"]),
+    "solve-tree": (["solve", "-i", "t3.json"], ["tree_solver"]),
+    "solve-general": (["solve", "-i", "g4.json"], ["greedy"]),
+    "oracle": (["oracle", "-i", "g4.json"], ["oracle"]),
+    "reduce": (["reduce", "--cnf", "f.cnf", "-o", "gadget.json"], ["reduction"]),
+    "help": (["--help"], []),
+}
+
+
+@pytest.mark.parametrize("argv, extra", COMMAND_MODULES.values(), ids=COMMAND_MODULES)
 def test_command_loads_only_its_modules(fixtures, argv, extra):
     """-S keeps site's .pth imports out, so only treepack's own imports count.
 
@@ -119,6 +117,17 @@ def test_command_loads_only_its_modules(fixtures, argv, extra):
     loaded = proc.stdout.splitlines()[-1].split()
     expected = ["treepack", "treepack.cli", "treepack.core"] + [f"treepack.{m}" for m in extra]
     assert loaded == sorted(expected)
+
+
+def test_no_command_loads_future(fixtures):
+    """Every annotation in treepack is evaluated natively, so no command imports __future__."""
+    calls = "".join(
+        f"try:\n    main({argv!r})\nexcept SystemExit:\n    pass\n" for argv, _ in COMMAND_MODULES.values()
+    )
+    code = f"import sys\nfrom treepack.cli import main\n{calls}print('__future__' in sys.modules)"
+    proc = python("-S", "-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_bare_import_loads_no_submodule():
@@ -217,6 +226,32 @@ def test_closed_stdout_exits_as_before(fixtures, unbuffered):
         results.append((proc.returncode, proc.stderr))
     assert results[0] == results[1]
     assert results[0][0] == (2 if unbuffered else 120)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["solve", "-i", "c4.json"], 0),
+        (["verify", "-i", "c4.json", "-p", "missing.json"], 2),
+        (["solve", "--alg", "nope"], 2),
+    ],
+    ids=["summary", "error", "usage-error"],
+)
+def test_closed_stderr_keeps_stdout_and_exit_code(fixtures, capsys, argv, expected, unbuffered):
+    """File descriptor 2 closed: a summary or error line that cannot be written is dropped.
+
+    stdout and the exit code are main's, as if the line had been written.
+    """
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # usage errors
+        code = exc.code
+    out = capsys.readouterr().out
+    assert code == expected
+    command = ["sh", "-c", 'exec "$0" -m treepack.cli "$@" 2>&-', sys.executable, *argv]
+    proc = subprocess.run(command, env=environment(unbuffered), capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (code, out)
 
 
 @pytest.mark.parametrize(

@@ -216,7 +216,7 @@ class TestSolveTree:
             value, packing = solve_tree(inst)
             assert value == oracle_value, inst
             report = verify_packing(inst, packing)
-            assert report.valid, report.violations
+            assert report["valid"], report["violations"]
             assert objective(packing) == value
 
     def test_deep_path_does_not_recurse(self):
@@ -273,7 +273,7 @@ class TestGreedyMerge:
         value, packing = solve_tree(inst)
         assert value == k + min(root_capacity, (n - 1) * k) == 5010
         report = verify_packing(inst, packing)
-        assert report.valid, report.violations
+        assert report["valid"], report["violations"]
         assert objective(packing) == value
 
 
