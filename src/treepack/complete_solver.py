@@ -1,12 +1,12 @@
 """Exact solver for complete-graph instances.
 
-The solver runs in two stages over a shared, mutating capacity vector.
-Stage one builds one root path per tree: the path threads through every
-vertex that still has spare capacity (ascending id after the root) and
-charges one unit to each path vertex except the last.  If the root is out
-of capacity the path degenerates to the root alone.  Stage two turns each
-path into a tree: scanning the path from the root, every vertex with
-leftover capacity adopts the still-missing vertices (smallest id first)
+Stage one builds one root path per tree in closed form.  With last the
+highest-id non-root vertex of positive capacity and active = min(c_root,
+K), path k < active is the root, the other vertices of capacity above k
+(ascending id), then last; later paths are the root alone.  The residual
+capacity is max(c_v - active, 0), except c_last at last.  Stage two turns
+each path into a tree: scanning the path from the root, every vertex with
+residual capacity adopts the still-missing vertices (smallest id first)
 until the tree spans everything or capacity runs out.
 
 On a complete graph this is optimal.  Every capacity unit spent buys one
@@ -15,14 +15,11 @@ extra vertex occurrence, at most min(c_root, K) trees can be non-null
 occurrences, which yields the closed-form optimum of optimal_objective.
 
 The cost is output-sensitive: O(n + K + objective), never more than
-O(nK).  Stage one keeps the vertices with spare capacity in a shrinking
-list, so a path costs its own length; stage two draws the missing
-vertices lazily and stops once the path's capacity or the missing
-vertices run out, so a tree costs its path plus the vertices it adopts
-and the members skipped on the way to them.
+O(nK).  A path costs its own length, and a tree its path plus the
+vertices it adopts and the members skipped on the way to them.
 """
 
-from itertools import compress, filterfalse, islice
+from itertools import chain, compress, filterfalse, islice
 
 from .core import KIND_COMPLETE, Instance, Packing
 
@@ -33,30 +30,28 @@ def _require_complete(inst: Instance) -> None:
 
 
 def build_stage_paths(inst: Instance) -> tuple[list[list[int]], list[int]]:
-    """Build the K root paths; returns (paths, residual capacities).
+    """Build the K root paths in closed form; returns (paths, residual capacities).
 
-    Each path starts at the root; a single-vertex path pays nothing since
-    its only vertex is also the termination vertex.  The non-root vertices
-    with spare capacity are kept in a list that shrinks as they run out,
-    so the work is O(n + K) plus the total path length.
+    last is the highest-id non-root vertex with positive capacity and
+    active = min(c_root, K) (0 if there is no last).  Path k < active is
+    [root, *(v not in {root, last} with c_v > k, ascending), last]; later
+    paths are [root].  The residual is max(c_v - active, 0), except c_last
+    at last.  Each path filters the previous one: O(n + K + path lengths).
     """
     _require_complete(inst)
-    caps = list(inst.capacities)
-    root = inst.root
-    alive = [v for v in range(inst.n) if v != root and caps[v] > 0]
-    paths: list[list[int]] = []
-    for _ in range(inst.num_trees):
-        if caps[root] == 0 or not alive:
-            paths.append([root])
-            continue
-        paths.append([root] + alive)
-        caps[root] -= 1
-        last = alive.pop()  # the termination vertex pays nothing
-        for v in alive:
-            caps[v] -= 1
-        alive = [v for v in alive if caps[v] > 0]
-        alive.append(last)
-    return paths, caps
+    caps = inst.capacities
+    root, count = inst.root, inst.num_trees
+    inner = [v for v in range(inst.n) if v != root and caps[v] > 0]
+    last = inner.pop() if inner else root  # last = root: no path is active
+    active = min(caps[root], count) if last != root else 0
+    paths = []
+    for k in range(active):
+        inner = [v for v in inner if caps[v] > k]
+        paths.append([root, *inner, last])
+    paths += [[root] for _ in range(count - active)]
+    residual = [c - active if c > active else 0 for c in caps]
+    residual[last] = caps[last]
+    return paths, residual
 
 
 def attach_stage(inst: Instance, paths: list[list[int]], residual: list[int]) -> Packing:
@@ -67,22 +62,22 @@ def attach_stage(inst: Instance, paths: list[list[int]], residual: list[int]) ->
     capacity when the path was built and still has zero now; every unit
     usable by tree k sits on the path itself.  The scan visits only the
     path vertices with spare capacity left (compress over their current
-    capacities), and the missing vertices are drawn lazily, so a tree
-    costs O(path + attached) rather than O(n).  A tree whose path has no
-    spare vertex is just its path: its member set and the missing-vertex
-    iterator are never built.  Each parent map goes into the Packing as
-    built, root outward, with no copy.
+    capacities), and the missing vertices are drawn lazily from the
+    non-root ids not in the tree's growing parent map, so a tree costs
+    O(path + attached) rather than O(n).  A tree whose path has no spare
+    vertex is just its path, with no missing-vertex iterator.  Each
+    parent map goes into the Packing as built, root outward, no copy.
     """
     _require_complete(inst)
     caps = list(residual)
-    n = inst.n
+    root, n = inst.root, inst.n
     trees = []
     for path in paths:
         parent = dict(zip(path[1:], path))
         missing = None
         for v in compress(path, map(caps.__getitem__, path)):
             if missing is None:
-                missing = filterfalse(set(path).__contains__, range(n))
+                missing = filterfalse(parent.__contains__, chain(range(root), range(root + 1, n)))
             spare = caps[v]
             # islice needs a word-sized stop; a capacity may be larger.
             adopted = list(islice(missing, min(spare, n)))
@@ -91,7 +86,7 @@ def attach_stage(inst: Instance, paths: list[list[int]], residual: list[int]) ->
             if len(adopted) < spare:
                 break  # the tree spans every vertex
         trees.append(parent)
-    return Packing(inst.root, trees)
+    return Packing(root, trees)
 
 
 def solve_complete(inst: Instance) -> Packing:

@@ -1,4 +1,10 @@
-"""Shared builders for randomized test families, and the CLI's argparse reference."""
+"""Shared builders for randomized test families and gadget witnesses, plus references.
+
+The references are earlier code kept word for word (bar the name) that
+the tests compare the current code with: the CLI's argparse parser, the
+greedy that kept a member array per tree, and stage one of the complete
+solver charging capacities path by path.
+"""
 
 from __future__ import annotations
 
@@ -6,8 +12,9 @@ import argparse
 import itertools
 import random
 
-from treepack import Instance, SatInstance
+from treepack import Instance, Packing, ReductionOutput, SatInstance
 from treepack.cli import cmd_oracle, cmd_reduce, cmd_solve, cmd_verify
+from treepack.complete_solver import _require_complete
 from treepack.core import MAX_VERTICES
 
 # Worked example used across the reduction and CLI tests:
@@ -69,6 +76,48 @@ def random_general_instance(
     )
 
 
+CAPACITY_SHAPES = ("random", "mostly_zero", "root_below_k", "root_above_k", "one_spare")
+
+
+def shaped_instance(rng: random.Random, make, max_n: int = 12) -> Instance:
+    """An instance from make (any kind, random root, K up to n), capacities reshaped.
+
+    The shape, drawn from CAPACITY_SHAPES, leaves the capacities as drawn,
+    zeroes most of them, puts c_root below K or above it, or gives exactly
+    one non-root vertex any capacity.
+    """
+    inst = make(rng, max_n=max_n, max_k=max_n, cap_hi=4)
+    n, k, root = inst.n, inst.num_trees, inst.root
+    caps = list(inst.capacities)
+    shape = rng.choice(CAPACITY_SHAPES)
+    if shape == "mostly_zero":
+        caps = [c if rng.random() < 0.2 else 0 for c in caps]
+    elif shape == "root_below_k":
+        caps[root] = rng.randint(0, k - 1)
+    elif shape == "root_above_k":
+        caps[root] = rng.randint(k + 1, 2 * k + 2)
+    elif shape == "one_spare" and n > 1:
+        caps = [0] * n
+        caps[root] = rng.randint(0, k + 1)
+        caps[rng.choice([v for v in range(n) if v != root])] = rng.randint(1, 2 * n)
+    return Instance(inst.kind, n, tuple(caps), k, root, inst.edges)
+
+
+def capacity_features(inst: Instance) -> list[str]:
+    """The capacity cases an instance falls in, for tests to count their coverage."""
+    caps, root, k = inst.capacities, inst.root, inst.num_trees
+    spare = sum(c > 0 for v, c in enumerate(caps) if v != root)
+    features = {
+        "root_below_k": caps[root] < k,
+        "root_above_k": caps[root] > k,
+        "mostly_zero": sum(c == 0 for c in caps) * 2 > inst.n,
+        "one_spare": spare == 1,
+        "none_spare": spare == 0,
+        "k_is_n": k == inst.n > 1,
+    }
+    return [name for name, hit in features.items() if hit]
+
+
 def satlib_uf_text(seed: int = 20) -> tuple[str, str]:
     """A SATLIB uf20-91-style file, and the same text without its trailer.
 
@@ -92,6 +141,48 @@ def random_3cnf(rng: random.Random, max_vars: int = 4, max_clauses: int = 4) -> 
         for _ in range(rng.randint(1, max_clauses))
     )
     return SatInstance(num_vars, clauses)
+
+
+def true_literals(clause: tuple[int, ...], assignment: dict[int, bool]) -> list[int]:
+    return [lit for lit in clause if (lit > 0) == assignment[abs(lit)]]
+
+
+def planted_3cnf(
+    rng: random.Random, num_vars: int, num_clauses: int
+) -> tuple[SatInstance, dict[int, bool]]:
+    """A random 3-CNF satisfied by a random planted assignment, and that assignment.
+
+    Each clause takes three distinct variables with random signs and is
+    drawn again until it holds a literal true under the assignment.
+    """
+    assignment = {i: rng.random() < 0.5 for i in range(1, num_vars + 1)}
+    clauses = []
+    while len(clauses) < num_clauses:
+        clause = tuple(rng.choice((1, -1)) * i for i in rng.sample(range(1, num_vars + 1), 3))
+        if true_literals(clause, assignment):
+            clauses.append(clause)
+    return SatInstance(num_vars, tuple(clauses)), assignment
+
+
+def gadget_witness(out: ReductionOutput, sat: SatInstance, assignment: dict[int, bool]) -> Packing:
+    """The one-tree packing the hardness proof builds from an assignment.
+
+    root -> each selector -> its variable's true literal -> each clause
+    under its first true literal; vertex ids come from out.labels, not
+    from the gadget's layout.  A satisfying assignment gives a tree of
+    exactly gamma vertices.  A clause with no true literal hangs under its
+    first literal's vertex, which is not in the tree, so verify_packing
+    reports the clause (and that literal) as not connected.
+    """
+    vertex = {role: v for v, role in out.labels.items()}
+    parent = {}
+    for i in range(1, sat.num_vars + 1):
+        parent[vertex[f"selector_{i}"]] = vertex["root"]
+        parent[vertex[f"x{i}" if assignment[i] else f"not_x{i}"]] = vertex[f"selector_{i}"]
+    for j, clause in enumerate(sat.clauses, start=1):
+        lit = (true_literals(clause, assignment) or clause)[0]
+        parent[vertex[f"clause_{j}"]] = vertex[f"x{lit}" if lit > 0 else f"not_x{-lit}"]
+    return Packing(vertex["root"], (parent,))
 
 
 def assignment_satisfies(sat: SatInstance, assignment: dict[int, bool]) -> bool:
@@ -149,3 +240,88 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_reduce)
     return parser
+
+
+# greedy.greedy_general as it was when each tree kept a member array
+# beside its parent map (Theta(nK) memory, and an (n - 1)-tuple per turn
+# on complete kinds); tests compare the two, map order included.
+def member_array_greedy(inst: Instance) -> Packing:
+    """Round-robin greedy baseline for any instance kind.
+
+    Each turn, each tree in order adopts the smallest vertex reachable
+    through one of its members with spare capacity (members scanned in
+    insertion order, so breadth first); rounds repeat until no tree can
+    grow.  Feasible by construction.  No optimality claim.
+
+    Runs in O((n + m)·K): capacities only fall and member sets only grow,
+    so a member that cannot adopt now never can again.  Each tree keeps a
+    head index past its leading dead members and a cursor into the head's
+    sorted neighbor list past neighbors the tree already holds.  A scan
+    stops at the first member that can adopt, so no member past the head
+    has been scanned and none needs a cursor of its own.
+    """
+    root = inst.root
+    count = inst.num_trees
+    caps = list(inst.capacities)
+    parents: list[dict[int, int]] = [{} for _ in range(count)]
+    orders = [[root] for _ in range(count)]
+    members = [bytearray(inst.n) for _ in range(count)]
+    for member in members:
+        member[root] = 1
+    scans = [(0, 0)] * count  # (head, cursor) per tree
+    live = list(range(count))
+    while live:
+        growing = []
+        for k in live:
+            order, member = orders[k], members[k]
+            i, j = scans[k]
+            found = None
+            while i < len(order):
+                u = order[i]
+                if caps[u] > 0:
+                    nbrs = inst.neighbors(u)
+                    while j < len(nbrs) and member[nbrs[j]]:
+                        j += 1
+                    if j < len(nbrs):
+                        found = u, nbrs[j]
+                        break
+                i, j = i + 1, 0
+            scans[k] = i, j
+            if found:
+                u, w = found
+                caps[u] -= 1
+                parents[k][w] = u
+                member[w] = 1
+                order.append(w)
+                growing.append(k)
+        live = growing
+    return Packing(root, parents)
+
+
+# complete_solver.build_stage_paths as it was before stage one became a
+# closed form: it copies the capacities and charges them path by path.
+def charged_stage_paths(inst: Instance) -> tuple[list[list[int]], list[int]]:
+    """Build the K root paths; returns (paths, residual capacities).
+
+    Each path starts at the root; a single-vertex path pays nothing since
+    its only vertex is also the termination vertex.  The non-root vertices
+    with spare capacity are kept in a list that shrinks as they run out,
+    so the work is O(n + K) plus the total path length.
+    """
+    _require_complete(inst)
+    caps = list(inst.capacities)
+    root = inst.root
+    alive = [v for v in range(inst.n) if v != root and caps[v] > 0]
+    paths: list[list[int]] = []
+    for _ in range(inst.num_trees):
+        if caps[root] == 0 or not alive:
+            paths.append([root])
+            continue
+        paths.append([root] + alive)
+        caps[root] -= 1
+        last = alive.pop()  # the termination vertex pays nothing
+        for v in alive:
+            caps[v] -= 1
+        alive = [v for v in alive if caps[v] > 0]
+        alive.append(last)
+    return paths, caps

@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
-from helpers import random_complete_instance
+from helpers import (
+    capacity_features,
+    charged_stage_paths,
+    random_complete_instance,
+    shaped_instance,
+)
 from treepack import (
     Instance,
     attach_stage,
@@ -43,6 +49,23 @@ class TestStagePaths:
         paths, residual = build_stage_paths(inst)
         assert paths == [[0], [0], [0]]
         assert residual == [0, 4, 4]
+
+    def test_one_funded_vertex_ends_every_active_path(self):
+        # last = 3 is never charged; active = min(c_root, K) = 3.
+        inst = complete([3, 0, 0, 5, 0], 4)
+        paths, residual = build_stage_paths(inst)
+        assert paths == [[0, 3], [0, 3], [0, 3], [0]]
+        assert residual == [0, 0, 0, 5, 0]
+
+    def test_matches_charged_stage_paths(self):
+        # The closed form against stage one charging capacities path by path.
+        rng = random.Random(2111)
+        seen = Counter()
+        for _ in range(2000):
+            inst = shaped_instance(rng, random_complete_instance, max_n=rng.choice((6, 20, 60)))
+            assert build_stage_paths(inst) == charged_stage_paths(inst), inst
+            seen.update(capacity_features(inst))
+        assert min(seen.values()) >= 100, seen
 
     def test_paths_only_visit_funded_vertices(self):
         rng = random.Random(21)

@@ -1,0 +1,83 @@
+"""Greedy baseline: the member-array reference, and pins on its work and memory.
+
+greedy_general reads membership from each tree's parent map and, on
+complete kinds, scans range(n) with one cursor per tree.  These tests
+compare it, map order included, with the earlier code that kept a member
+array per tree (helpers.member_array_greedy), and pin the two costs that
+code paid: an (n - 1)-tuple of neighbors per turn on complete kinds and
+n bytes per tree.
+"""
+
+from __future__ import annotations
+
+import random
+import tracemalloc
+from collections import Counter
+
+from helpers import (
+    capacity_features,
+    member_array_greedy,
+    random_complete_instance,
+    random_general_instance,
+    random_tree_instance,
+    shaped_instance,
+)
+from treepack import Instance, greedy_general
+
+FAMILIES = (random_complete_instance, random_tree_instance, random_general_instance)
+
+
+def maps(packing) -> list[list[tuple[int, int]]]:
+    """The packing's parent maps with their insertion order."""
+    return [list(parent.items()) for parent in packing.trees]
+
+
+def test_matches_member_array_greedy():
+    rng = random.Random(2101)
+    seen = Counter()
+    for i in range(3000):
+        inst = shaped_instance(rng, FAMILIES[i % 3], max_n=rng.choice((8, 20, 60)))
+        got, want = greedy_general(inst), member_array_greedy(inst)
+        assert got.root == want.root
+        assert maps(got) == maps(want), inst
+        seen.update([inst.kind, *capacity_features(inst)])
+    assert min(seen.values()) >= 100, seen
+
+
+def test_complete_kind_lists_no_neighbors(monkeypatch):
+    rng = random.Random(2102)
+    complete = Instance("complete", 400, tuple(rng.randint(0, 4) for _ in range(400)), 6, 17)
+    general = random_general_instance(rng, max_n=30)
+    want = member_array_greedy(complete)
+    calls = Counter()
+    neighbors = Instance.neighbors
+
+    def counted(self, v):
+        calls[self.kind] += 1
+        return neighbors(self, v)
+
+    monkeypatch.setattr(Instance, "neighbors", counted)
+    got = greedy_general(complete)
+    greedy_general(general)
+    assert calls["complete"] == 0
+    assert calls["general"] > 0  # the count sees the calls that are made
+    assert maps(got) == maps(want)
+
+
+def test_memory_follows_the_output_not_n_times_k():
+    # n = K = 3000: a member array per tree alone would take 9 MB.
+    n = 3000
+    rng = random.Random(2103)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < 2 * n:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    caps = tuple(rng.randint(0, 2) for _ in range(n))
+    inst = Instance("general", n, caps, n, 0, tuple(sorted(edges)))
+    tracemalloc.start()
+    try:
+        greedy_general(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000, peak

@@ -1,4 +1,4 @@
-"""Metamorphic relations of the exact optimum f on trees and complete graphs.
+"""Metamorphic relations of the exact optimum f, and of greedy, on trees and complete graphs.
 
 Each relation compares the solvers' value on an instance with their value
 on a transformed copy, so it needs no reference solver:
@@ -10,7 +10,10 @@ on a transformed copy, so it needs no reference solver:
   vertices);
 - one more tree gives f + 1 <= f' <= f + n (add a null tree; drop a tree);
 - on a tree, greedy_general <= f <= the closed form of the complete graph
-  with the same capacities, K and root.
+  with the same capacities, K and root;
+- greedy_general on a complete graph builds the same packing, map order
+  included, as on that graph given as kind general with every edge, which
+  pins its complete-kind scan to the generic neighbor loop.
 
 Desk and medium sizes, seeded.
 """
@@ -18,6 +21,7 @@ Desk and medium sizes, seeded.
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -94,3 +98,12 @@ def test_tree_between_greedy_and_complete_relaxation(size):
     for _, inst in cases("tree", size):
         relaxed = Instance("complete", inst.n, inst.capacities, inst.num_trees, inst.root)
         assert objective(greedy_general(inst)) <= exact(inst) <= optimal_objective(relaxed)
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_greedy_complete_equals_greedy_on_every_edge(size):
+    for _, inst in cases("complete", size):
+        edges = tuple(combinations(range(inst.n), 2))
+        general = Instance("general", inst.n, inst.capacities, inst.num_trees, inst.root, edges)
+        got, want = greedy_general(inst), greedy_general(general)
+        assert [list(t.items()) for t in got.trees] == [list(t.items()) for t in want.trees]

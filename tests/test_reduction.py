@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import json
 import random
 import re
 from collections import Counter
@@ -14,8 +15,11 @@ from helpers import (
     EXAMPLE_FORMULA,
     assignment_satisfies,
     cnf_satisfiable,
+    gadget_witness,
+    planted_3cnf,
     random_3cnf,
     satlib_uf_text,
+    true_literals,
 )
 from treepack import (
     Packing,
@@ -23,12 +27,15 @@ from treepack import (
     SearchLimitExceeded,
     brute_force_solve,
     extract_assignment,
+    greedy_general,
     load_dimacs,
     objective,
     parse_dimacs,
+    packing_to_dict,
     reduce_3sat,
     verify_packing,
 )
+from treepack.cli import main
 
 
 def vertex_ids(out) -> dict[str, int]:
@@ -227,3 +234,82 @@ class TestBidirectional:
                 assignment = extract_assignment(out, packing)
                 assert assignment is not None
                 assert assignment_satisfies(sat, assignment)
+
+
+# Planted formulas at the clause/variable ratio of SATLIB's uf files; the
+# larger one has uf250's size (250 variables, 1,065 clauses).
+PLANTED = {"uf50": (50, 213), "uf250": (250, 1065)}
+
+
+def planted(name: str):
+    num_vars, num_clauses = PLANTED[name]
+    sat, assignment = planted_3cnf(random.Random(name), num_vars, num_clauses)
+    return sat, assignment, reduce_3sat(sat)
+
+
+def dimacs(sat: SatInstance) -> str:
+    lines = [f"p cnf {sat.num_vars} {sat.num_clauses}"]
+    lines += [" ".join(map(str, clause)) + " 0" for clause in sat.clauses]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name", PLANTED)
+class TestPlantedGadget:
+    """The forward direction of the hardness proof at SATLIB scale, by certificates.
+
+    A satisfying assignment builds a tree of gamma vertices (helpers.gadget_witness),
+    so no search is needed to check the gadget far past the oracle's reach.
+    """
+
+    def test_witness_reaches_gamma(self, name):
+        sat, assignment, out = planted(name)
+        witness = gadget_witness(out, sat, assignment)
+        assert verify_packing(out.instance, witness) == {"valid": True, "violations": []}
+        assert objective(witness) == out.gamma
+        found = extract_assignment(out, witness)
+        assert found == assignment
+        assert assignment_satisfies(sat, found)
+
+    def test_solver_packings_stay_within_gamma(self, name):
+        # greedy is the one solver for general graphs past the oracle's limits.
+        _, _, out = planted(name)
+        packing = greedy_general(out.instance)
+        assert verify_packing(out.instance, packing)["valid"]
+        assert objective(packing) <= out.gamma
+
+    def test_flipped_selector_disconnects_exactly_the_unsatisfied_clauses(self, name):
+        sat, assignment, out = planted(name)
+        # Flip a variable that is the only true literal of some clause.
+        true = [true_literals(clause, assignment) for clause in sat.clauses]
+        lone = abs(next(lits[0] for lits in true if len(lits) == 1))
+        flipped = {**assignment, lone: not assignment[lone]}
+        unsatisfied = [
+            j
+            for j, clause in enumerate(sat.clauses, start=1)
+            if not true_literals(clause, flipped)
+        ]
+        assert unsatisfied
+        report = verify_packing(out.instance, gadget_witness(out, sat, flipped))
+        assert not report["valid"]
+        assert {v["reason"] for v in report["violations"]} == {"not connected to the root"}
+        roles = [out.labels[v["vertex"]] for v in report["violations"]]
+        assert sorted(r for r in roles if r.startswith("clause_")) == sorted(
+            f"clause_{j}" for j in unsatisfied
+        )
+        # The rest are the absent literal vertices those clauses hang from.
+        first = {sat.clauses[j - 1][0] for j in unsatisfied}
+        assert sorted(r for r in roles if not r.startswith("clause_")) == sorted(
+            f"x{lit}" if lit > 0 else f"not_x{-lit}" for lit in first
+        )
+
+    def test_cli_reduce_solve_verify(self, name, tmp_path):
+        sat, assignment, out = planted(name)
+        cnf, inst, labels = tmp_path / "f.cnf", tmp_path / "g.json", tmp_path / "labels.json"
+        solved, witness = tmp_path / "solved.json", tmp_path / "witness.json"
+        cnf.write_text(dimacs(sat))
+        assert main(["reduce", "--cnf", str(cnf), "-o", str(inst), "--labels", str(labels)]) == 0
+        assert json.loads(labels.read_text())["gamma"] == out.gamma
+        assert main(["solve", "-i", str(inst), "-o", str(solved)]) == 0
+        assert main(["verify", "-i", str(inst), "-p", str(solved)]) == 0
+        witness.write_text(json.dumps(packing_to_dict(gadget_witness(out, sat, assignment))))
+        assert main(["verify", "-i", str(inst), "-p", str(witness)]) == 0
