@@ -64,9 +64,8 @@ def attach_stage(inst: Instance, paths: list[list[int]], residual: list[int]) ->
     path vertices with spare capacity left (compress over their current
     capacities), and the missing vertices are drawn lazily from the
     non-root ids not in the tree's growing parent map, so a tree costs
-    O(path + attached) rather than O(n).  A tree whose path has no spare
-    vertex is just its path, with no missing-vertex iterator.  Each
-    parent map goes into the Packing as built, root outward, no copy.
+    O(path + attached) rather than O(n).  Each parent map goes into the
+    Packing as built, root outward, no copy.
     """
     _require_complete(inst)
     caps = list(residual)
@@ -74,10 +73,8 @@ def attach_stage(inst: Instance, paths: list[list[int]], residual: list[int]) ->
     trees = []
     for path in paths:
         parent = dict(zip(path[1:], path))
-        missing = None
+        missing = filterfalse(parent.__contains__, chain(range(root), range(root + 1, n)))
         for v in compress(path, map(caps.__getitem__, path)):
-            if missing is None:
-                missing = filterfalse(parent.__contains__, chain(range(root), range(root + 1, n)))
             spare = caps[v]
             # islice needs a word-sized stop; a capacity may be larger.
             adopted = list(islice(missing, min(spare, n)))

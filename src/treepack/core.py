@@ -13,7 +13,8 @@ An instance keeps one edge lookup, its sorted adjacency tuples: has_edge
 is a binary search there, and the edges tuple is the normalized input.
 Packing documents are written as text straight from the parent maps
 (_packing_json), with the same bytes as json.dumps of packing_to_dict;
-each vertex id becomes text once per document, in a table indexed by id.
+each vertex id becomes text once per document, in a table indexed by id,
+so the writer requires every id in [0, n), as every solver makes them.
 """
 
 import json
@@ -357,22 +358,15 @@ def _packing_json(packing: Packing, n: int) -> str:
     """json.dumps(packing_to_dict(packing)), written straight from the parent maps.
 
     One join per tree over "[parent, child]" strings, with no list built per
-    edge.  Vertex ids must be plain ints, as every solver makes them and as
-    packing_from_dict reads them from JSON text: an int is formatted as
-    json.dumps writes it.  Each id in [0, n) is formatted once per call,
-    into a table of names indexed by id; a tree with an id outside [0, n),
-    which only a damaged packing has, formats its ids one by one instead.
+    edge.  Each id in [0, n) is formatted once per call, into a table of
+    names indexed by id.  Precondition: every id in the maps lies in
+    [0, n), as every solver makes them; a negative id would index the table
+    from its end, and an id >= n raises IndexError.
     """
     names = list(map(str, range(n)))
 
     def edges(parent: dict[int, int]) -> str:
-        # A negative id would index the table from its end.
-        if parent and min(min(parent), min(parent.values())) >= 0:
-            try:
-                return ", ".join([f"[{names[p]}, {names[c]}]" for c, p in parent.items()])
-            except IndexError:  # an id >= n
-                pass
-        return ", ".join([f"[{p}, {c}]" for c, p in parent.items()])
+        return ", ".join([f"[{names[p]}, {names[c]}]" for c, p in parent.items()])
 
     trees = ", ".join([f'{{"edges": [{edges(parent)}]}}' for parent in packing.trees])
     return f'{{"trees": [{trees}], "objective": {objective(packing)}}}'

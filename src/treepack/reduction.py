@@ -57,12 +57,10 @@ class SatInstance(_Value):
 class ReductionOutput(_Value):
     """Gadget instance, decision threshold and vertex role map ("x3", "clause_5")."""
 
-    _fields = ("instance", "gamma", "labels", "num_vars")
+    _fields = ("instance", "gamma", "labels")
 
-    def __init__(
-        self, instance: Instance, gamma: int, labels: dict[int, str], num_vars: int
-    ) -> None:
-        self.__dict__.update(instance=instance, gamma=gamma, labels=labels, num_vars=num_vars)
+    def __init__(self, instance: Instance, gamma: int, labels: dict[int, str]) -> None:
+        self.__dict__.update(instance=instance, gamma=gamma, labels=labels)
 
 
 def _literal_vertex(num_vars: int, i: int, value: bool) -> int:
@@ -180,7 +178,7 @@ def reduce_3sat(sat: SatInstance, *, max_vertices: int = MAX_VERTICES) -> Reduct
         root=0,
         edges=tuple(edges),
     )
-    return ReductionOutput(instance, 1 + 2 * n + m, labels, n)
+    return ReductionOutput(instance, 1 + 2 * n + m, labels)
 
 
 def extract_assignment(reduction: ReductionOutput, packing: Packing) -> dict[int, bool] | None:
@@ -197,7 +195,7 @@ def extract_assignment(reduction: ReductionOutput, packing: Packing) -> dict[int
     if objective(packing) < reduction.gamma:
         return None
     members = {packing.root, *packing.trees[0]}  # a verified tree: its root and children
-    n = reduction.num_vars
+    n = reduction.instance.n - reduction.gamma  # (1 + 3n + m) - (1 + 2n + m)
     assignment: dict[int, bool] = {}
     for i in range(1, n + 1):
         pos = _literal_vertex(n, i, True) in members

@@ -1,9 +1,8 @@
-"""Shared builders for randomized test families and gadget witnesses, plus references.
+"""Shared builders for randomized test families and gadget witnesses, plus a reference.
 
-The references are earlier code kept word for word (bar the name) that
-the tests compare the current code with: the CLI's argparse parser, the
-greedy that kept a member array per tree, and stage one of the complete
-solver charging capacities path by path.
+The reference is the CLI's argparse parser, kept word for word (bar the
+name) as the earlier code that tests compare cli.parse_args with.  The
+solver stages' references live in test_differential.py.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import random
 
 from treepack import Instance, Packing, ReductionOutput, SatInstance
 from treepack.cli import cmd_oracle, cmd_reduce, cmd_solve, cmd_verify
-from treepack.complete_solver import _require_complete
 from treepack.core import MAX_VERTICES
 
 # Worked example used across the reduction and CLI tests:
@@ -27,6 +25,11 @@ p cnf 4 3
 1 -2 4 0
 -2 3 -4 0
 """
+
+
+def map_items(packing: Packing) -> list[list[tuple[int, int]]]:
+    """The packing's parent maps as (child, parent) lists, in insertion order."""
+    return [list(parent.items()) for parent in packing.trees]
 
 
 def random_complete_instance(
@@ -240,88 +243,3 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_reduce)
     return parser
-
-
-# greedy.greedy_general as it was when each tree kept a member array
-# beside its parent map (Theta(nK) memory, and an (n - 1)-tuple per turn
-# on complete kinds); tests compare the two, map order included.
-def member_array_greedy(inst: Instance) -> Packing:
-    """Round-robin greedy baseline for any instance kind.
-
-    Each turn, each tree in order adopts the smallest vertex reachable
-    through one of its members with spare capacity (members scanned in
-    insertion order, so breadth first); rounds repeat until no tree can
-    grow.  Feasible by construction.  No optimality claim.
-
-    Runs in O((n + m)·K): capacities only fall and member sets only grow,
-    so a member that cannot adopt now never can again.  Each tree keeps a
-    head index past its leading dead members and a cursor into the head's
-    sorted neighbor list past neighbors the tree already holds.  A scan
-    stops at the first member that can adopt, so no member past the head
-    has been scanned and none needs a cursor of its own.
-    """
-    root = inst.root
-    count = inst.num_trees
-    caps = list(inst.capacities)
-    parents: list[dict[int, int]] = [{} for _ in range(count)]
-    orders = [[root] for _ in range(count)]
-    members = [bytearray(inst.n) for _ in range(count)]
-    for member in members:
-        member[root] = 1
-    scans = [(0, 0)] * count  # (head, cursor) per tree
-    live = list(range(count))
-    while live:
-        growing = []
-        for k in live:
-            order, member = orders[k], members[k]
-            i, j = scans[k]
-            found = None
-            while i < len(order):
-                u = order[i]
-                if caps[u] > 0:
-                    nbrs = inst.neighbors(u)
-                    while j < len(nbrs) and member[nbrs[j]]:
-                        j += 1
-                    if j < len(nbrs):
-                        found = u, nbrs[j]
-                        break
-                i, j = i + 1, 0
-            scans[k] = i, j
-            if found:
-                u, w = found
-                caps[u] -= 1
-                parents[k][w] = u
-                member[w] = 1
-                order.append(w)
-                growing.append(k)
-        live = growing
-    return Packing(root, parents)
-
-
-# complete_solver.build_stage_paths as it was before stage one became a
-# closed form: it copies the capacities and charges them path by path.
-def charged_stage_paths(inst: Instance) -> tuple[list[list[int]], list[int]]:
-    """Build the K root paths; returns (paths, residual capacities).
-
-    Each path starts at the root; a single-vertex path pays nothing since
-    its only vertex is also the termination vertex.  The non-root vertices
-    with spare capacity are kept in a list that shrinks as they run out,
-    so the work is O(n + K) plus the total path length.
-    """
-    _require_complete(inst)
-    caps = list(inst.capacities)
-    root = inst.root
-    alive = [v for v in range(inst.n) if v != root and caps[v] > 0]
-    paths: list[list[int]] = []
-    for _ in range(inst.num_trees):
-        if caps[root] == 0 or not alive:
-            paths.append([root])
-            continue
-        paths.append([root] + alive)
-        caps[root] -= 1
-        last = alive.pop()  # the termination vertex pays nothing
-        for v in alive:
-            caps[v] -= 1
-        alive = [v for v in alive if caps[v] > 0]
-        alive.append(last)
-    return paths, caps

@@ -9,10 +9,10 @@ import pytest
 
 from helpers import (
     capacity_features,
-    charged_stage_paths,
     random_complete_instance,
     shaped_instance,
 )
+from test_differential import reference_stage_paths
 from treepack import (
     Instance,
     attach_stage,
@@ -58,12 +58,13 @@ class TestStagePaths:
         assert residual == [0, 0, 0, 5, 0]
 
     def test_matches_charged_stage_paths(self):
-        # The closed form against stage one charging capacities path by path.
+        # The closed form on shaped capacities against stage one charging
+        # capacities path by path (test_differential.reference_stage_paths).
         rng = random.Random(2111)
         seen = Counter()
         for _ in range(2000):
             inst = shaped_instance(rng, random_complete_instance, max_n=rng.choice((6, 20, 60)))
-            assert build_stage_paths(inst) == charged_stage_paths(inst), inst
+            assert build_stage_paths(inst) == reference_stage_paths(inst), inst
             seen.update(capacity_features(inst))
         assert min(seen.values()) >= 100, seen
 

@@ -45,7 +45,7 @@ def model_values():
         inst,
         Packing(root=0, trees=({1: 0},)),
         sat,
-        ReductionOutput(instance=inst, gamma=2, labels={0: "root"}, num_vars=1),
+        ReductionOutput(instance=inst, gamma=2, labels={0: "root"}),
     ]
 
 

@@ -21,6 +21,7 @@ from collections import Counter
 import pytest
 
 from helpers import (
+    map_items,
     random_complete_instance,
     random_general_instance,
     random_tree_instance,
@@ -452,7 +453,7 @@ def malform(rng: random.Random, doc: dict) -> dict:
 def load_outcome(load, doc: dict, root: int):
     """Parent maps with their insertion order, or the ValueError's text."""
     try:
-        return [list(parent.items()) for parent in load(doc, root).trees]
+        return map_items(load(doc, root))
     except ValueError as exc:
         return f"ValueError: {exc}"
 
@@ -537,9 +538,7 @@ def assert_stages_match(inst: Instance) -> None:
     assert residual == want_residual
     got = attach_stage(inst, paths, residual)
     want = reference_attach(inst, want_paths, want_residual)
-    assert [list(parent.items()) for parent in got.trees] == [
-        list(parent.items()) for parent in want.trees
-    ]
+    assert map_items(got) == map_items(want)
     assert residual == want_residual  # attach works on a copy
 
 

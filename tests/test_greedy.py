@@ -1,11 +1,11 @@
-"""Greedy baseline: the member-array reference, and pins on its work and memory.
+"""Greedy baseline: shaped capacities against the reference, and pins on its work and memory.
 
 greedy_general reads membership from each tree's parent map and, on
 complete kinds, scans range(n) with one cursor per tree.  These tests
-compare it, map order included, with the earlier code that kept a member
-array per tree (helpers.member_array_greedy), and pin the two costs that
-code paid: an (n - 1)-tuple of neighbors per turn on complete kinds and
-n bytes per tree.
+compare it, map order included, with test_differential.reference_greedy
+on shaped capacities, and pin the two costs that the earlier code, which
+kept a member array per tree, paid: an (n - 1)-tuple of neighbors per
+turn on complete kinds and n bytes per tree.
 """
 
 from __future__ import annotations
@@ -16,20 +16,16 @@ from collections import Counter
 
 from helpers import (
     capacity_features,
-    member_array_greedy,
+    map_items,
     random_complete_instance,
     random_general_instance,
     random_tree_instance,
     shaped_instance,
 )
+from test_differential import reference_greedy
 from treepack import Instance, greedy_general
 
 FAMILIES = (random_complete_instance, random_tree_instance, random_general_instance)
-
-
-def maps(packing) -> list[list[tuple[int, int]]]:
-    """The packing's parent maps with their insertion order."""
-    return [list(parent.items()) for parent in packing.trees]
 
 
 def test_matches_member_array_greedy():
@@ -37,9 +33,9 @@ def test_matches_member_array_greedy():
     seen = Counter()
     for i in range(3000):
         inst = shaped_instance(rng, FAMILIES[i % 3], max_n=rng.choice((8, 20, 60)))
-        got, want = greedy_general(inst), member_array_greedy(inst)
+        got, want = greedy_general(inst), reference_greedy(inst)
         assert got.root == want.root
-        assert maps(got) == maps(want), inst
+        assert map_items(got) == map_items(want), inst
         seen.update([inst.kind, *capacity_features(inst)])
     assert min(seen.values()) >= 100, seen
 
@@ -48,7 +44,7 @@ def test_complete_kind_lists_no_neighbors(monkeypatch):
     rng = random.Random(2102)
     complete = Instance("complete", 400, tuple(rng.randint(0, 4) for _ in range(400)), 6, 17)
     general = random_general_instance(rng, max_n=30)
-    want = member_array_greedy(complete)
+    want = reference_greedy(complete)
     calls = Counter()
     neighbors = Instance.neighbors
 
@@ -61,7 +57,7 @@ def test_complete_kind_lists_no_neighbors(monkeypatch):
     greedy_general(general)
     assert calls["complete"] == 0
     assert calls["general"] > 0  # the count sees the calls that are made
-    assert maps(got) == maps(want)
+    assert map_items(got) == map_items(want)
 
 
 def test_memory_follows_the_output_not_n_times_k():

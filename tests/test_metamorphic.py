@@ -25,7 +25,7 @@ from itertools import combinations
 
 import pytest
 
-from helpers import random_complete_instance, random_tree_instance
+from helpers import map_items, random_complete_instance, random_tree_instance
 from treepack import Instance, greedy_general, objective, optimal_objective, solve_complete, solve_tree
 
 SIZES = {"desk": dict(max_n=8, max_k=3, cap_hi=3), "medium": dict(max_n=150, max_k=25, cap_hi=6)}
@@ -106,4 +106,4 @@ def test_greedy_complete_equals_greedy_on_every_edge(size):
         edges = tuple(combinations(range(inst.n), 2))
         general = Instance("general", inst.n, inst.capacities, inst.num_trees, inst.root, edges)
         got, want = greedy_general(inst), greedy_general(general)
-        assert [list(t.items()) for t in got.trees] == [list(t.items()) for t in want.trees]
+        assert map_items(got) == map_items(want)

@@ -3,20 +3,27 @@
 solve and oracle write their packing straight from the parent maps
 (core._packing_json) instead of encoding packing_to_dict.  These tests hold
 that text to json.dumps(packing_to_dict(p)) on every solver's output,
-null trees included, on the damaged packings of the Hypothesis strategy
-and on trees with ids outside the writer's [0, n) id table, and hold
-objective to the vertex count on packings that verify.
+null trees included, and on the damaged packings of the Hypothesis
+strategy with ids in the writer's [0, n) id table; pin that the writer
+reads each map through one items() call; and hold objective to the
+vertex count on packings that verify.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
 
-from helpers import random_complete_instance, random_general_instance, random_tree_instance
+from helpers import (
+    map_items,
+    random_complete_instance,
+    random_general_instance,
+    random_tree_instance,
+)
 from test_properties import packings
 from treepack import (
     Instance,
@@ -65,10 +72,6 @@ def _family(kind: str) -> list[tuple[Instance, Packing]]:
 KINDS = ("complete", "tree", "general", "oracle")
 
 
-def _map_items(packing: Packing) -> list[list[tuple[int, int]]]:
-    return [list(parent.items()) for parent in packing.trees]
-
-
 @pytest.mark.parametrize("kind", KINDS)
 class TestSolverPackings:
     def test_text_equals_json_dumps(self, kind):
@@ -78,7 +81,7 @@ class TestSolverPackings:
     def test_text_loads_to_the_same_maps_in_order(self, kind):
         for inst, packing in _family(kind):
             loaded = packing_from_dict(json.loads(_packing_json(packing, inst.n)), inst.root)
-            assert _map_items(loaded) == _map_items(packing)
+            assert map_items(loaded) == map_items(packing)
 
     def test_objective_counts_vertices(self, kind):
         for inst, packing in _family(kind):
@@ -97,31 +100,48 @@ def test_null_packing_text():
     assert _packing_json(packing, 3) == '{"trees": [{"edges": []}, {"edges": []}], "objective": 2}'
 
 
-@pytest.mark.parametrize(
-    "parent",
-    [{1: -1}, {-1: 0}, {1: 0, -1: 1}, {3: 0}, {1: 0, 2: 7}, {5: 9}],
-    ids=["parent -1", "child -1", "later child -1", "child n", "parent n+4", "both past n"],
-)
-def test_ids_outside_the_table(parent):
-    # A valid tree next to a damaged one: each tree picks its own way to write ids.
-    packing = Packing(0, ({1: 0, 2: 1}, parent))
-    assert _packing_json(packing, 3) == json.dumps(packing_to_dict(packing))
+class _CountedMap(dict):
+    """A parent map that counts the calls that read it whole."""
+
+    def __init__(self, items: dict[int, int]) -> None:
+        super().__init__(items)
+        self.calls: Counter = Counter()
+
+    def __iter__(self):
+        self.calls["__iter__"] += 1
+        return super().__iter__()
+
+    def values(self):
+        self.calls["values"] += 1
+        return super().values()
+
+    def items(self):
+        self.calls["items"] += 1
+        return super().items()
 
 
-# The damaged trees' ids run from -3 to 12: some fall inside [0, DAMAGED_N), some not.
-DAMAGED_N = 8
+def test_writer_reads_each_map_through_one_items_call():
+    plain = [{1: 0, 2: 1, 3: 1}, {3: 0}, {}]
+    counted = [_CountedMap(parent) for parent in plain]
+    text = _packing_json(Packing(0, counted), 4)
+    assert text == json.dumps(packing_to_dict(Packing(0, plain)))
+    assert [dict(parent.calls) for parent in counted] == [{"items": 1}] * 3
+
+
+# packings(lowest=0) draws ids in [0, 16): each falls in the writer's table.
+DAMAGED_N = 16
 
 
 class TestDamagedPackings:
-    @given(packings())
+    @given(packings(lowest=0))
     def test_text_equals_json_dumps(self, packing):
         assert _packing_json(packing, DAMAGED_N) == json.dumps(packing_to_dict(packing))
 
-    @given(packings())
+    @given(packings(lowest=0))
     def test_text_loads_to_the_same_maps_in_order(self, packing):
         text = _packing_json(packing, DAMAGED_N)
         loaded = packing_from_dict(json.loads(text), packing.root)
-        assert _map_items(loaded) == _map_items(packing)
+        assert map_items(loaded) == map_items(packing)
 
 
 class TestCliStdout:
