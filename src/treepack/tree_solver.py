@@ -1,19 +1,19 @@
 """Exact solver for tree instances.
 
-Every vertex u gets a stripe vector f_u: entry k (1-based) is the best
-total occupancy inside u's subtree when u itself is served by k trees.  A
-leaf scores k, just itself once per tree.  An inner vertex with capacity c
+Every vertex u has a value function f_u: f_u(k) is the best total
+occupancy inside u's subtree when u itself is served by k trees.  A leaf
+scores k, just itself once per tree.  An inner vertex with capacity c
 scores k plus the best way to hand out at most c child slots: child w
 served at level j in 0..k costs j slots and gains f_w(j), with f_w(0) = 0.
-The root's K-th entry is the instance optimum.
+The root's value at K is the instance optimum.
 
-Every stripe vector is concave with marginals f(k) - f(k-1) >= 1, taking
-f(0) = 0.  By induction from the leaves, whose vectors are linear: with
-concave children, choosing the levels is a concave separable allocation,
-which taking the largest marginals greedily solves exactly (Ibaraki &
-Katoh, Resource Allocation Problems, 1988).  Every marginal is >= 1, so
-all slots that can be used are, and f_u(k) = k + h(k), where h(k) is the
-sum of the c largest elements of M_k, the children's marginals at levels
+Every f_u is concave with marginals f(k) - f(k-1) >= 1, taking f(0) = 0.
+By induction from the leaves, whose functions are linear: with concave
+children, choosing the levels is a concave separable allocation, which
+taking the largest marginals greedily solves exactly (Ibaraki & Katoh,
+Resource Allocation Problems, 1988).  Every marginal is >= 1, so all
+slots that can be used are, and f_u(k) = k + h(k), where h(k) is the sum
+of the c largest elements of M_k, the children's marginals at levels
 1..k.  A top-c sum is a weighted uniform-matroid rank, hence submodular,
 and each child's level-(k+1) marginal is at most its level-k one.  So
 h(k+1) - h(k), the gain of adding the level-(k+1) marginals to M_k, is at
@@ -21,13 +21,22 @@ most the gain of adding them to M_(k-1), which is at most the gain of
 adding the level-k marginals to M_(k-1): h(k) - h(k-1).  As h never
 decreases, f_u's marginals 1 + h(k) - h(k-1) are nonincreasing and >= 1.
 
-One pass over k = 1..K with a min-heap of the c largest marginals so far
-gives all K entries of a vertex with d children in O(d*K*log c) time.
+So the levels whose marginal exceeds 1 form a prefix, and f_u is stored
+once, as its excess list e_u: entry k-1 is f_u(k) - f_u(k-1) - 1, listed
+only while it is positive.  Then f_u(k) = k + sum(e_u[:k]), and every
+later marginal is 1.  With d children, M_k holds d*k marginals, so h(k)
+is min(c, d*k) for the marginals themselves plus the sum of the c largest
+child excesses at levels 1..k.  One pass over the levels with a min-heap
+of those excesses builds e_u and stops at the first level that adds
+nothing, so a vertex costs O((d + L) * log c), where L is the length of
+its own and its children's lists, never more than K each.
 Reconstruction reads each child's level off the same ranking.
 """
 
-from heapq import heappush, heapreplace, nsmallest
+from heapq import heappop, heappush, nsmallest
 from collections.abc import Sequence
+from itertools import islice
+from sys import maxsize
 
 from .core import KIND_TREE, Instance, Packing
 
@@ -95,25 +104,24 @@ def solve_mckp(
     return value, allocations
 
 
-def greedy_allocation(
-    stripes: int, capacity: int, child_values: Sequence[Sequence[int]]
-) -> list[int]:
+def greedy_allocation(stripes: int, capacity: int, excesses: Sequence[Sequence[int]]) -> list[int]:
     """Per-child levels at a vertex served by `stripes` trees.
 
-    Takes the `capacity` largest marginals f_w(j) - f_w(j-1), j <= stripes,
-    over all children w, ranked by larger marginal, then earlier child,
-    then lower level; a child's level is how many of its marginals are
-    taken.  For concave vectors, such as stripe vectors, this is the
+    Takes the `capacity` largest marginals at levels <= stripes over all
+    children, ranked by larger marginal, then earlier child, then lower
+    level; a child's level is how many of its marginals are taken.  The
+    marginals above 1 are the children's excess lists, as stripe_values
+    returns them, and rank first; the slots left over go to marginals of
+    exactly 1, child by child.  For concave value functions this is the
     allocation solve_mckp returns.
     """
-    ranked: list[tuple[int, int]] = []
-    for i, values in enumerate(child_values):
-        prev = 0
-        for value in values[:stripes]:
-            ranked.append((prev - value, i))
-            prev = value
-    levels = [0] * len(child_values)
+    ranked = [(-x, i) for i, excess in enumerate(excesses) for x in excess[:stripes]]
+    levels = [0] * len(excesses)
     for _, i in nsmallest(capacity, ranked):
+        levels[i] += 1
+    ones = (i for i, excess in enumerate(excesses) for _ in range(len(excess), stripes))
+    # islice needs a word-sized stop, and a capacity can exceed sys.maxsize
+    for i in islice(ones, max(0, min(capacity - len(ranked), maxsize))):
         levels[i] += 1
     return levels
 
@@ -133,35 +141,39 @@ def _rooted(inst: Instance) -> tuple[list[int], list[int]]:
 
 
 def stripe_values(inst: Instance) -> dict[int, list[int]]:
-    """Stripe vectors of every vertex of a tree instance, by the greedy merge.
+    """Excess lists of every vertex of a tree instance, by the greedy merge.
 
-    Entry k-1 of vertex u's vector is the best occupancy of u's subtree
-    with u served by k trees.  Children are finished before their parents
-    (iterative, so path-like trees of any depth are fine).  For each inner
-    vertex one pass over the levels pushes every child's level-k marginal
-    into a min-heap holding the best `capacity` marginals so far, keeping
-    their sum; entry k-1 is k plus that sum.
+    Entry k-1 of vertex u's list is f_u(k) - f_u(k-1) - 1, where f_u(k) is
+    the best occupancy of u's subtree with u served by k trees; the list
+    ends before the first level whose marginal is 1, so f_u(k) = k +
+    sum(list[:k]).  Children are finished before their parents (iterative,
+    so path-like trees of any depth are fine).  For each inner vertex one
+    pass over the levels pushes every child's level-k excess into a
+    min-heap holding the best `capacity` excesses so far, keeping their
+    sum; u's level-k excess is the growth of min(capacity, d*k), for d
+    children, plus the growth of that sum, and the pass stops where it is 0.
     """
     up, order = _rooted(inst)
-    caps = inst.capacities
-    count = inst.num_trees
+    caps, count = inst.capacities, inst.num_trees
     values: dict[int, list[int]] = {}
     for u in reversed(order):
-        vecs = [values[w] for w in inst.neighbors(u) if w != up[u]]
-        capacity = caps[u]
-        taken: list[int] = []  # min-heap of the chosen marginals
-        total = 0
-        vec = []
+        kids = [values[w] for w in inst.neighbors(u) if w != up[u]]
+        capacity, d = caps[u], len(kids)
+        taken: list[int] = []  # min-heap of the chosen excesses
+        total = reached = 0
+        values[u] = excess = []
         for k in range(count):
-            for g in vecs:
-                gain = g[k] - g[k - 1] if k else g[0]
-                if len(taken) < capacity:
-                    heappush(taken, gain)
-                    total += gain
-                elif taken and gain > taken[0]:
-                    total += gain - heapreplace(taken, gain)
-            vec.append(k + 1 + total)
-        values[u] = vec
+            kids = [e for e in kids if len(e) > k]
+            for e in kids:
+                heappush(taken, e[k])
+                total += e[k]
+                if len(taken) > capacity:
+                    total -= heappop(taken)
+            grown = min(capacity, d * (k + 1)) + total
+            if grown == reached:
+                break
+            excess.append(grown - reached)
+            reached = grown
     return values
 
 
@@ -179,7 +191,7 @@ def solve_tree(inst: Instance, *, value_only: bool = False) -> tuple[int, Packin
     """
     values = stripe_values(inst)
     count = inst.num_trees
-    best = values[inst.root][count - 1]
+    best = count + sum(values[inst.root])
     if value_only:
         return best, None
     caps = inst.capacities

@@ -6,37 +6,30 @@ valid exactly when violations is empty.  tree is None on a capacity
 violation, which no one tree causes.
 """
 
-from collections import Counter
-
 from .core import KIND_COMPLETE, Instance, Packing
 
 
-def _rooted_outward(inst: Instance, parent: dict[int, int]) -> bool:
-    """One pass over a tree's parent map, in insertion order: is the tree sound?
+def _rooted_outward(inst: Instance, parent: dict[int, int], mark: list[int], ti: int) -> bool:
+    """One pass over tree ti's parent map, in insertion order: is the tree sound?
 
     True when the root has no parent and each (child, parent) entry has
-    its parent already reached (the root or an earlier child) and is an
-    edge of the instance graph.  Such a tree is connected and acyclic.
-    On complete kinds only the child's range needs a test: a reached
-    parent is in range, and a self edge's parent is its own, not yet
+    both ids in [0, n), its parent already reached (the root or an
+    earlier child) and is an edge of the instance graph; a complete kind
+    has every such edge.  Such a tree is connected and acyclic.  Reached
+    vertices are those with mark[v] == ti, so one n-long mark list serves
+    every tree of a packing; a self edge's parent is its own, not yet
     reached, child.
     """
-    if inst.root in parent:
+    root, n = inst.root, inst.n
+    if root in parent:
         return False
-    reached = {inst.root}
-    add = reached.add
-    if inst.kind == KIND_COMPLETE:
-        n = inst.n
-        for child, par in parent.items():
-            if par not in reached or not 0 <= child < n:
-                return False
-            add(child)
-    else:
-        has_edge = inst.has_edge
-        for child, par in parent.items():
-            if par not in reached or not has_edge(par, child):
-                return False
-            add(child)
+    mark[root] = ti
+    complete, has_edge = inst.kind == KIND_COMPLETE, inst.has_edge
+    for child, par in parent.items():
+        reached = 0 <= par < n and 0 <= child < n and mark[par] == ti
+        if not (reached and (complete or has_edge(par, child))):
+            return False
+        mark[child] = ti
     return True
 
 
@@ -51,11 +44,12 @@ def verify_packing(inst: Instance, packing: Packing) -> dict:
 
     A tree whose parent map lists its edges root outward, as every solver
     and load_packing build them, is checked in one pass over the map
-    (_rooted_outward): no sort, no child lists, one set lookup and insert
-    per edge, plus one has_edge call on non-complete kinds.  Any other
-    tree, valid or not, falls back to checking every edge in child order
-    and walking each vertex's parent chain, which finds and orders its
-    violations.
+    (_rooted_outward): no sort, no child lists, two range tests and one
+    mark lookup and store per edge, plus one has_edge call on non-complete
+    kinds.  Any other tree, valid or not, falls back to checking every
+    edge in child order and walking each vertex's parent chain, which
+    finds and orders its violations.  Children are counted per vertex in
+    an n-long list, so capacity violations come in ascending id order.
     """
     root, n, trees = inst.root, inst.n, packing.trees
     if packing.root != root:
@@ -63,14 +57,14 @@ def verify_packing(inst: Instance, packing: Packing) -> dict:
     if len(trees) != inst.num_trees:
         raise ValueError(f"packing has {len(trees)} trees, instance needs K={inst.num_trees}")
     violations: list[dict] = []
+    mark = [-1] * n
     for ti, parent in enumerate(trees):
-        if _rooted_outward(inst, parent):
+        if _rooted_outward(inst, parent, mark, ti):
             continue
         if root in parent:
             violations.append({"tree": ti, "vertex": root, "reason": "root must not have a parent"})
         bad_ids = set()
-        for child in sorted(parent):
-            par = parent[child]
+        for child, par in sorted(parent.items()):
             if not (0 <= child < n and 0 <= par < n):
                 reason = f"edge ({par}, {child}) uses a vertex outside [0, {n})"
                 violations.append({"tree": ti, "vertex": child, "reason": reason})
@@ -93,12 +87,13 @@ def verify_packing(inst: Instance, packing: Packing) -> dict:
                 status[y] = ok
                 if not ok:
                     violations.append({"tree": ti, "vertex": y, "reason": "not connected to the root"})
-    totals: Counter = Counter()
+    totals = [0] * n
     for parent in trees:
-        totals.update(parent.values())
-    caps = inst.capacities
-    over = [v for v, total in totals.items() if 0 <= v < n and total > caps[v]]
-    for v in sorted(over):
-        reason = f"capacity exceeded: {totals[v]} children across trees, capacity {caps[v]}"
-        violations.append({"tree": None, "vertex": v, "reason": reason})
+        for v in parent.values():
+            if 0 <= v < n:
+                totals[v] += 1
+    for v, (total, cap) in enumerate(zip(totals, inst.capacities)):
+        if total > cap:
+            reason = f"capacity exceeded: {total} children across trees, capacity {cap}"
+            violations.append({"tree": None, "vertex": v, "reason": reason})
     return {"valid": not violations, "violations": violations}

@@ -1,5 +1,8 @@
 """Shared builders for randomized test families and gadget witnesses, plus a reference.
 
+stripe_vector expands the tree solver's excess lists back into the K
+values that solve_mckp, the independent check of the tree DP, reads.
+
 The reference is the CLI's argparse parser, kept word for word (bar the
 name) as the earlier code that tests compare cli.parse_args with.  The
 solver stages' references live in test_differential.py.
@@ -25,6 +28,12 @@ p cnf 4 3
 1 -2 4 0
 -2 3 -4 0
 """
+
+
+def stripe_vector(excess: list[int], count: int) -> list[int]:
+    """f(1..count) of a vertex from its excess list: f(k) = k + sum(excess[:k])."""
+    padded = excess + [0] * (count - len(excess))
+    return list(itertools.accumulate(1 + x for x in padded))
 
 
 def map_items(packing: Packing) -> list[list[tuple[int, int]]]:

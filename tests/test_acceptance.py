@@ -18,6 +18,7 @@ from helpers import (
     random_3cnf,
     random_complete_instance,
     random_tree_instance,
+    stripe_vector,
 )
 from treepack import (
     Instance,
@@ -95,7 +96,7 @@ def test_criterion_4_reconstruction_soundness():
             report = verify_packing(inst, packing)
             assert report["valid"], report["violations"]
             assert objective(packing) == value
-            assert value == stripe_values(inst)[inst.root][inst.num_trees - 1]
+            assert value == inst.num_trees + sum(stripe_values(inst)[inst.root])
 
 
 def test_criterion_5_reduction_fidelity():
@@ -136,12 +137,13 @@ def test_criterion_7_invariant_suites():
         # value-vector invariants: leaf base case, monotone unit steps, bounds
         for _ in range(60):
             inst = random_tree_instance(rng, max_n=8, max_k=3, cap_hi=3)
-            values = stripe_values(inst)
             count = inst.num_trees
-            for v, vec in values.items():
+            for v, excess in stripe_values(inst).items():
+                assert len(excess) <= count and all(x >= 1 for x in excess)
+                vec = stripe_vector(excess, count)
                 neighbors = inst.neighbors(v)
                 if v != inst.root and len(neighbors) == 1:
-                    assert vec == list(range(1, count + 1))
+                    assert excess == []
                 assert all(vec[k - 1] >= k for k in range(1, count + 1))
                 assert all(vec[k] >= vec[k - 1] + 1 for k in range(1, count))
                 assert vec[count - 1] <= count * inst.n

@@ -331,7 +331,7 @@ class TestVerifyMatchesReference:
             assert report == reference_verify(inst, damaged)
             invalid += not report["valid"]
             for parent in damaged.trees:
-                ordered = verifier._rooted_outward(inst, parent)
+                ordered = verifier._rooted_outward(inst, parent, [-1] * inst.n, 0)
                 outward += ordered
                 fallback += not ordered
         assert invalid > 1500
@@ -352,7 +352,10 @@ class TestVerifyMatchesReference:
             report = verify_packing(inst, shuffled)
             assert report["valid"]
             assert report == reference_verify(inst, shuffled)
-            fallback += sum(not verifier._rooted_outward(inst, t) for t in shuffled.trees)
+            mark = [-1] * inst.n
+            fallback += sum(
+                not verifier._rooted_outward(inst, t, mark, ti) for ti, t in enumerate(shuffled.trees)
+            )
         assert fallback > 500
 
     def test_capacity_overflow_in_root_outward_packings(self):
@@ -373,7 +376,7 @@ class TestVerifyMatchesReference:
                         members.append(w)
                 maps.append(parent)
             grown = Packing(inst.root, maps)
-            assert all(verifier._rooted_outward(inst, t) for t in grown.trees)
+            assert all(verifier._rooted_outward(inst, t, [-1] * inst.n, 0) for t in grown.trees)
             report = verify_packing(inst, grown)
             assert report == reference_verify(inst, grown)
             assert all(v["tree"] is None for v in report["violations"])
@@ -395,11 +398,11 @@ class TestVerifyMatchesReference:
                 inst = make(rng, max_n=60, max_k=5, cap_hi=4)
                 sorted_args.clear()
                 assert verify_packing(inst, solve(inst))["valid"]
-                assert sorted_args == [[]]  # only the empty overflow list: no fallback sort
+                assert sorted_args == []  # no fallback sort, and overflows come in id order
                 desk = make(rng, max_n=5, max_k=3, cap_hi=3)
                 sorted_args.clear()
                 assert verify_packing(desk, brute_force_solve(desk)[1])["valid"]
-                assert sorted_args == [[]]
+                assert sorted_args == []
 
     def test_self_edges_on_complete_kind(self):
         inst = Instance("complete", 4, (3, 3, 3, 3), 1)

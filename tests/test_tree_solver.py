@@ -1,4 +1,4 @@
-"""Tree solver tests: knapsack DP, greedy merge, stripe vectors, reconstruction."""
+"""Tree solver tests: knapsack DP, greedy merge, excess lists, reconstruction."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_tree_instance
+from helpers import random_tree_instance, stripe_vector
 from treepack import (
     Instance,
     brute_force_solve,
@@ -143,16 +143,16 @@ class TestStripeValues:
     def test_star_with_two_leaves(self):
         inst = tree_instance(((0, 1), (0, 2)), (1, 0, 0), 2)
         values = stripe_values(inst)
-        assert values[0] == [2, 3]
-        assert values[1] == [1, 2]
-        assert values[2] == [1, 2]
+        assert values[0] == [1]  # f = [2, 3]
+        assert values[1] == []  # f = [1, 2]
+        assert values[2] == []
 
     def test_three_path(self):
         inst = tree_instance(((0, 1), (1, 2)), (1, 1, 0), 2)
         values = stripe_values(inst)
-        assert values[2] == [1, 2]
-        assert values[1] == [2, 3]
-        assert values[0] == [3, 4]
+        assert values[2] == []  # f = [1, 2]
+        assert values[1] == [1]  # f = [2, 3]
+        assert values[0] == [2]  # f = [3, 4]
 
     def test_leaves_score_their_stripe_count(self):
         rng = random.Random(9)
@@ -162,7 +162,7 @@ class TestStripeValues:
             for v in range(inst.n):
                 neighbors = inst.neighbors(v)
                 if v != inst.root and len(neighbors) == 1:
-                    assert values[v] == list(range(1, inst.num_trees + 1))
+                    assert values[v] == []
 
     def test_monotone_with_unit_steps_and_bounds(self):
         rng = random.Random(10)
@@ -170,11 +170,27 @@ class TestStripeValues:
             inst = random_tree_instance(rng)
             values = stripe_values(inst)
             sizes = subtree_sizes(inst)
-            for v, vec in values.items():
+            for v, excess in values.items():
+                assert len(excess) <= inst.num_trees and all(x >= 1 for x in excess)
+                vec = stripe_vector(excess, inst.num_trees)
                 for k in range(1, inst.num_trees + 1):
                     assert k <= vec[k - 1] <= k * sizes[v]
                 for k in range(1, inst.num_trees):
                     assert vec[k] >= vec[k - 1] + 1
+
+    def test_lists_stay_short_on_a_large_tree(self):
+        # n*K = 1,000,000: each list must end at its last marginal above 1.
+        rng = random.Random(4000)
+        n = 1000
+        inst = Instance(
+            kind="tree",
+            n=n,
+            capacities=tuple(rng.randint(0, 3) for _ in range(n)),
+            num_trees=n,
+            root=0,
+            edges=tuple((rng.randrange(v), v) for v in range(1, n)),
+        )
+        assert sum(map(len, stripe_values(inst).values())) <= 2 * n
 
     def test_kind_mismatch(self):
         inst = Instance(kind="complete", n=3, capacities=(1, 1, 1), num_trees=1)
@@ -239,25 +255,34 @@ class TestGreedyMerge:
     @settings(max_examples=200, deadline=None)
     @given(tree_instances())
     def test_stripe_vectors_are_concave_with_unit_marginals(self, inst):
-        for vec in stripe_values(inst).values():
+        for excess in stripe_values(inst).values():
+            assert len(excess) <= inst.num_trees
+            assert all(x >= y >= 1 for x, y in zip(excess, excess[1:] + [1])), excess
+            vec = stripe_vector(excess, inst.num_trees)
             gains = [b - a for a, b in zip([0] + vec, vec)]
             assert min(gains) >= 1
             assert all(x >= y for x, y in zip(gains, gains[1:])), vec
 
     def test_greedy_matches_mckp_at_every_vertex(self):
         rng = random.Random(2024)
-        for _ in range(300):
-            inst = random_tree_instance(rng, max_n=25, max_k=6, cap_hi=6)
+        for i in range(300):
+            if i % 3:
+                inst = random_tree_instance(rng, max_n=25, max_k=25, cap_hi=6)
+            else:
+                inst = hub_tree_instance(rng, max_n=16)
+            count = inst.num_trees
             values = stripe_values(inst)
             children, _ = rooted_children(inst)
             for u, kids in children.items():
                 if not kids:
                     continue
-                vecs = [values[w] for w in kids]
-                for k in range(1, inst.num_trees + 1):
+                excesses = [values[w] for w in kids]
+                vecs = [stripe_vector(e, count) for e in excesses]
+                vec = stripe_vector(values[u], count)
+                for k in range(1, count + 1):
                     value, allocation = solve_mckp(k, inst.capacities[u], vecs)
-                    assert values[u][k - 1] == value
-                    assert greedy_allocation(k, inst.capacities[u], vecs) == allocation
+                    assert vec[k - 1] == value
+                    assert greedy_allocation(k, inst.capacities[u], excesses) == allocation
 
     def test_wide_star(self):
         # Guards the fast path: a knapsack per vertex and per k takes minutes here.
@@ -275,6 +300,14 @@ class TestGreedyMerge:
         report = verify_packing(inst, packing)
         assert report["valid"], report["violations"]
         assert objective(packing) == value
+
+    def test_capacity_beyond_a_machine_word(self):
+        # The unit-marginal fill takes min(spare slots, sys.maxsize) entries.
+        inst = tree_instance(((0, 1), (0, 2), (2, 3)), (10**30, 0, 10**30, 0), 3)
+        value, packing = solve_tree(inst)
+        assert value == 3 * 4
+        assert all(tree == {1: 0, 2: 0, 3: 2} for tree in packing.trees)
+        assert greedy_allocation(3, 10**30, [[], [2, 1]]) == [3, 3]
 
 
 def hub_tree_instance(rng: random.Random, max_n: int = 40) -> Instance:
