@@ -36,10 +36,6 @@ import sys
 from types import SimpleNamespace
 
 from .core import (
-    KIND_COMPLETE,
-    KIND_GENERAL,
-    KIND_TREE,
-    MAX_VERTICES,
     Instance,
     SearchLimitExceeded,
     _on_first_call,
@@ -107,11 +103,10 @@ def _note(message: str) -> None:
 
 def cmd_solve(args: SimpleNamespace) -> int:
     inst = _read_instance(args.instance)
-    alg = args.alg
-    if alg == "auto":
-        alg = {KIND_COMPLETE: "complete", KIND_TREE: "tree", KIND_GENERAL: "greedy"}[inst.kind]
-        if alg == "greedy":
-            _note("general instance: greedy baseline, result is heuristic, not optimal")
+    alg = inst.kind if args.alg == "auto" else args.alg  # the kind names its exact solver
+    if alg == "general":
+        alg = "greedy"
+        _note("general instance: greedy baseline, result is heuristic, not optimal")
     if alg == "complete" and args.value_only:
         value, packing = optimal_objective(inst), None
     elif alg == "complete":
@@ -155,7 +150,7 @@ def cmd_oracle(args: SimpleNamespace) -> int:
 def cmd_reduce(args: SimpleNamespace) -> int:
     with open(args.cnf, "rb") as fh:
         sat = load_dimacs(fh)
-    reduction = reduce_3sat(sat, max_vertices=args.max_vertices)
+    reduction = reduce_3sat(sat)
     gadget, gamma = reduction.instance, reduction.gamma
     _write(args.output, json.dumps(instance_to_dict(gadget)) + "\n")
     if args.labels is not None:
@@ -173,7 +168,7 @@ _OUTPUT = ("-o", "--output"), None, str, "also write the result JSON here"
 # attribute), default (... if required), kind (int, str, choices tuple, bool switch), help.
 COMMANDS = {
     "solve": (cmd_solve, "solve an instance", [_INSTANCE, _OUTPUT,
-        (("--alg",), "auto", ("auto", "complete", "tree", "greedy"), "solver (default auto)"),
+        (("--alg",), "auto", ("auto", "greedy"), "solver (default auto)"),
         (("--value-only",), False, bool, "emit the objective only")]),
     "verify": (cmd_verify, "verify a packing against an instance",
         [_INSTANCE, (("-p", "--packing"), ..., str, "packing JSON file")]),
@@ -183,8 +178,7 @@ COMMANDS = {
     "reduce": (cmd_reduce, "turn a 3-CNF into a packing instance", [
         (("--cnf",), ..., str, "DIMACS CNF file"),
         (("-o", "--output"), ..., str, "instance JSON to write"),
-        (("--labels",), None, str, "sidecar JSON for the threshold and vertex roles"),
-        (("--max-vertices",), MAX_VERTICES, int, f"gadget vertex limit (default {MAX_VERTICES})")]),
+        (("--labels",), None, str, "sidecar JSON for the threshold and vertex roles")]),
 }  # fmt: skip
 _VALUE = {bool: "", int: " N", str: " FILE"}  # how help shows the value of each kind
 

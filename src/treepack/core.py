@@ -28,16 +28,11 @@ KIND_COMPLETE = "complete"
 KIND_TREE = "tree"
 KINDS = (KIND_GENERAL, KIND_COMPLETE, KIND_TREE)
 
-# Gadget vertex limit of reduce_3sat: far above desk-size formulas and
-# SATLIB-scale ones (uf250: 1,816 vertices), far below a header that asks
-# for gigabytes.
-MAX_VERTICES = 100_000
-
 
 class SearchLimitExceeded(RuntimeError):
     """Raised when an input is past a limit on the work a command may do.
 
-    The oracle's max_n and max_k and reduce_3sat's max_vertices are such
+    The oracle's max_n and max_k and reduction.MAX_VERTICES are such
     limits; the CLI exits with code 3 on this error.
     """
 
@@ -250,18 +245,15 @@ def instance_from_dict(data: object) -> Instance:
     missing = [key for key in ("kind", "n", "capacities", "K") if key not in data]
     if missing:
         raise ValueError(f"instance: missing field(s) {', '.join(missing)}")
-    kind = data["kind"]
-    if not isinstance(kind, str):
-        raise ValueError(f"kind: expected a string, got {kind!r}")
     capacities = data["capacities"]
     if not isinstance(capacities, list):
         raise ValueError("capacities: expected a list")
     edges = data.get("edges")
     if edges is not None and not isinstance(edges, list):
         raise ValueError("edges: expected a list")
-    # Instance unpacks, checks and normalizes each edge itself.
+    # Instance checks the kind, and unpacks, checks and normalizes each edge itself.
     return Instance(
-        kind=kind.lower(),
+        kind=data["kind"],
         n=data["n"],
         capacities=capacities,
         num_trees=data["K"],

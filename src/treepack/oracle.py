@@ -59,7 +59,7 @@ def brute_force_solve(inst: Instance, *, max_n: int = 8, max_k: int = 3) -> tupl
         # for the rest of this branch, which makes every tree reachable by
         # exactly one decision path.
         for idx, (u, v) in enumerate(ext):
-            if v == root or v in parent or caps[u] == 0:
+            if v in parent or caps[u] == 0:  # no candidate ends at the root
                 continue
             caps[u] -= 1
             cap_total -= 1

@@ -13,7 +13,6 @@ from io import IOBase
 
 from .core import (
     KIND_GENERAL,
-    MAX_VERTICES,
     Instance,
     Packing,
     SearchLimitExceeded,
@@ -23,6 +22,11 @@ from .core import (
 )
 
 verify_packing = _on_first_call("verifier", "verify_packing")  # loaded only by extract_assignment
+
+# Gadget vertex limit of reduce_3sat: far above desk-size formulas and
+# SATLIB-scale ones (uf250: 1,816 vertices), far below a header that asks
+# for gigabytes.
+MAX_VERTICES = 100_000
 
 
 class SatInstance(_Value):
@@ -132,7 +136,7 @@ def load_dimacs(source: IOBase) -> SatInstance:
     return parse_dimacs(source.read().decode("utf-8"))
 
 
-def reduce_3sat(sat: SatInstance, *, max_vertices: int = MAX_VERTICES) -> ReductionOutput:
+def reduce_3sat(sat: SatInstance) -> ReductionOutput:
     """Build the gadget instance for a formula.
 
     Vertex layout: 0 is the root, 1..n the selectors, then the literal
@@ -143,15 +147,15 @@ def reduce_3sat(sat: SatInstance, *, max_vertices: int = MAX_VERTICES) -> Reduct
     duplicates are dropped within each clause.
 
     The declared variable count, not the formula's length, sets the
-    gadget's size, so a gadget of more than max_vertices vertices raises
+    gadget's size, so a gadget of more than MAX_VERTICES vertices raises
     SearchLimitExceeded before anything is built.
     """
     n = sat.num_vars
     m = sat.num_clauses
     size = _clause_vertex(n, m) + 1
-    if size > max_vertices:
+    if size > MAX_VERTICES:
         raise SearchLimitExceeded(
-            f"gadget of {size} vertices exceeds the limit max_vertices={max_vertices}"
+            f"gadget of {size} vertices exceeds the limit max_vertices={MAX_VERTICES}"
         )
     labels = {0: "root"}
     edges: list[tuple[int, int]] = []

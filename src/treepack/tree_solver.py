@@ -28,15 +28,19 @@ later marginal is 1.  With d children, M_k holds d*k marginals, so h(k)
 is min(c, d*k) for the marginals themselves plus the sum of the c largest
 child excesses at levels 1..k.  One pass over the levels with a min-heap
 of those excesses builds e_u and stops at the first level that adds
-nothing, so a vertex costs O((d + L) * log c), where L is the length of
-its own and its children's lists, never more than K each.
-Reconstruction reads each child's level off the same ranking.
+nothing, or at u's reach, the most trees u can be served by: K at the
+root, and min(reach(u), c_u) for a child of u, which is served by no
+more trees than u and takes at most c_u of u's slots.  Cutting a child
+w's list at reach(w) changes nothing at u: at a level past c_u, w's
+first c_u excesses are each at least as large as the one cut, so the
+sum of the c_u largest stays the same.  A vertex costs O((d + L) * log
+c), where L is the length of its own and its children's lists, never
+more than its reach each.  Reconstruction reads each child's level off
+the same ranking.
 """
 
 from heapq import heappop, heappush, nsmallest
 from collections.abc import Sequence
-from itertools import islice
-from sys import maxsize
 
 from .core import KIND_TREE, Instance, Packing
 
@@ -112,49 +116,59 @@ def greedy_allocation(stripes: int, capacity: int, excesses: Sequence[Sequence[i
     level; a child's level is how many of its marginals are taken.  The
     marginals above 1 are the children's excess lists, as stripe_values
     returns them, and rank first; the slots left over go to marginals of
-    exactly 1, child by child.  For concave value functions this is the
-    allocation solve_mckp returns.
+    exactly 1, child by child, each child taking the levels past its list
+    in one step.  For concave value functions this is the allocation
+    solve_mckp returns.
     """
     ranked = [(-x, i) for i, excess in enumerate(excesses) for x in excess[:stripes]]
     levels = [0] * len(excesses)
     for _, i in nsmallest(capacity, ranked):
         levels[i] += 1
-    ones = (i for i, excess in enumerate(excesses) for _ in range(len(excess), stripes))
-    # islice needs a word-sized stop, and a capacity can exceed sys.maxsize
-    for i in islice(ones, max(0, min(capacity - len(ranked), maxsize))):
-        levels[i] += 1
+    spare = max(capacity - len(ranked), 0)
+    for i, excess in enumerate(excesses):
+        ones = min(max(stripes - len(excess), 0), spare)
+        levels[i] += ones
+        spare -= ones
     return levels
 
 
-def _rooted(inst: Instance) -> tuple[list[int], list[int]]:
-    """Each vertex's parent toward the root (-1 at the root), plus a root-first order."""
+def _rooted(inst: Instance) -> tuple[list[int], list[int], list[int]]:
+    """Each vertex's parent toward the root (-1 at the root), a root-first order, and reach.
+
+    reach[v] bounds the trees v can be served by: K at the root, and
+    min(reach[u], c_u) for a child of u.
+    """
     if inst.kind != KIND_TREE:
         raise ValueError(f"kind: expected a tree instance, got {inst.kind!r}")
     up = [-1] * inst.n
+    reach = [inst.num_trees] * inst.n
     order = [inst.root]
     for u in order:
         for w in inst.neighbors(u):
             if w != up[u]:
                 up[w] = u
+                reach[w] = min(reach[u], inst.capacities[u])
                 order.append(w)
-    return up, order
+    return up, order, reach
 
 
 def stripe_values(inst: Instance) -> dict[int, list[int]]:
     """Excess lists of every vertex of a tree instance, by the greedy merge.
 
     Entry k-1 of vertex u's list is f_u(k) - f_u(k-1) - 1, where f_u(k) is
-    the best occupancy of u's subtree with u served by k trees; the list
-    ends before the first level whose marginal is 1, so f_u(k) = k +
-    sum(list[:k]).  Children are finished before their parents (iterative,
-    so path-like trees of any depth are fine).  For each inner vertex one
-    pass over the levels pushes every child's level-k excess into a
-    min-heap holding the best `capacity` excesses so far, keeping their
-    sum; u's level-k excess is the growth of min(capacity, d*k), for d
-    children, plus the growth of that sum, and the pass stops where it is 0.
+    the best occupancy of u's subtree with u served by k trees.  The list
+    ends before the first level whose marginal is 1, or at u's reach, the
+    most trees u can be served by, so f_u(k) = k + sum(list[:k]) for every
+    k up to the reach.  Children are finished before their parents
+    (iterative, so path-like trees of any depth are fine).  For each inner
+    vertex one pass over the levels pushes every child's level-k excess
+    into a min-heap holding the best `capacity` excesses so far, keeping
+    their sum; u's level-k excess is the growth of min(capacity, d*k), for
+    d children, plus the growth of that sum, and the pass stops where it
+    is 0.
     """
-    up, order = _rooted(inst)
-    caps, count = inst.capacities, inst.num_trees
+    up, order, reach = _rooted(inst)
+    caps = inst.capacities
     values: dict[int, list[int]] = {}
     for u in reversed(order):
         kids = [values[w] for w in inst.neighbors(u) if w != up[u]]
@@ -162,7 +176,7 @@ def stripe_values(inst: Instance) -> dict[int, list[int]]:
         taken: list[int] = []  # min-heap of the chosen excesses
         total = reached = 0
         values[u] = excess = []
-        for k in range(count):
+        for k in range(reach[u]):
             kids = [e for e in kids if len(e) > k]
             for e in kids:
                 heappush(taken, e[k])

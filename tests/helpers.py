@@ -1,11 +1,13 @@
 """Shared builders for randomized test families and gadget witnesses, plus a reference.
 
 stripe_vector expands the tree solver's excess lists back into the K
-values that solve_mckp, the independent check of the tree DP, reads.
+values that solve_mckp, the independent check of the tree DP, reads;
+they are exact up to each vertex's reach, where its list stops.
 
-The reference is the CLI's argparse parser, kept word for word (bar the
-name) as the earlier code that tests compare cli.parse_args with.  The
-solver stages' references live in test_differential.py.
+The reference is the CLI's argparse parser, kept as the earlier code
+that tests compare cli.parse_args with, less the options since removed
+(--alg complete and tree, reduce --max-vertices).  The solver stages'
+references live in test_differential.py.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import random
 
 from treepack import Instance, Packing, ReductionOutput, SatInstance
 from treepack.cli import cmd_oracle, cmd_reduce, cmd_solve, cmd_verify
-from treepack.core import MAX_VERTICES
 
 # Worked example used across the reduction and CLI tests:
 # (x1 v x2 v !x3) & (x1 v !x2 v x4) & (!x2 v x3 v !x4)
@@ -31,7 +32,7 @@ p cnf 4 3
 
 
 def stripe_vector(excess: list[int], count: int) -> list[int]:
-    """f(1..count) of a vertex from its excess list: f(k) = k + sum(excess[:k])."""
+    """f(1..count) of a vertex from its excess list: f(k) = k + sum(excess[:k]), up to its reach."""
     padded = excess + [0] * (count - len(excess))
     return list(itertools.accumulate(1 + x for x in padded))
 
@@ -223,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve an instance")
     p.add_argument("-i", "--instance", required=True, help="instance JSON file")
-    p.add_argument("--alg", choices=("auto", "complete", "tree", "greedy"), default="auto")
+    p.add_argument("--alg", choices=("auto", "greedy"), default="auto")
     p.add_argument("-o", "--output", help="also write the result JSON here")
     p.add_argument("--value-only", action="store_true", help="emit the objective only")
     p.set_defaults(func=cmd_solve)
@@ -244,11 +245,5 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cnf", required=True, help="DIMACS CNF file")
     p.add_argument("-o", "--output", required=True, help="instance JSON to write")
     p.add_argument("--labels", help="sidecar JSON for the threshold and vertex roles")
-    p.add_argument(
-        "--max-vertices",
-        type=int,
-        default=MAX_VERTICES,
-        help=f"gadget vertex limit (default {MAX_VERTICES})",
-    )
     p.set_defaults(func=cmd_reduce)
     return parser

@@ -65,9 +65,9 @@ class TestSolve:
         assert code == 0
         assert json.loads(out) == {"objective": 7}
 
-    @pytest.mark.parametrize("alg", ["auto", "complete"])
+    @pytest.mark.parametrize("extra", [["--alg", "auto"], []], ids=["auto", "default"])
     def test_value_only_on_complete_takes_the_closed_form(
-        self, capsys, write_json, monkeypatch, alg
+        self, capsys, write_json, monkeypatch, extra
     ):
         rng = random.Random(31)
         cases = [random_complete_instance(rng, max_n=30, max_k=8, cap_hi=6) for _ in range(25)]
@@ -79,25 +79,27 @@ class TestSolve:
         monkeypatch.setattr(cli, "solve_complete", boom)
         for inst, value in zip(cases, values):
             path = write_json("c.json", instance_to_dict(inst))
-            code, out, err = run(capsys, "solve", "-i", path, "--alg", alg, "--value-only")
+            code, out, err = run(capsys, "solve", "-i", path, *extra, "--value-only")
             assert code == 0
             assert out == json.dumps({"objective": value}) + "\n"
             assert err == (
                 f"objective {value} (complete, kind=complete, n={inst.n}, K={inst.num_trees})\n"
             )
 
-    def test_value_only_kind_mismatch_is_input_error(self, capsys, write_json):
-        inst = write_json("t3.json", TREE3)
-        for extra in ([], ["--value-only"]):
-            code, out, err = run(capsys, "solve", "-i", inst, "--alg", "complete", *extra)
-            assert (code, out) == (2, "")
-            assert err == "error: kind: expected a complete instance, got 'tree'\n"
+    def test_kind_picks_the_solver_unless_greedy_is_asked(self, capsys, write_json):
+        for data, alg in ((COMPLETE4, "complete"), (TREE3, "tree"), (GENERAL4, "greedy")):
+            inst = write_json("inst.json", data)
+            for extra, expected in (([], alg), (["--alg", "greedy"], "greedy")):
+                code, _, err = run(capsys, "solve", "-i", inst, *extra)
+                assert code == 0
+                assert f" ({expected}, kind={data['kind']}, n=" in err.splitlines()[-1]
 
-    def test_auto_matches_tree_alg_exactly(self, capsys, write_json):
-        inst = write_json("t3.json", TREE3)
-        _, out_auto, _ = run(capsys, "solve", "-i", inst, "--alg", "auto")
-        _, out_tree, _ = run(capsys, "solve", "-i", inst, "--alg", "tree")
-        assert out_auto == out_tree
+    def test_kind_is_matched_exactly(self, capsys, write_json):
+        for kind in ("Complete", "COMPLETE", " complete"):
+            inst = write_json("c4.json", dict(COMPLETE4, kind=kind))
+            code, out, err = run(capsys, "solve", "-i", inst)
+            assert (code, out) == (2, "")
+            assert err == f"error: kind: expected one of ('general', 'complete', 'tree'), got {kind!r}\n"
 
     def test_general_auto_warns_heuristic(self, capsys, write_json):
         inst = write_json("g4.json", GENERAL4)
@@ -107,24 +109,14 @@ class TestSolve:
         assert json.loads(out)["objective"] >= 2
 
     def test_solve_then_verify_is_valid(self, capsys, write_json, tmp_path):
-        for name, inst_data, alg in (
-            ("c4.json", COMPLETE4, "complete"),
-            ("t3.json", TREE3, "tree"),
-            ("g4.json", GENERAL4, "greedy"),
-        ):
+        for name, inst_data in (("c4.json", COMPLETE4), ("t3.json", TREE3), ("g4.json", GENERAL4)):
             inst = write_json(name, inst_data)
             pack = str(tmp_path / f"{name}.pack")
-            code, _, _ = run(capsys, "solve", "-i", inst, "--alg", alg, "-o", pack)
+            code, _, _ = run(capsys, "solve", "-i", inst, "-o", pack)
             assert code == 0
             code, out, _ = run(capsys, "verify", "-i", inst, "-p", pack)
             assert code == 0
             assert json.loads(out)["valid"] is True
-
-    def test_kind_mismatch_is_input_error(self, capsys, write_json):
-        inst = write_json("g4.json", GENERAL4)
-        code, _, err = run(capsys, "solve", "-i", inst, "--alg", "complete")
-        assert code == 2
-        assert "error" in err
 
     def test_tree_with_a_cycle_and_an_isolated_vertex_is_input_error(self, capsys, write_json):
         # n - 1 edges, so only the connectivity test can reject it.
@@ -378,12 +370,6 @@ class TestReduce:
         assert out == ""
         assert err == "error: gadget of 240002 vertices exceeds the limit max_vertices=100000\n"
         assert not gadget.exists()
-        argv = ["reduce", "--cnf", str(cnf), "-o", str(gadget), "--max-vertices", "15"]
-        cnf.write_text(EXAMPLE_DIMACS)
-        assert run(capsys, *argv)[0] == 3
-        argv[-1] = "16"
-        assert run(capsys, *argv)[0] == 0
-        assert json.loads(gadget.read_text())["n"] == 16
 
 
 EXAMPLE_GADGET = (

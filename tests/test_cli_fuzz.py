@@ -171,15 +171,13 @@ def run_cli(*argv: str) -> tuple[int, str]:
     return code, err.getvalue()
 
 
-def expected_codes(inst_bytes: bytes, pack_bytes: bytes, alg: str, max_n: int) -> dict:
+def expected_codes(inst_bytes: bytes, pack_bytes: bytes, max_n: int) -> dict:
     """Exit codes each subcommand must give when the instance itself is valid."""
     try:
         inst = load_instance(io.BytesIO(inst_bytes))
     except ValueError:
         return {}
-    expect = {"oracle": {0} if inst.n <= max_n and inst.num_trees <= 3 else {3}}
-    if alg in ("auto", "greedy") or alg == inst.kind:
-        expect["solve"] = {0}
+    expect = {"oracle": {0} if inst.n <= max_n and inst.num_trees <= 3 else {3}, "solve": {0}}
     try:
         packing = load_packing(io.BytesIO(pack_bytes), inst)
     except ValueError:
@@ -231,7 +229,7 @@ def test_instance_and_packing_documents(work, data, inst):
         pack_bytes = encode_json(draw, pack_doc, inst.n)
     inst_path.write_bytes(inst_bytes)
     pack_path.write_bytes(pack_bytes)
-    alg = draw(st.sampled_from(("auto", "complete", "tree", "greedy")))
+    alg = draw(st.sampled_from(("auto", "greedy")))
     extra = ["--value-only"] if draw(st.booleans()) else []
     max_n = draw(st.integers(inst.n - 1, 4))  # below n: the search limit
     calls = (
@@ -239,7 +237,7 @@ def test_instance_and_packing_documents(work, data, inst):
         ("verify", ["-i", str(inst_path), "-p", str(pack_path)]),
         ("oracle", ["-i", str(inst_path), "-o", str(out_path), "--max-n", str(max_n)]),
     )
-    expect = expected_codes(inst_bytes, pack_bytes, alg, max_n)
+    expect = expected_codes(inst_bytes, pack_bytes, max_n)
     for command, args in calls:
         code, err = run_cli(command, *args)
         check(command, code, err, expect.get(command, (0, 1, 2, 3)))

@@ -30,7 +30,7 @@ COMMAND_HELP = {
 SURFACE = {
     "solve": [
         "-i", "--instance", "instance JSON file",
-        "--alg", "auto", "complete", "tree", "greedy",
+        "--alg", "auto", "greedy",
         "-o", "--output", "also write the result JSON here",
         "--value-only", "emit the objective only",
     ],
@@ -44,7 +44,6 @@ SURFACE = {
         "--cnf", "DIMACS CNF file",
         "-o", "--output", "instance JSON to write",
         "--labels", "sidecar JSON for the threshold and vertex roles",
-        "--max-vertices", "gadget vertex limit (default 100000)",
     ],
 }  # fmt: skip
 
@@ -100,7 +99,7 @@ USAGE_ERRORS = {
     "unknown-command": ["bogus"],
     "unknown-option": ["solve", "-i", "c4.json", "--bogus"],
     "stray-word": ["solve", "-i", "c4.json", "extra"],
-    "missing-instance": ["solve", "--alg", "tree"],
+    "missing-instance": ["solve", "--alg", "greedy"],
     "missing-packing": ["verify", "-i", "c4.json"],
     "missing-reduce-output": ["reduce", "--cnf", "f.cnf"],
     "no-value-at-end": ["solve", "-i"],
@@ -108,8 +107,10 @@ USAGE_ERRORS = {
     "max-n-not-int": ["oracle", "-i", "c4.json", "--max-n", "eight"],
     "max-k-not-int": ["oracle", "-i", "c4.json", "--max-k", "1.5"],
     "max-n-empty": ["oracle", "-i", "c4.json", "--max-n="],
-    "max-vertices-not-int": ["reduce", "--cnf", "f.cnf", "-o", "g.json", "--max-vertices", "ten"],
+    "max-vertices-removed": ["reduce", "--cnf", "f.cnf", "-o", "g.json", "--max-vertices", "9"],
     "alg-nope": ["solve", "-i", "c4.json", "--alg", "nope"],
+    "alg-complete": ["solve", "-i", "c4.json", "--alg", "complete"],
+    "alg-tree": ["solve", "-i", "t3.json", "--alg", "tree"],
     "switch-with-value": ["solve", "-i", "c4.json", "--value-only=yes"],
 }
 
@@ -135,11 +136,11 @@ def test_usage_error_names_the_bad_value(capsys, files):
 @pytest.mark.parametrize(
     "spaced",
     [
-        ["solve", "-i", "t3.json", "--alg", "tree"],
+        ["solve", "-i", "t3.json", "--alg", "greedy"],
         ["solve", "--instance", "c4.json", "--value-only"],
         ["oracle", "-i", "t3.json", "--max-n", "3", "--max-k", "2"],
         ["oracle", "-i", "c4.json", "--max-n", "3"],
-        ["reduce", "--cnf", "f.cnf", "--output", "g.json", "--max-vertices", "9"],
+        ["reduce", "--cnf", "f.cnf", "--output", "g.json", "--labels", "l.json"],
     ],
 )
 def test_equals_form_matches_spaced_form(capsys, files, spaced):
@@ -177,7 +178,7 @@ def option_family(rng: random.Random) -> list[str]:
         return str(rng.randint(-12, 12))
 
     def alg():
-        return rng.choice(["auto", "complete", "tree", "greedy"])
+        return rng.choice(["auto", "greedy"])
 
     options = {
         "solve": [(("-i", "--instance"), path, True), (("--alg",), alg, False),
@@ -186,7 +187,7 @@ def option_family(rng: random.Random) -> list[str]:
         "oracle": [(("-i", "--instance"), path, True), (("-o", "--output"), path, False),
             (("--max-n",), number, False), (("--max-k",), number, False)],
         "reduce": [(("--cnf",), path, True), (("-o", "--output"), path, True),
-            (("--labels",), path, False), (("--max-vertices",), number, False)],
+            (("--labels",), path, False)],
     }  # fmt: skip
     command = rng.choice(sorted(options))
     words = []

@@ -177,6 +177,9 @@ class TestSolveComplete:
         ]
 
     def test_kind_mismatch(self):
-        inst = Instance(kind="general", n=2, capacities=(1, 1), num_trees=1, edges=((0, 1),))
-        with pytest.raises(ValueError, match="complete"):
-            solve_complete(inst)
+        for kind in ("general", "tree"):
+            inst = Instance(kind=kind, n=2, capacities=(1, 1), num_trees=1, edges=((0, 1),))
+            for solve in (solve_complete, optimal_objective):
+                with pytest.raises(ValueError) as exc:
+                    solve(inst)
+                assert str(exc.value) == f"kind: expected a complete instance, got {kind!r}"

@@ -1,11 +1,13 @@
-"""README's Library example runs as written, so an API change cannot leave it stale."""
+"""README's Library example runs and its CLI examples parse, so an API change cannot leave them stale."""
 
 from __future__ import annotations
 
 import re
+import shlex
 from pathlib import Path
 
 from helpers import assignment_satisfies
+from treepack import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -26,3 +28,13 @@ def test_library_example_runs_and_its_comments_hold():
     assert scope["best"] == 12
     assert scope["vertex"]["x2"] == 7
     assert assignment_satisfies(scope["sat"], scope["assignment"])
+
+
+def test_cli_examples_parse():
+    """Every `treepack ...` line in README's shell blocks is a valid call."""
+    blocks = re.findall(r"^```sh\n(.*?)^```$", README.read_text(encoding="utf-8"), flags=re.S | re.M)
+    lines = [line for block in blocks for line in block.splitlines()]
+    calls = [shlex.split(line)[1:] for line in lines if line.startswith("treepack ")]
+    assert len(calls) >= 5
+    for argv in calls:
+        assert cli.parse_args(argv).command == argv[0], argv

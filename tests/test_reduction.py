@@ -35,6 +35,7 @@ from treepack import (
     reduce_3sat,
     verify_packing,
 )
+from treepack import reduction
 from treepack.cli import main
 
 
@@ -161,14 +162,16 @@ class TestReduce3Sat:
             if all(len({abs(l) for l in cl}) == 3 for cl in sat.clauses):
                 assert len(out.instance.edges) == 3 * n + 3 * m
 
-    def test_vertex_limit_checked_before_building(self):
-        # 1 + 3 * 4 + 3 = 16 vertices: allowed at exactly the limit.
-        assert reduce_3sat(EXAMPLE_FORMULA, max_vertices=16).instance.n == 16
-        with pytest.raises(SearchLimitExceeded, match="16 vertices .* max_vertices=15"):
-            reduce_3sat(EXAMPLE_FORMULA, max_vertices=15)
-        # The variable count alone sets the size; the default limit stops it.
+    def test_vertex_limit_checked_before_building(self, monkeypatch):
+        # The variable count alone sets the size; the limit stops it.
         with pytest.raises(SearchLimitExceeded, match="max_vertices=100000"):
             reduce_3sat(SatInstance(10**30, ((1, 2, 3),)))
+        # 1 + 3 * 4 + 3 = 16 vertices: allowed at exactly the limit.
+        monkeypatch.setattr(reduction, "MAX_VERTICES", 16)
+        assert reduce_3sat(EXAMPLE_FORMULA).instance.n == 16
+        monkeypatch.setattr(reduction, "MAX_VERTICES", 15)
+        with pytest.raises(SearchLimitExceeded, match="16 vertices .* max_vertices=15"):
+            reduce_3sat(EXAMPLE_FORMULA)
 
 
 def example_witness() -> tuple:

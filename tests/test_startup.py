@@ -166,7 +166,6 @@ class TestPackageApi:
 
         assert treepack.SearchLimitExceeded is oracle.SearchLimitExceeded is core.SearchLimitExceeded
         assert reduction.SearchLimitExceeded is core.SearchLimitExceeded
-        assert reduction.MAX_VERTICES is core.MAX_VERTICES
 
 
 @pytest.mark.parametrize(

@@ -65,6 +65,16 @@ def rooted_children(inst: Instance) -> tuple[dict[int, list[int]], list[int]]:
     return children, order
 
 
+def reaches(inst: Instance) -> dict[int, int]:
+    """The most trees each vertex can be served by: K at the root, min(reach(u), c_u) below u."""
+    children, order = rooted_children(inst)
+    reach = {inst.root: inst.num_trees}
+    for u in order:
+        for w in children[u]:
+            reach[w] = min(reach[u], inst.capacities[u])
+    return reach
+
+
 def subtree_sizes(inst: Instance) -> dict[int, int]:
     children, order = rooted_children(inst)
     size = {}
@@ -192,6 +202,18 @@ class TestStripeValues:
         )
         assert sum(map(len, stripe_values(inst).values())) <= 2 * n
 
+    def test_lists_stop_at_the_reach(self):
+        # A path of capacity-K vertices under a root of capacity 1: every
+        # vertex below the root is served by at most one tree.  Without the
+        # cut at the reach the lists hold (n - 1)**2 entries.
+        n = 1000
+        inst = tree_instance(tuple((v, v + 1) for v in range(n - 1)), (1,) + (n,) * (n - 1), n)
+        values = stripe_values(inst)
+        assert sum(map(len, values.values())) <= 2 * n
+        assert solve_tree(inst, value_only=True)[0] == n + (n - 1)
+        reach = reaches(inst)
+        assert all(len(values[v]) <= reach[v] for v in range(n))
+
     def test_kind_mismatch(self):
         inst = Instance(kind="complete", n=3, capacities=(1, 1, 1), num_trees=1)
         with pytest.raises(ValueError, match="tree"):
@@ -247,8 +269,10 @@ class TestSolveTree:
 
     def test_kind_mismatch(self):
         inst = Instance(kind="complete", n=3, capacities=(1, 1, 1), num_trees=1)
-        with pytest.raises(ValueError, match="tree"):
-            solve_tree(inst)
+        for value_only in (False, True):
+            with pytest.raises(ValueError) as exc:
+                solve_tree(inst, value_only=value_only)
+            assert str(exc.value) == "kind: expected a tree instance, got 'complete'"
 
 
 class TestGreedyMerge:
@@ -273,13 +297,14 @@ class TestGreedyMerge:
             count = inst.num_trees
             values = stripe_values(inst)
             children, _ = rooted_children(inst)
+            reach = reaches(inst)
             for u, kids in children.items():
                 if not kids:
                     continue
                 excesses = [values[w] for w in kids]
                 vecs = [stripe_vector(e, count) for e in excesses]
                 vec = stripe_vector(values[u], count)
-                for k in range(1, count + 1):
+                for k in range(1, reach[u] + 1):  # a list stops at its vertex's reach
                     value, allocation = solve_mckp(k, inst.capacities[u], vecs)
                     assert vec[k - 1] == value
                     assert greedy_allocation(k, inst.capacities[u], excesses) == allocation
@@ -302,7 +327,7 @@ class TestGreedyMerge:
         assert objective(packing) == value
 
     def test_capacity_beyond_a_machine_word(self):
-        # The unit-marginal fill takes min(spare slots, sys.maxsize) entries.
+        # The unit-marginal fill hands out slots past a machine word.
         inst = tree_instance(((0, 1), (0, 2), (2, 3)), (10**30, 0, 10**30, 0), 3)
         value, packing = solve_tree(inst)
         assert value == 3 * 4
