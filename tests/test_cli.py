@@ -94,6 +94,17 @@ class TestSolve:
                 assert code == 0
                 assert f" ({expected}, kind={data['kind']}, n=" in err.splitlines()[-1]
 
+    def test_value_only_kind_mismatch_is_input_error(self, capsys, write_json):
+        # --value-only takes no shortcut past the kind check.
+        for data, kind in ((TREE3, "Tree"), (COMPLETE4, "Complete")):
+            inst = write_json("inst.json", dict(data, kind=kind))
+            for extra in ([], ["--value-only"]):
+                code, out, err = run(capsys, "solve", "-i", inst, *extra)
+                assert (code, out) == (2, "")
+                assert err == (
+                    f"error: kind: expected one of ('general', 'complete', 'tree'), got {kind!r}\n"
+                )
+
     def test_kind_is_matched_exactly(self, capsys, write_json):
         for kind in ("Complete", "COMPLETE", " complete"):
             inst = write_json("c4.json", dict(COMPLETE4, kind=kind))
