@@ -11,45 +11,38 @@ def greedy_general(inst: Instance) -> Packing:
     insertion order, so breadth first); rounds repeat until no tree can
     grow.  Feasible by construction.  No optimality claim.
 
-    Runs in O((n + m)·K) time and O(n + objective) memory: capacities only
-    fall and member sets only grow, so a member that cannot adopt now never
-    can again.  A tree's members are its root and its parent map's keys.
-    Each tree keeps a head index past its leading dead members and a cursor
-    into the head's sorted neighbor list past neighbors the tree already
-    holds; a scan stops at the first member that can adopt, so no other
-    member needs a cursor.  On complete kinds every head scans range(n), so
-    the cursor carries over between heads: O(n + K + objective) time.
+    Each tree is a generator, grow(parent), suspended after each adoption
+    in the middle of one scan: over its member list, which grows as it
+    adopts, and over the current member's neighbors.  Capacities only
+    fall and member sets only grow, so a member that cannot adopt now
+    never can again, and a neighbor already passed stays a member.  After
+    each turn the scan leaves a member whose last unit of capacity is
+    spent, by this tree or by another.  Each tree therefore reads each
+    member's neighbors at most once: O((n + m)·K) time and
+    O(n + objective) memory, a tree's members being its root and its
+    parent map's keys.  On complete kinds all members of a tree share one
+    pass over range(n), so no neighbor list is built and the time is
+    O(n + K + objective).
     """
     root = inst.root
-    count = inst.num_trees
     caps = list(inst.capacities)
-    parents: list[dict[int, int]] = [{} for _ in range(count)]
-    orders = [[root] for _ in range(count)]
-    everyone = range(inst.n) if inst.kind == KIND_COMPLETE else None  # n >= 1: truthy
-    scans = [(0, 0)] * count  # (head, cursor) per tree
-    live = list(range(count))
-    while live:
-        growing = []
-        for k in live:
-            order, parent = orders[k], parents[k]
-            i, j = scans[k]
-            found = None
-            while i < len(order):
-                u = order[i]
-                if caps[u] > 0:
-                    nbrs = everyone or inst.neighbors(u)
-                    while j < len(nbrs) and ((w := nbrs[j]) == root or w in parent):
-                        j += 1
-                    if j < len(nbrs):
-                        found = u, nbrs[j]
-                        break
-                i, j = i + 1, j if everyone else 0
-            scans[k] = i, j
-            if found:
-                u, w = found
-                caps[u] -= 1
-                parent[w] = u
-                order.append(w)
-                growing.append(k)
-        live = growing
+
+    def grow(parent: dict[int, int]):
+        members = [root]
+        everyone = iter(range(inst.n)) if inst.kind == KIND_COMPLETE else None
+        for u in members:
+            if caps[u] > 0:
+                for w in everyone or inst.neighbors(u):
+                    if w != root and w not in parent:
+                        caps[u] -= 1
+                        parent[w] = u
+                        members.append(w)
+                        yield
+                        if caps[u] == 0:
+                            break
+
+    parents: list[dict[int, int]] = [{} for _ in range(inst.num_trees)]
+    turns = [grow(parent) for parent in parents]
+    while turns:
+        turns = [t for t in turns if next(t, True) is None]
     return Packing(root, parents)

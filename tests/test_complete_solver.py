@@ -57,7 +57,7 @@ class TestStagePaths:
         assert paths == [[0, 3], [0, 3], [0, 3], [0]]
         assert residual == [0, 0, 0, 5, 0]
 
-    def test_matches_charged_stage_paths(self):
+    def test_matches_reference_stage_paths(self):
         # The closed form on shaped capacities against stage one charging
         # capacities path by path (test_differential.reference_stage_paths).
         rng = random.Random(2111)

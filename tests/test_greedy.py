@@ -1,11 +1,12 @@
 """Greedy baseline: shaped capacities against the reference, and pins on its work and memory.
 
-greedy_general reads membership from each tree's parent map and, on
-complete kinds, scans range(n) with one cursor per tree.  These tests
-compare it, map order included, with test_differential.reference_greedy
-on shaped capacities, and pin the two costs that the earlier code, which
-kept a member array per tree, paid: an (n - 1)-tuple of neighbors per
-turn on complete kinds and n bytes per tree.
+greedy_general grows each tree in one suspended scan that reads membership
+from the tree's parent map and, on complete kinds, passes over range(n)
+once per tree.  These tests compare it, map order included, with
+test_differential.reference_greedy on shaped capacities, and pin three
+costs that earlier code paid: an (n - 1)-tuple of neighbors per turn on
+complete kinds, n bytes per tree, and a member's neighbors read again
+after another tree spent its capacity.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ from helpers import (
     shaped_instance,
 )
 from test_differential import reference_greedy
-from treepack import Instance, greedy_general
+from treepack import Instance, greedy_general, objective
 
 FAMILIES = (random_complete_instance, random_tree_instance, random_general_instance)
 
 
-def test_matches_member_array_greedy():
+def test_matches_reference_greedy():
     rng = random.Random(2101)
     seen = Counter()
     for i in range(3000):
@@ -60,16 +61,39 @@ def test_complete_kind_lists_no_neighbors(monkeypatch):
     assert map_items(got) == map_items(want)
 
 
-def test_memory_follows_the_output_not_n_times_k():
-    # n = K = 3000: a member array per tree alone would take 9 MB.
-    n = 3000
-    rng = random.Random(2103)
+def sparse_general_instance(rng: random.Random, n: int, k: int, cap_lo: int, cap_hi: int) -> Instance:
+    """A random recursive tree plus random edges up to 2n, rooted at 0."""
     edges = {(rng.randrange(v), v) for v in range(1, n)}
     while len(edges) < 2 * n:
         u, v = sorted(rng.sample(range(n), 2))
         edges.add((u, v))
-    caps = tuple(rng.randint(0, 2) for _ in range(n))
-    inst = Instance("general", n, caps, n, 0, tuple(sorted(edges)))
+    caps = tuple(rng.randint(cap_lo, cap_hi) for _ in range(n))
+    return Instance("general", n, caps, k, 0, tuple(sorted(edges)))
+
+
+def test_each_tree_reads_each_members_neighbors_once(monkeypatch):
+    # General-mix's shape: n = 3000, m = 2n, K = 3, capacities 1..3, and a
+    # root that can serve each neighbor in every tree, so the trees compete
+    # for the other vertices' capacity.
+    drawn = sparse_general_instance(random.Random(2104), 3000, 3, 1, 3)
+    caps = (3 * len(drawn.neighbors(0)), *drawn.capacities[1:])
+    inst = Instance("general", drawn.n, caps, 3, 0, drawn.edges)
+    calls = 0
+    neighbors = Instance.neighbors
+
+    def counted(self, v):
+        nonlocal calls
+        calls += 1
+        return neighbors(self, v)
+
+    monkeypatch.setattr(Instance, "neighbors", counted)
+    packing = greedy_general(inst)
+    assert 0 < calls <= objective(packing), (calls, objective(packing))
+
+
+def test_memory_follows_the_output_not_n_times_k():
+    # n = K = 3000: a member array per tree alone would take 9 MB.
+    inst = sparse_general_instance(random.Random(2103), 3000, 3000, 0, 2)
     tracemalloc.start()
     try:
         greedy_general(inst)
