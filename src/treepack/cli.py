@@ -3,10 +3,12 @@
 Results go to stdout as JSON, a one-line summary goes to stderr.  Exit
 codes: 0 success, 1 failed verification, 2 input or parse errors, 3
 search limit violations.  solve and oracle write their packing document
-as text straight from the parent maps (core._packing_json), with the
-instance's n ids formatted once into a table, byte for byte what
-json.dumps of packing_to_dict gives; the other results are small dicts
-passed to json.dumps.
+as text, byte for byte what json.dumps of packing_to_dict gives: a
+complete solve tree by tree from its root paths and adoption runs
+(complete_solver._packing_text), any other from the parent maps
+(core._packing_json), with the instance's n ids formatted once into a
+table.  The other results are small dicts passed to json.dumps.  Every
+document reaches stdout, and the -o file, as a sequence of text chunks.
 
 The cyclic garbage collector is paused for the length of each command
 and put back as the caller had it.  A call builds up to about a million
@@ -33,22 +35,25 @@ import os
 import re
 import stat
 import sys
+from collections.abc import Iterable
 from types import SimpleNamespace
 
 from .core import (
     Instance,
     SearchLimitExceeded,
+    _load_packing,
     _on_first_call,
     _packing_json,
     instance_to_dict,
     load_instance,
-    load_packing,
     objective,
     packing_to_dict,  # unused here; the benchmark's tracer swaps cli.packing_to_dict
 )
 
 
-solve_complete = _on_first_call("complete_solver", "solve_complete")
+build_stage_paths = _on_first_call("complete_solver", "build_stage_paths")
+attach_stage = _on_first_call("complete_solver", "attach_stage")
+packing_text = _on_first_call("complete_solver", "_packing_text")
 solve_tree = _on_first_call("tree_solver", "solve_tree")
 greedy_general = _on_first_call("greedy", "greedy_general")
 brute_force_solve = _on_first_call("oracle", "brute_force_solve")
@@ -68,9 +73,10 @@ def _read_instance(path: str) -> Instance:
         return load_instance(fh)
 
 
-def _write(path: str, text: str) -> None:
-    """Write text over path in place, then trim a regular file to its end.
+def _write(path: str, chunks: Iterable[str], echo=None) -> None:
+    """Write the chunks over path in place, then trim a regular file to its end.
 
+    echo, if given, is called with each chunk just before it is written.
     Opening without O_TRUNC matters: on ext4, truncating a file whose
     last contents are still being written back waits for that writeback.
     The inode is kept, so symlinks are followed and links, mode and owner
@@ -78,19 +84,26 @@ def _write(path: str, text: str) -> None:
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     with open(fd, "wb") as fh:
-        fh.write(text.encode("utf-8"))
+        for chunk in chunks:
+            if echo is not None:
+                echo(chunk)
+            fh.write(chunk.encode("utf-8"))
         if stat.S_ISREG(os.fstat(fd).st_mode):
             fh.truncate()
 
 
-def _emit(text: str, path: str | None = None) -> None:
-    """Print one JSON document as a line, and write the same line to path if given."""
-    line = text + "\n"
+def _emit(chunks: Iterable[str], path: str | None = None) -> None:
+    """Print a document's text chunks, and write the same chunks over path if given.
+
+    path is opened before the first chunk, so a path that cannot be
+    opened fails the command before anything reaches stdout.
+    """
     if sys.stdout is None:  # file descriptor 1 was closed when Python started
         raise OSError("standard output is closed")
-    sys.stdout.write(line)
-    if path is not None:
-        _write(path, line)
+    if path is None:
+        sys.stdout.writelines(chunks)
+    else:
+        _write(path, chunks, sys.stdout.write)
 
 
 def _note(message: str) -> None:
@@ -107,31 +120,32 @@ def cmd_solve(args: SimpleNamespace) -> int:
     if alg == "general":
         alg = "greedy"
         _note("general instance: greedy baseline, result is heuristic, not optimal")
+    packing = None
     if alg == "complete" and args.value_only:
-        value, packing = optimal_objective(inst), None
-    elif alg == "complete":
-        packing = solve_complete(inst)
+        value = optimal_objective(inst)
+    elif alg == "complete":  # written tree by tree from the two stages, with no parent maps
+        value, chunks = packing_text(attach_stage(inst, *build_stage_paths(inst)))
     elif alg == "tree":
         value, packing = solve_tree(inst, value_only=args.value_only)
     else:
         packing = greedy_general(inst)
     if packing is not None:
         value = objective(packing)
-    if packing is None or args.value_only:
-        text = json.dumps({"objective": value})
-    else:
-        text = _packing_json(packing, inst.n)
+    if args.value_only:
+        chunks = [json.dumps({"objective": value}) + "\n"]
+    elif packing is not None:
+        chunks = [_packing_json(packing, inst.n) + "\n"]
     _note(f"objective {value} ({alg}, kind={inst.kind}, n={inst.n}, K={inst.num_trees})")
-    _emit(text, args.output)
+    _emit(chunks, args.output)
     return EXIT_OK
 
 
 def cmd_verify(args: SimpleNamespace) -> int:
     inst = _read_instance(args.instance)
     with open(args.packing, "rb") as fh:
-        packing = load_packing(fh, inst)
-    report = verify_packing(inst, packing)
-    _emit(json.dumps(report))
+        packing, stated = _load_packing(fh, inst)
+    report = verify_packing(inst, packing, stated)
+    _emit([json.dumps(report) + "\n"])
     if report["valid"]:
         _note("packing is valid")
         return EXIT_OK
@@ -143,7 +157,7 @@ def cmd_oracle(args: SimpleNamespace) -> int:
     inst = _read_instance(args.instance)
     value, packing = brute_force_solve(inst, max_n=args.max_n, max_k=args.max_k)
     _note(f"exhaustive optimum {value} (n={inst.n}, K={inst.num_trees})")
-    _emit(_packing_json(packing, inst.n), args.output)
+    _emit([_packing_json(packing, inst.n) + "\n"], args.output)
     return EXIT_OK
 
 
@@ -152,11 +166,12 @@ def cmd_reduce(args: SimpleNamespace) -> int:
         sat = load_dimacs(fh)
     reduction = reduce_3sat(sat)
     gadget, gamma = reduction.instance, reduction.gamma
-    _write(args.output, json.dumps(instance_to_dict(gadget)) + "\n")
+    _write(args.output, [json.dumps(instance_to_dict(gadget)) + "\n"])
     if args.labels is not None:
         labels = {str(v): role for v, role in sorted(reduction.labels.items())}
-        _write(args.labels, json.dumps({"gamma": gamma, "labels": labels}) + "\n")
-    _emit(json.dumps({"num_vertices": gadget.n, "num_edges": len(gadget.edges), "gamma": gamma}))
+        _write(args.labels, [json.dumps({"gamma": gamma, "labels": labels}) + "\n"])
+    summary = {"num_vertices": gadget.n, "num_edges": len(gadget.edges), "gamma": gamma}
+    _emit([json.dumps(summary) + "\n"])
     _note(f"gadget written to {args.output}: {gadget.n} vertices, threshold {gamma}")
     return EXIT_OK
 

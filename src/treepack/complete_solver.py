@@ -7,7 +7,12 @@ K), path k < active is the root, the other vertices of capacity above k
 capacity is max(c_v - active, 0), except c_last at last.  Stage two turns
 each path into a tree: scanning the path from the root, every vertex with
 residual capacity adopts the still-missing vertices (smallest id first)
-until the tree spans everything or capacity runs out.
+until the tree spans everything or capacity runs out.  It returns each
+tree in that native form, its path and its runs of (adopter, adopted
+ids); solve_complete turns the pairs into parent maps, and the CLI
+writes the packing document straight from them, one tree at a time
+(_packing_text), so a complete solve builds no parent map and no
+document-sized string.
 
 On a complete graph this is optimal.  Every capacity unit spent buys one
 extra vertex occurrence, at most min(c_root, K) trees can be non-null
@@ -19,7 +24,8 @@ O(nK).  A path costs its own length, and a tree its path plus the
 vertices it adopts and the members skipped on the way to them.
 """
 
-from itertools import chain, compress, filterfalse, islice
+from collections.abc import Iterator
+from itertools import compress, filterfalse, islice
 
 from .core import KIND_COMPLETE, Instance, Packing
 
@@ -54,36 +60,37 @@ def build_stage_paths(inst: Instance) -> tuple[list[list[int]], list[int]]:
     return paths, residual
 
 
-def attach_stage(inst: Instance, paths: list[list[int]], residual: list[int]) -> Packing:
+def attach_stage(inst: Instance, paths: list[list[int]], residual: list[int]) -> list[tuple]:
     """Grow each path into a tree using the shared residual capacity.
 
-    Only path vertices are scanned for spare capacity.  That is enough:
-    capacities never increase, so a vertex missing from path k had zero
-    capacity when the path was built and still has zero now; every unit
-    usable by tree k sits on the path itself.  The scan visits only the
-    path vertices with spare capacity left (compress over their current
-    capacities), and the missing vertices are drawn lazily from the
-    non-root ids not in the tree's growing parent map, so a tree costs
-    O(path + attached) rather than O(n).  Each parent map goes into the
-    Packing as built, root outward, no copy.
+    Returns one (path, runs) pair per tree: runs lists the tree's
+    adoptions in order, as (adopter, adopted ids), each run after the
+    path and the runs before it.  Only path vertices are scanned for
+    spare capacity.  That is enough: capacities never increase, so a
+    vertex missing from path k had zero capacity when the path was built
+    and still has zero now; every unit usable by tree k sits on the path
+    itself.  The scan visits only the path vertices with spare capacity
+    left (compress over their current capacities), and the missing
+    vertices are drawn lazily from the ids not on the path, so a tree
+    costs O(path + attached) rather than O(n).
     """
     _require_complete(inst)
     caps = list(residual)
-    root, n = inst.root, inst.n
+    n = inst.n
     trees = []
     for path in paths:
-        parent = dict(zip(path[1:], path))
-        missing = filterfalse(parent.__contains__, chain(range(root), range(root + 1, n)))
+        missing = filterfalse(set(path).__contains__, range(n))
+        runs = []
         for v in compress(path, map(caps.__getitem__, path)):
             spare = caps[v]
             # islice needs a word-sized stop; a capacity may be larger.
             adopted = list(islice(missing, min(spare, n)))
-            parent.update(dict.fromkeys(adopted, v))
+            runs.append((v, adopted))
             caps[v] = spare - len(adopted)
             if len(adopted) < spare:
                 break  # the tree spans every vertex
-        trees.append(parent)
-    return Packing(root, trees)
+        trees.append((path, runs))
+    return trees
 
 
 def solve_complete(inst: Instance) -> Packing:
@@ -91,9 +98,41 @@ def solve_complete(inst: Instance) -> Packing:
 
     O(n + K + objective) time, never more than O(nK): every path vertex
     and every adopted vertex is an occurrence of the returned packing.
+    Each parent map is its path's edges, then each run's, root outward.
     """
-    paths, residual = build_stage_paths(inst)
-    return attach_stage(inst, paths, residual)
+    trees = []
+    for path, runs in attach_stage(inst, *build_stage_paths(inst)):
+        parent = dict(zip(path[1:], path))
+        for adopter, ids in runs:
+            parent.update(dict.fromkeys(ids, adopter))
+        trees.append(parent)
+    return Packing(inst.root, trees)
+
+
+def _packing_text(trees: list[tuple]) -> tuple[int, Iterator[str]]:
+    """The objective of attach_stage's trees, and their packing document in chunks.
+
+    The chunks are one per tree, then the tail with the objective and a
+    newline; joined, they equal _packing_json(solve_complete(inst), n)
+    plus "\n", with no parent map and no document-sized string.  A path
+    is one join over a table of "v], [v" strings, built from the first
+    path's inner vertices, which hold every later path's; a run is one
+    join after its adopter's "[p, " prefix.
+    """
+    value = sum([len(path) + sum([len(ids) for _, ids in runs]) for path, runs in trees])
+    links = {v: f"{v}], [{v}" for v in trees[0][0][1:-1]}
+
+    def chunks() -> Iterator[str]:
+        head = '{"trees": ['
+        for path, runs in trees:
+            inner = map(links.__getitem__, path[1:-1])
+            edges = [f"[{', '.join([str(path[0]), *inner, str(path[-1])])}]"] if path[1:] else []
+            edges += [f"[{p}, " + f"], [{p}, ".join(map(str, ids)) + "]" for p, ids in runs if ids]
+            yield f'{head}{{"edges": [{", ".join(edges)}]}}'
+            head = ", "
+        yield f'], "objective": {value}}}\n'
+
+    return value, chunks()
 
 
 def optimal_objective(inst: Instance) -> int:

@@ -15,6 +15,9 @@ Packing documents are written as text straight from the parent maps
 (_packing_json), with the same bytes as json.dumps of packing_to_dict;
 each vertex id becomes text once per document, in a table indexed by id,
 so the writer requires every id in [0, n), as every solver makes them.
+A second writer, for complete solves, lives in complete_solver
+(_packing_text): it writes from the solver's root paths and adoption
+runs, and sits there because a command compiles only the modules it runs.
 """
 
 import json
@@ -366,4 +369,13 @@ def _packing_json(packing: Packing, n: int) -> str:
 
 def load_packing(source: IOBase, inst: Instance) -> Packing:
     """Parse a packing JSON document; its root is the instance root."""
-    return packing_from_dict(_parse(source, "packing"), inst.root)
+    return _load_packing(source, inst)[0]
+
+
+def _load_packing(source: IOBase, inst: Instance) -> tuple[Packing, int | None]:
+    """load_packing, and the document's stated objective: an integer, or None if absent."""
+    data = _parse(source, "packing")
+    packing = packing_from_dict(data, inst.root)
+    if "objective" not in data:
+        return packing, None
+    return packing, _as_int(data["objective"], "objective")

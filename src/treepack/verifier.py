@@ -3,10 +3,11 @@
 The report is the JSON document treepack verify prints:
 {"valid": bool, "violations": [{"tree": t, "vertex": v, "reason": r}, ...]},
 valid exactly when violations is empty.  tree is None on a capacity
-violation, which no one tree causes.
+violation, which no one tree causes, and tree and vertex are None when
+the document's stated objective differs from the packing's count.
 """
 
-from .core import KIND_COMPLETE, Instance, Packing
+from .core import KIND_COMPLETE, Instance, Packing, objective
 
 
 def _rooted_outward(inst: Instance, parent: dict[int, int], mark: list[int], ti: int) -> bool:
@@ -33,12 +34,14 @@ def _rooted_outward(inst: Instance, parent: dict[int, int], mark: list[int], ti:
     return True
 
 
-def verify_packing(inst: Instance, packing: Packing) -> dict:
+def verify_packing(inst: Instance, packing: Packing, stated: int | None = None) -> dict:
     """Check a packing against its instance; return the report document.
 
     Per tree: every edge present in the instance graph, every vertex
     reaching the root through the parent chain (no cycles, no orphans).
-    Across trees: per-vertex child totals within capacity.  Failures are
+    Across trees: per-vertex child totals within capacity.  Last, a
+    stated objective, if given (the packing document's), must equal
+    objective(packing), the count of its occurrences.  Failures are
     collected and reported, never raised; only a packing whose root is not
     the instance root, or whose tree count is not K, is an error.
 
@@ -96,4 +99,7 @@ def verify_packing(inst: Instance, packing: Packing) -> dict:
         if total > cap:
             reason = f"capacity exceeded: {total} children across trees, capacity {cap}"
             violations.append({"tree": None, "vertex": v, "reason": reason})
+    if stated is not None and stated != (counted := objective(packing)):
+        reason = f"stated objective {stated}, counted {counted}"
+        violations.append({"tree": None, "vertex": None, "reason": reason})
     return {"valid": not violations, "violations": violations}

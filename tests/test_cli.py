@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -74,9 +75,9 @@ class TestSolve:
         values = [objective(solve_complete(inst)) for inst in cases]
 
         def boom(inst):
-            raise AssertionError("solve_complete called under --value-only")
+            raise AssertionError("complete solver called under --value-only")
 
-        monkeypatch.setattr(cli, "solve_complete", boom)
+        monkeypatch.setattr(cli, "build_stage_paths", boom)
         for inst, value in zip(cases, values):
             path = write_json("c.json", instance_to_dict(inst))
             code, out, err = run(capsys, "solve", "-i", path, *extra, "--value-only")
@@ -149,6 +150,31 @@ class TestSolve:
                 code, out, _ = run(capsys, "solve", "-i", inst, "-o", str(pack), *extra)
                 assert code == 0
                 assert pack.read_bytes() == out.encode()
+
+    def test_complete_solve_writes_tree_by_tree(self, write_json, tmp_path, monkeypatch):
+        """No parent maps and no document-sized string: the traced peak stays below the document.
+
+        n = K = 700, every capacity 700: 489,999 edges, a 5.7 MB document.
+        What is left is the K stage paths, one 8-byte list slot per
+        occurrence, against about 12 bytes of text; building the parent
+        maps and the document as one string took the peak to 7.5 times
+        the document's size.
+        """
+        data = {"kind": "complete", "n": 700, "capacities": [700] * 700, "K": 700}
+        inst = write_json("c700.json", data)
+        out = tmp_path / "out.json"
+        with open(out, "w") as fh:
+            monkeypatch.setattr(sys, "stdout", fh)
+            tracemalloc.start()
+            try:
+                code = main(["solve", "-i", inst])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        size = out.stat().st_size
+        assert size > 5_000_000
+        assert peak < size, (peak, size)
 
     def test_deeply_nested_instance_is_input_error(self, capsys, tmp_path):
         deep = tmp_path / "deep.json"
@@ -235,6 +261,29 @@ class TestVerify:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "trees[0].edges" in err
         assert "Traceback" not in err
+
+    def test_stated_objective_must_match_the_count(self, capsys, write_json):
+        inst = write_json("t3.json", TREE3)
+        trees = [{"edges": [[0, 1], [1, 2]]}, {"edges": []}]
+        for stated, valid in ((4, True), (None, True), (99, False)):
+            doc = {"trees": trees} if stated is None else {"trees": trees, "objective": stated}
+            code, out, err = run(capsys, "verify", "-i", inst, "-p", write_json("pack.json", doc))
+            assert code == (0 if valid else 1)
+            if not valid:
+                reason = "stated objective 99, counted 4"
+                assert json.loads(out) == {
+                    "valid": False,
+                    "violations": [{"tree": None, "vertex": None, "reason": reason}],
+                }
+                assert err == "packing is invalid: 1 violation(s)\n"
+
+    @pytest.mark.parametrize("stated", ["x", True, 4.0, None], ids=["str", "bool", "float", "null"])
+    def test_stated_objective_that_is_no_integer_is_input_error(self, capsys, write_json, stated):
+        inst = write_json("t3.json", TREE3)
+        doc = {"trees": [{"edges": [[0, 1], [1, 2]]}, {"edges": []}], "objective": stated}
+        code, out, err = run(capsys, "verify", "-i", inst, "-p", write_json("pack.json", doc))
+        assert (code, out) == (2, "")
+        assert err == f"error: objective: expected an integer, got {stated!r}\n"
 
     def test_deeply_nested_packing_is_input_error(self, capsys, write_json, tmp_path):
         inst = write_json("t3.json", TREE3)
@@ -456,6 +505,16 @@ class TestOutputFiles:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    def test_unwritable_output_fails_before_stdout(self, capsys, write_json, tmp_path, command):
+        """-o is opened before the first chunk: a path that cannot be opened leaves stdout empty."""
+        for name, inst_data in (("c4.json", COMPLETE4), ("t3.json", TREE3), ("g4.json", GENERAL4)):
+            inst = write_json(name, inst_data)
+            missing_dir = str(tmp_path / "no-dir" / "p.json")
+            code, out, err = run(capsys, command, "-i", inst, "-o", missing_dir)
+            assert (code, out) == (2, "")
+            assert err.splitlines()[-1].startswith("error: ")
+
     @pytest.mark.parametrize(
         "command, option",
         [("solve", "-o"), ("oracle", "-o"), ("reduce", "-o"), ("reduce", "--labels")],
@@ -547,13 +606,13 @@ class TestGarbageCollector:
     @pytest.mark.parametrize("enabled", [True, False])
     def test_paused_inside_command(self, capsys, write_json, monkeypatch, collector, enabled):
         seen = []
-        real = cli.solve_complete
+        real = cli.attach_stage
 
-        def spy(inst):
+        def spy(*args):
             seen.append(gc.isenabled())
-            return real(inst)
+            return real(*args)
 
-        monkeypatch.setattr(cli, "solve_complete", spy)
+        monkeypatch.setattr(cli, "attach_stage", spy)
         collector(enabled)
         inst = write_json("c4.json", COMPLETE4)
         code, _, _ = run(capsys, "solve", "-i", inst)
@@ -585,10 +644,10 @@ class TestGarbageCollector:
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_state_restored_when_command_raises(self, write_json, monkeypatch, collector, enabled):
-        def boom(inst):
+        def boom(*args):
             raise RuntimeError("solver fault")
 
-        monkeypatch.setattr(cli, "solve_complete", boom)
+        monkeypatch.setattr(cli, "attach_stage", boom)
         collector(enabled)
         with pytest.raises(RuntimeError):
             main(["solve", "-i", write_json("c4.json", COMPLETE4)])

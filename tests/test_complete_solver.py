@@ -9,10 +9,11 @@ import pytest
 
 from helpers import (
     capacity_features,
+    map_items,
     random_complete_instance,
     shaped_instance,
 )
-from test_differential import reference_stage_paths
+from test_differential import reference_attach, reference_stage_paths
 from treepack import (
     Instance,
     attach_stage,
@@ -23,6 +24,8 @@ from treepack import (
     solve_complete,
     verify_packing,
 )
+from treepack.complete_solver import _packing_text
+from treepack.core import _packing_json
 
 
 def complete(caps, k, root=0):
@@ -91,10 +94,8 @@ class TestAttachStage:
     def test_no_residual_keeps_paths(self):
         inst = complete([2, 1, 1, 1], 2)
         paths, residual = build_stage_paths(inst)
-        packing = attach_stage(inst, [list(p) for p in paths], [0] * 4)
-        for path, tree in zip(paths, packing.trees):
-            assert {packing.root, *tree} == set(path)
-            assert tree == {path[i]: path[i - 1] for i in range(1, len(path))}
+        trees = attach_stage(inst, [list(p) for p in paths], [0] * 4)
+        assert trees == [(path, []) for path in paths]
 
     def test_ample_capacity_spans_everything(self):
         inst = complete([5, 5, 5], 2)
@@ -183,3 +184,50 @@ class TestSolveComplete:
                 with pytest.raises(ValueError) as exc:
                     solve(inst)
                 assert str(exc.value) == f"kind: expected a complete instance, got {kind!r}"
+
+
+def text_case(rng: random.Random) -> Instance:
+    """A complete instance with a random root and K up to n, in one of several capacity shapes."""
+    n = 1 if rng.random() < 0.05 else rng.randint(1, 60)
+    shape = rng.choice(("small", "up_to_n", "huge", "all_zero", "root_zero"))
+    hi = {"small": 3, "up_to_n": n, "huge": 10**20}.get(shape, 3)
+    caps = [0] * n if shape == "all_zero" else [rng.randint(0, hi) for _ in range(n)]
+    root = rng.randrange(n)
+    if shape == "root_zero":
+        caps[root] = 0
+    return complete(caps, rng.randint(1, n), root)
+
+
+class TestPackingText:
+    """The tree-by-tree writer gives the bytes of the parent maps' document."""
+
+    def test_chunks_equal_the_packing_document(self):
+        rng = random.Random(26)
+        shapes = Counter()
+        for _ in range(1500):
+            inst = text_case(rng)
+            packing = solve_complete(inst)
+            want = reference_attach(inst, *reference_stage_paths(inst))
+            assert map_items(packing) == map_items(want), inst  # same maps, same order
+            value, chunks = _packing_text(attach_stage(inst, *build_stage_paths(inst)))
+            chunks = list(chunks)
+            assert len(chunks) == inst.num_trees + 1
+            assert "".join(chunks) == _packing_json(packing, inst.n) + "\n", inst
+            assert value == objective(packing)
+            caps = inst.capacities
+            shapes["n1"] += inst.n == 1
+            shapes["root_zero"] += caps[inst.root] == 0
+            shapes["all_zero"] += not any(caps)
+            shapes["huge"] += max(caps) > 2**64
+            shapes["k_is_n"] += inst.num_trees == inst.n > 1
+        assert min(shapes.values()) >= 20, shapes
+
+    def test_worked_chunks(self):
+        inst = complete([2, 1, 1, 1], 2)
+        value, chunks = _packing_text(attach_stage(inst, *build_stage_paths(inst)))
+        assert value == 7
+        assert list(chunks) == [
+            '{"trees": [{"edges": [[0, 1], [1, 2], [2, 3]]}',
+            ', {"edges": [[0, 3], [3, 1]]}',
+            '], "objective": 7}\n',
+        ]

@@ -541,7 +541,10 @@ def assert_stages_match(inst: Instance) -> None:
     assert residual == want_residual
     got = attach_stage(inst, paths, residual)
     want = reference_attach(inst, want_paths, want_residual)
-    assert map_items(got) == map_items(want)
+    assert [path for path, _ in got] == paths
+    for (path, runs), parent in zip(got, want.trees):  # the runs are the map's adoptions
+        assert [(c, p) for p, ids in runs for c in ids] == list(parent.items())[len(path) - 1 :]
+    assert map_items(solve_complete(inst)) == map_items(want)
     assert residual == want_residual  # attach works on a copy
 
 
