@@ -79,9 +79,9 @@ def attach_stage(inst: Instance, paths: list[list[int]], residual: list[int]) ->
     n = inst.n
     trees = []
     for path in paths:
-        missing = filterfalse(set(path).__contains__, range(n))
-        runs = []
+        missing, runs = None, []
         for v in compress(path, map(caps.__getitem__, path)):
+            missing = missing or filterfalse(set(path).__contains__, range(n))  # once, if needed
             spare = caps[v]
             # islice needs a word-sized stop; a capacity may be larger.
             adopted = list(islice(missing, min(spare, n)))
