@@ -72,7 +72,9 @@ def attach_stage(inst: Instance, paths: list[list[int]], residual: list[int]) ->
     itself.  The scan visits only the path vertices with spare capacity
     left (compress over their current capacities), and the missing
     vertices are drawn lazily from the ids not on the path, so a tree
-    costs O(path + attached) rather than O(n).
+    costs O(path + attached) rather than O(n).  The path's vertex set
+    for that filter is built only when some vertex has spare capacity:
+    on large complete instances most trees adopt nothing.
     """
     _require_complete(inst)
     caps = list(residual)
@@ -81,7 +83,7 @@ def attach_stage(inst: Instance, paths: list[list[int]], residual: list[int]) ->
     for path in paths:
         missing, runs = None, []
         for v in compress(path, map(caps.__getitem__, path)):
-            missing = missing or filterfalse(set(path).__contains__, range(n))  # once, if needed
+            missing = missing or filterfalse(set(path).__contains__, range(n))
             spare = caps[v]
             # islice needs a word-sized stop; a capacity may be larger.
             adopted = list(islice(missing, min(spare, n)))
