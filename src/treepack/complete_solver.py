@@ -24,10 +24,10 @@ O(nK).  A path costs its own length, and a tree its path plus the
 vertices it adopts and the members skipped on the way to them.
 """
 
-from collections.abc import Iterator
-from itertools import compress, filterfalse, islice
+from collections.abc import Iterable, Iterator
+from itertools import compress, islice
 
-from .core import KIND_COMPLETE, Instance, Packing
+from .core import KIND_COMPLETE, Instance, Packing, _document
 
 
 def _require_complete(inst: Instance) -> None:
@@ -35,64 +35,90 @@ def _require_complete(inst: Instance) -> None:
         raise ValueError(f"kind: expected a complete instance, got {inst.kind!r}")
 
 
-def build_stage_paths(inst: Instance) -> tuple[list[list[int]], list[int]]:
-    """Build the K root paths in closed form; returns (paths, residual capacities).
+def build_stage_paths(inst: Instance) -> tuple[Iterator[list[int]], list[int]]:
+    """The K root paths in closed form, lazily, and the residual capacities.
 
     last is the highest-id non-root vertex with positive capacity and
     active = min(c_root, K) (0 if there is no last).  Path k < active is
     [root, *(v not in {root, last} with c_v > k, ascending), last]; later
     paths are [root].  The residual is max(c_v - active, 0), except c_last
-    at last.  Each path filters the previous one: O(n + K + path lengths).
+    at last.  The paths come from a generator, each filtered from the one
+    before when it is asked for, and only at a level some capacity has;
+    a path equal to the one before is the same list object, so treat the
+    lists as read-only.  O(n) up front, then O(K + path lengths).
     """
     _require_complete(inst)
     caps = inst.capacities
     root, count = inst.root, inst.num_trees
-    inner = [v for v in range(inst.n) if v != root and caps[v] > 0]
+    inner = list(compress(range(inst.n), caps))  # the vertices of positive capacity
+    if caps[root]:
+        inner.remove(root)
     last = inner.pop() if inner else root  # last = root: no path is active
     active = min(caps[root], count) if last != root else 0
-    paths = []
-    for k in range(active):
-        inner = [v for v in inner if caps[v] > k]
-        paths.append([root, *inner, last])
-    paths += [[root] for _ in range(count - active)]
-    residual = [c - active if c > active else 0 for c in caps]
+    if max(caps) > active:
+        residual = [c - active if c > active else 0 for c in caps]
+    else:
+        residual = [0] * inst.n
     residual[last] = caps[last]
-    return paths, residual
+
+    def paths(inner: list[int]) -> Iterator[list[int]]:
+        path, cuts = [root, *inner, last], set(map(caps.__getitem__, inner))
+        for k in range(active):
+            if k in cuts:  # some vertex has capacity k, so path k drops it
+                inner = [v for v in inner if caps[v] > k]
+                path = [root, *inner, last]
+            yield path
+        path = [root]
+        for _ in range(count - active):
+            yield path
+
+    return paths(inner), residual
 
 
-def attach_stage(inst: Instance, paths: list[list[int]], residual: list[int]) -> list[tuple]:
-    """Grow each path into a tree using the shared residual capacity.
+def attach_stage(
+    inst: Instance, paths: Iterable[list[int]], residual: list[int]
+) -> Iterator[tuple[list[int], list[tuple[int, list[int]]]]]:
+    """Grow each path, as build_stage_paths yields it, into a tree; lazily.
 
-    Returns one (path, runs) pair per tree: runs lists the tree's
+    Yields one (path, runs) pair per tree: runs lists the tree's
     adoptions in order, as (adopter, adopted ids), each run after the
-    path and the runs before it.  Only path vertices are scanned for
-    spare capacity.  That is enough: capacities never increase, so a
+    path and the runs before it.  Only vertices with residual capacity
+    adopt, and they are known up front: capacities never increase, so a
     vertex missing from path k had zero capacity when the path was built
-    and still has zero now; every unit usable by tree k sits on the path
-    itself.  The scan visits only the path vertices with spare capacity
-    left (compress over their current capacities), and the missing
-    vertices are drawn lazily from the ids not on the path, so a tree
-    costs O(path + attached) rather than O(n).  The path's vertex set
-    for that filter is built only when some vertex has spare capacity:
-    on large complete instances most trees adopt nothing.
+    and still has zero now.  The root is on every path, and every other
+    vertex with residual capacity (c_v > active, or last) is on every
+    active path; they adopt in path order, root first, then ascending
+    id.  The missing vertices of active path k are those other than last
+    with c_v <= k (the root's capacity is at least active), of a null
+    path those other than the root; they are drawn lazily, smallest id
+    first, until the tree spans everything or capacity runs out.  A tree
+    costs O(adopters + attached + the members skipped on the way).
     """
     _require_complete(inst)
-    caps = list(residual)
-    n = inst.n
-    trees = []
-    for path in paths:
-        missing, runs = None, []
-        for v in compress(path, map(caps.__getitem__, path)):
-            missing = missing or filterfalse(set(path).__contains__, range(n))
-            spare = caps[v]
-            # islice needs a word-sized stop; a capacity may be larger.
-            adopted = list(islice(missing, min(spare, n)))
-            runs.append((v, adopted))
-            caps[v] = spare - len(adopted)
-            if len(adopted) < spare:
-                break  # the tree spans every vertex
-        trees.append((path, runs))
-    return trees
+    caps, n, root = inst.capacities, inst.n, inst.root
+    spare = list(residual)
+    funded = list(compress(range(n), spare))
+    if spare[root]:
+        funded.remove(root)
+    for k, path in enumerate(paths):
+        runs = []
+        left = n - len(path)  # vertices still missing from the tree
+        if left and (spare[root] or funded):
+            if len(path) > 1:
+                last = path[-1]
+                adopters = [root, *funded]
+                missing = (v for v in range(n) if caps[v] <= k and v != last)
+            else:
+                adopters = [root]
+                missing = (v for v in range(n) if v != root)
+            for v in compress(adopters, map(spare.__getitem__, adopters)):
+                adopted = list(islice(missing, min(spare[v], left)))
+                runs.append((v, adopted))
+                spare[v] -= len(adopted)
+                left -= len(adopted)
+                if not left:
+                    break  # the tree spans every vertex
+        yield path, runs
 
 
 def solve_complete(inst: Instance) -> Packing:
@@ -111,30 +137,36 @@ def solve_complete(inst: Instance) -> Packing:
     return Packing(inst.root, trees)
 
 
-def _packing_text(trees: list[tuple]) -> tuple[int, Iterator[str]]:
-    """The objective of attach_stage's trees, and their packing document in chunks.
+def _packing_text(inst: Instance) -> tuple[int, Iterator[str]]:
+    """The optimum in closed form, and the packing document in chunks.
 
     The chunks are one per tree, then the tail with the objective and a
     newline; joined, they equal _packing_json(solve_complete(inst), n)
-    plus "\n", with no parent map and no document-sized string.  A path
-    is one join over a table of "v], [v" strings, built from the first
-    path's inner vertices, which hold every later path's; a run is one
-    join after its adopter's "[p, " prefix.
+    plus "\n".  They are written from attach_stage's pairs as they come,
+    with no parent map and no document-sized string.  A path is one join
+    over a table of strings, built from the first active path, which
+    holds every later one's vertices: "[root, " for the root, "v], [v, "
+    for an inner vertex and "last]" for last.  A path that is the same
+    list as the one before reuses its text; a run is one join after its
+    adopter's "[p, " prefix.
     """
-    value = sum([len(path) + sum([len(ids) for _, ids in runs]) for path, runs in trees])
-    links = {v: f"{v}], [{v}" for v in trees[0][0][1:-1]}
+    value = optimal_objective(inst)
+    trees = attach_stage(inst, *build_stage_paths(inst))
 
-    def chunks() -> Iterator[str]:
-        head = '{"trees": ['
+    def texts() -> Iterator[str]:
+        links, text, prev = {}, "", None
         for path, runs in trees:
-            inner = map(links.__getitem__, path[1:-1])
-            edges = [f"[{', '.join([str(path[0]), *inner, str(path[-1])])}]"] if path[1:] else []
+            if path is not prev:
+                if not links and len(path) > 1:
+                    names = [f"{v}" for v in path]  # each id formatted once
+                    links = dict(zip(path, [f"{x}], [{x}, " for x in names]))
+                    links[path[0]], links[path[-1]] = f"[{path[0]}, ", f"{path[-1]}]"
+                text, prev = "".join(map(links.__getitem__, path)) if len(path) > 1 else "", path
+            edges = [text] if text else []
             edges += [f"[{p}, " + f"], [{p}, ".join(map(str, ids)) + "]" for p, ids in runs if ids]
-            yield f'{head}{{"edges": [{", ".join(edges)}]}}'
-            head = ", "
-        yield f'], "objective": {value}}}\n'
+            yield ", ".join(edges)
 
-    return value, chunks()
+    return value, _document(texts(), value)
 
 
 def optimal_objective(inst: Instance) -> int:

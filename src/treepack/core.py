@@ -22,7 +22,7 @@ runs, and sits there because a command compiles only the modules it runs.
 
 import json
 from bisect import bisect_left
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from importlib import import_module
 from io import IOBase
 
@@ -279,10 +279,13 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def _parse(source: IOBase, what: str) -> object:
+    """json.load, with every parse error a ValueError that names the document."""
     try:
         return json.load(source)
     except RecursionError:
         raise ValueError(f"{what}: JSON nested too deeply") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{what}: {exc}") from None
 
 
 def load_instance(source: IOBase) -> Instance:
@@ -365,6 +368,20 @@ def _packing_json(packing: Packing, n: int) -> str:
 
     trees = ", ".join([f'{{"edges": [{edges(parent)}]}}' for parent in packing.trees])
     return f'{{"trees": [{trees}], "objective": {objective(packing)}}}'
+
+
+def _document(texts: Iterable[str], value: int) -> Iterator[str]:
+    """A packing document in chunks: one per tree from its edges' text, then the tail.
+
+    A tree's text is its "[parent, child]" pairs joined by ", ".  Joined,
+    the chunks are _packing_json's document for those trees and value,
+    plus "\n".  There is at least one tree, since K >= 1.
+    """
+    head = '{"trees": ['
+    for text in texts:
+        yield f'{head}{{"edges": [{text}]}}'
+        head = ", "
+    yield f'], "objective": {value}}}\n'
 
 
 def load_packing(source: IOBase, inst: Instance) -> Packing:

@@ -40,9 +40,9 @@ the same ranking.
 """
 
 from heapq import heappop, heappush, nsmallest
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
-from .core import KIND_TREE, Instance, Packing
+from .core import KIND_TREE, Instance, Packing, _document
 
 
 def solve_mckp(
@@ -120,36 +120,50 @@ def greedy_allocation(stripes: int, capacity: int, excesses: Sequence[Sequence[i
     in one step.  For concave value functions this is the allocation
     solve_mckp returns.
     """
-    ranked = [(-x, i) for i, excess in enumerate(excesses) for x in excess[:stripes]]
-    levels = [0] * len(excesses)
-    for _, i in nsmallest(capacity, ranked):
-        levels[i] += 1
-    spare = max(capacity - len(ranked), 0)
-    for i, excess in enumerate(excesses):
-        ones = min(max(stripes - len(excess), 0), spare)
-        levels[i] += ones
+    above = [min(len(excess), stripes) for excess in excesses]  # marginals above 1
+    spare = capacity - sum(above)
+    if spare < 0:  # they do not all fit: take the `capacity` largest
+        levels = [0] * len(excesses)
+        ranked = [(-x, i) for i, excess in enumerate(excesses) for x in excess[:stripes]]
+        for _, i in nsmallest(capacity, ranked):
+            levels[i] += 1
+        return levels
+    levels = []
+    for taken in above:
+        ones = min(stripes - taken, spare)
         spare -= ones
+        levels.append(taken + ones)
     return levels
 
 
-def _rooted(inst: Instance) -> tuple[list[int], list[int], list[int]]:
-    """Each vertex's parent toward the root (-1 at the root), a root-first order, and reach.
+def _rooted(inst: Instance) -> tuple[list, list[int], list[int]]:
+    """Child lists, the vertices that can serve a child (root first), and reach.
 
     reach[v] bounds the trees v can be served by: K at the root, and
-    min(reach[u], c_u) for a child of u.
+    min(reach[u], c_u) for a child of u (0 outside the order).  Only a
+    vertex with children and positive capacity is in the order: a leaf
+    and a vertex of capacity 0 have the empty excess list and grant
+    nothing, and nothing below a vertex of capacity 0 is ever served.
+    children[u] lists all of u's children in ascending id, and is () for
+    a vertex outside the order.
     """
     if inst.kind != KIND_TREE:
         raise ValueError(f"kind: expected a tree instance, got {inst.kind!r}")
-    up = [-1] * inst.n
-    reach = [inst.num_trees] * inst.n
-    order = [inst.root]
+    caps, adjacency, n = inst.capacities, inst._adjacency, inst.n  # sorted neighbor tuples
+    up = [-1] * n
+    reach = [0] * n
+    reach[inst.root] = inst.num_trees
+    children: list = [()] * n
+    order = [inst.root] if caps[inst.root] and n > 1 else []
     for u in order:
-        for w in inst.neighbors(u):
-            if w != up[u]:
+        kids = children[u] = [w for w in adjacency[u] if w != up[u]]
+        below = min(reach[u], caps[u])
+        for w in kids:
+            if caps[w] and len(adjacency[w]) > 1:
                 up[w] = u
-                reach[w] = min(reach[u], inst.capacities[u])
+                reach[w] = below
                 order.append(w)
-    return up, order, reach
+    return children, order, reach
 
 
 def stripe_values(inst: Instance) -> dict[int, list[int]]:
@@ -159,20 +173,26 @@ def stripe_values(inst: Instance) -> dict[int, list[int]]:
     the best occupancy of u's subtree with u served by k trees.  The list
     ends before the first level whose marginal is 1, or at u's reach, the
     most trees u can be served by, so f_u(k) = k + sum(list[:k]) for every
-    k up to the reach.  Children are finished before their parents
-    (iterative, so path-like trees of any depth are fine).  For each inner
-    vertex one pass over the levels pushes every child's level-k excess
-    into a min-heap holding the best `capacity` excesses so far, keeping
-    their sum; u's level-k excess is the growth of min(capacity, d*k), for
-    d children, plus the growth of that sum, and the pass stops where it
-    is 0.
+    k up to the reach.  Leaves and vertices of capacity 0 keep the empty
+    list and cost nothing past the rooting.  Children are finished before
+    their parents (iterative, so path-like trees of any depth are fine).
+    For u with d children, u's level-k excess is the growth of
+    min(capacity, d*k) plus the growth of the sum of the `capacity`
+    largest child excesses at levels up to k, and the list stops where
+    that is 0.  When no child has an excess, that is d per level while
+    d*k <= capacity, then the remainder; otherwise one pass over the
+    levels keeps the chosen excesses in a min-heap.
     """
-    up, order, reach = _rooted(inst)
+    children, order, reach = _rooted(inst)
     caps = inst.capacities
-    values: dict[int, list[int]] = {}
+    values: dict[int, list[int]] = {v: [] for v in range(inst.n)}
     for u in reversed(order):
-        kids = [values[w] for w in inst.neighbors(u) if w != up[u]]
-        capacity, d = caps[u], len(kids)
+        capacity, d = caps[u], len(children[u])
+        kids = [e for w in children[u] if (e := values[w])]
+        if not kids:
+            full, rest = divmod(capacity, d)
+            values[u] = [d] * min(full, reach[u]) + [rest] * (0 < rest and full < reach[u])
+            continue
         taken: list[int] = []  # min-heap of the chosen excesses
         total = reached = 0
         values[u] = excess = []
@@ -191,33 +211,84 @@ def stripe_values(inst: Instance) -> dict[int, list[int]]:
     return values
 
 
+def _grants(inst: Instance, values: dict[int, list[int]]) -> tuple[list[tuple[int, int]], list[int]]:
+    """The walk's grants in order, as (child, parent) pairs, and each child's level.
+
+    A vertex granted level s is in trees 0..s-1, so each stripe set is a
+    prefix, carried as its length: the root holds level K, and a child
+    given level j <= s by greedy_allocation is in its parent's first j.
+    The walk reads each granted vertex's children off the adjacency (the
+    tree was rooted in stripe_values) and descends only into vertices
+    that can grant: leaves and vertices of capacity 0 end the walk.
+    """
+    caps, adjacency = inst.capacities, inst._adjacency
+    pairs: list[tuple[int, int]] = []
+    levels: list[int] = []
+    stack = [(inst.root, -1, inst.num_trees)]
+    while stack:
+        u, up, level = stack.pop()
+        kids = [w for w in adjacency[u] if w != up]
+        allocation = greedy_allocation(level, caps[u], [values[w] for w in kids])
+        for w, granted in zip(kids, allocation):
+            if granted:
+                pairs.append((w, u))
+                levels.append(granted)
+                if caps[w] and len(adjacency[w]) > 1:
+                    stack.append((w, u, granted))
+    return pairs, levels
+
+
+def _nested(items: list, levels: list[int], count: int) -> Iterator[list]:
+    """Per tree t < count, the items whose level exceeds t, in order.
+
+    Tree t's list is filtered from tree t-1's only where some item's
+    level is t, and is otherwise the same list object; a filter costs
+    tree t-1's size, so the work is O(count + the items' total level).
+    """
+    cuts = set(levels)
+    for t in range(1, count + 1):
+        yield items
+        if t in cuts:
+            items = [x for x, level in zip(items, levels) if level > t]
+            levels = [level for level in levels if level > t]
+
+
 def solve_tree(inst: Instance, *, value_only: bool = False) -> tuple[int, Packing | None]:
     """Optimal packing of a tree instance.
 
     Returns the optimal objective and, unless value_only is set, a packing
-    achieving it.  A vertex granted level s is in trees 0..s-1, so each
-    stripe set is a prefix, carried as its length: the root is in all K
-    trees, and a child given level j <= s by greedy_allocation is in its
-    parent's first j.  The trees are nested: tree t+1's parent map is a
-    sub-map of tree t's.  Each grant of a stripe to a child consumes one
-    capacity unit.  The walk reads children off the adjacency, so the
-    tree is rooted only once, inside stripe_values.
+    achieving it: tree t's parent map holds the walk's grants of level
+    above t, in walk order, so the trees are nested (tree t+1's map is a
+    sub-map of tree t's) and each map lists every child after its parent.
+    Each grant of a stripe to a child consumes one capacity unit.
     """
     values = stripe_values(inst)
-    count = inst.num_trees
-    best = count + sum(values[inst.root])
+    best = inst.num_trees + sum(values[inst.root])
     if value_only:
         return best, None
-    caps = inst.capacities
-    parent_maps: list[dict[int, int]] = [{} for _ in range(count)]
-    stack = [(inst.root, -1, count)]
-    while stack:
-        u, up, level = stack.pop()
-        kids = [w for w in inst.neighbors(u) if w != up]
-        allocation = greedy_allocation(level, caps[u], [values[w] for w in kids])
-        for w, granted in zip(kids, allocation):
-            if granted:
-                for s in range(granted):
-                    parent_maps[s][w] = u
-                stack.append((w, u, granted))
-    return best, Packing(inst.root, parent_maps)
+    pairs, levels = _grants(inst, values)
+    return best, Packing(inst.root, [dict(t) for t in _nested(pairs, levels, inst.num_trees)])
+
+
+def _packing_text(inst: Instance) -> tuple[int, Iterator[str]]:
+    """The optimum, and the packing document in chunks, one per tree then the tail.
+
+    The optimum comes from the root's excess list before any tree is
+    built; the walk runs when the first chunk is asked for.  Each
+    "[parent, child]" string is formatted once, and a tree's text is
+    joined again only where a level ends.  Joined, the chunks equal
+    _packing_json(solve_tree(inst)[1], n) plus "\n".
+    """
+    values = stripe_values(inst)
+    best = inst.num_trees + sum(values[inst.root])
+
+    def texts() -> Iterator[str]:
+        pairs, levels = _grants(inst, values)
+        edges = [f"[{p}, {c}]" for c, p in pairs]
+        text, prev = "", None
+        for tree in _nested(edges, levels, inst.num_trees):
+            if tree is not prev:
+                text, prev = ", ".join(tree), tree
+            yield text
+
+    return best, _document(texts(), best)

@@ -77,7 +77,7 @@ class TestSolve:
         def boom(inst):
             raise AssertionError("complete solver called under --value-only")
 
-        monkeypatch.setattr(cli, "build_stage_paths", boom)
+        monkeypatch.setattr(cli, "complete_text", boom)
         for inst, value in zip(cases, values):
             path = write_json("c.json", instance_to_dict(inst))
             code, out, err = run(capsys, "solve", "-i", path, *extra, "--value-only")
@@ -151,30 +151,61 @@ class TestSolve:
                 assert code == 0
                 assert pack.read_bytes() == out.encode()
 
-    def test_complete_solve_writes_tree_by_tree(self, write_json, tmp_path, monkeypatch):
-        """No parent maps and no document-sized string: the traced peak stays below the document.
+    @staticmethod
+    def traced_solve(monkeypatch, inst: str, out: Path) -> int:
+        """The tracemalloc peak of one solve, stdout going to out.
 
-        n = K = 700, every capacity 700: 489,999 edges, a 5.7 MB document.
-        What is left is the K stage paths, one 8-byte list slot per
-        occurrence, against about 12 bytes of text; building the parent
-        maps and the document as one string took the peak to 7.5 times
-        the document's size.
+        Both solver modules are loaded first, so their compiled code is
+        not part of the peak.
         """
-        data = {"kind": "complete", "n": 700, "capacities": [700] * 700, "K": 700}
-        inst = write_json("c700.json", data)
-        out = tmp_path / "out.json"
+        import treepack.complete_solver, treepack.tree_solver  # noqa: F401
+
         with open(out, "w") as fh:
             monkeypatch.setattr(sys, "stdout", fh)
             tracemalloc.start()
             try:
-                code = main(["solve", "-i", inst])
-                peak = tracemalloc.get_traced_memory()[1]
+                assert main(["solve", "-i", inst]) == 0
+                return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert code == 0
+
+    def test_complete_solve_writes_tree_by_tree(self, write_json, tmp_path, monkeypatch):
+        """No parent maps, no list of paths, no document-sized string: a peak of O(n).
+
+        n = K = 700, every capacity 700: 489,999 edges, a 5.7 MB document.
+        One path and one tree's text are held at a time, about 0.2 MB;
+        holding every stage path took the peak to 0.75 times the
+        document, and building the parent maps and the document as one
+        string to 7.5 times.
+        """
+        data = {"kind": "complete", "n": 700, "capacities": [700] * 700, "K": 700}
+        out = tmp_path / "out.json"
+        peak = self.traced_solve(monkeypatch, write_json("c700.json", data), out)
         size = out.stat().st_size
         assert size > 5_000_000
-        assert peak < size, (peak, size)
+        assert peak < 400_000, (peak, size)
+
+    def test_tree_solve_writes_tree_by_tree(self, write_json, tmp_path, monkeypatch):
+        """Granted levels, not K parent maps: the peak stays below a tenth of the document.
+
+        A star, n = K = 600, whose root can serve every leaf in every tree:
+        359,400 edges, a 3.5 MB document, written from one "[0, v]" string
+        per leaf and one joined tree's text.  K parent maps and the whole
+        document took the peak to about 5 times the document.
+        """
+        n = 600
+        data = {
+            "kind": "tree",
+            "n": n,
+            "capacities": [n * (n - 1)] + [1] * (n - 1),
+            "K": n,
+            "edges": [[0, v] for v in range(1, n)],
+        }
+        out = tmp_path / "out.json"
+        peak = self.traced_solve(monkeypatch, write_json("star.json", data), out)
+        size = out.stat().st_size
+        assert json.loads(out.read_text())["objective"] == n * n
+        assert peak < size / 10, (peak, size)
 
     def test_deeply_nested_instance_is_input_error(self, capsys, tmp_path):
         deep = tmp_path / "deep.json"
@@ -210,6 +241,19 @@ class TestMalformedEdges:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("text", [b"{", b'{"trees": "\xff"}'], ids=["syntax", "encoding"])
+    @pytest.mark.parametrize("broken", ["instance", "packing"])
+    def test_unreadable_json_names_its_document(self, capsys, write_json, text, broken):
+        paths = {
+            "instance": write_json("c4.json", COMPLETE4),
+            "packing": write_json("pack.json", {"trees": [{"edges": [[0, 1]]}, {"edges": []}]}),
+        }
+        Path(paths[broken]).write_bytes(text)
+        code, out, err = run(capsys, "verify", "-i", paths["instance"], "-p", paths["packing"])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith(f"error: {broken}: "), err
+
     def test_tampered_packing_fails(self, capsys, write_json, tmp_path):
         inst = write_json("c4.json", COMPLETE4)
         pack = str(tmp_path / "pack.json")
@@ -606,13 +650,13 @@ class TestGarbageCollector:
     @pytest.mark.parametrize("enabled", [True, False])
     def test_paused_inside_command(self, capsys, write_json, monkeypatch, collector, enabled):
         seen = []
-        real = cli.attach_stage
+        real = cli.complete_text
 
         def spy(*args):
             seen.append(gc.isenabled())
             return real(*args)
 
-        monkeypatch.setattr(cli, "attach_stage", spy)
+        monkeypatch.setattr(cli, "complete_text", spy)
         collector(enabled)
         inst = write_json("c4.json", COMPLETE4)
         code, _, _ = run(capsys, "solve", "-i", inst)
@@ -647,7 +691,7 @@ class TestGarbageCollector:
         def boom(*args):
             raise RuntimeError("solver fault")
 
-        monkeypatch.setattr(cli, "attach_stage", boom)
+        monkeypatch.setattr(cli, "complete_text", boom)
         collector(enabled)
         with pytest.raises(RuntimeError):
             main(["solve", "-i", write_json("c4.json", COMPLETE4)])

@@ -24,6 +24,7 @@ from treepack import (
     solve_complete,
     verify_packing,
 )
+from treepack import complete_solver
 from treepack.complete_solver import _packing_text
 from treepack.core import _packing_json
 
@@ -32,10 +33,16 @@ def complete(caps, k, root=0):
     return Instance(kind="complete", n=len(caps), capacities=tuple(caps), num_trees=k, root=root)
 
 
+def stage_paths(inst: Instance) -> tuple[list[list[int]], list[int]]:
+    """build_stage_paths with its lazy paths drawn into a list."""
+    paths, residual = build_stage_paths(inst)
+    return list(paths), residual
+
+
 class TestStagePaths:
     def test_single_vertex_paths_pay_nothing(self):
         inst = complete([5], 1)
-        paths, residual = build_stage_paths(inst)
+        paths, residual = stage_paths(inst)
         assert paths == [[0]]
         assert residual == [5]
 
@@ -43,20 +50,20 @@ class TestStagePaths:
         # First path covers everyone and pays all but the last vertex;
         # the second only finds the root and vertex 3 still funded.
         inst = complete([2, 1, 1, 1], 2)
-        paths, residual = build_stage_paths(inst)
+        paths, residual = stage_paths(inst)
         assert paths == [[0, 1, 2, 3], [0, 3]]
         assert residual == [0, 0, 0, 1]
 
     def test_zero_root_capacity_gives_singletons(self):
         inst = complete([0, 4, 4], 3, root=0)
-        paths, residual = build_stage_paths(inst)
+        paths, residual = stage_paths(inst)
         assert paths == [[0], [0], [0]]
         assert residual == [0, 4, 4]
 
     def test_one_funded_vertex_ends_every_active_path(self):
         # last = 3 is never charged; active = min(c_root, K) = 3.
         inst = complete([3, 0, 0, 5, 0], 4)
-        paths, residual = build_stage_paths(inst)
+        paths, residual = stage_paths(inst)
         assert paths == [[0, 3], [0, 3], [0, 3], [0]]
         assert residual == [0, 0, 0, 5, 0]
 
@@ -67,7 +74,7 @@ class TestStagePaths:
         seen = Counter()
         for _ in range(2000):
             inst = shaped_instance(rng, random_complete_instance, max_n=rng.choice((6, 20, 60)))
-            assert build_stage_paths(inst) == reference_stage_paths(inst), inst
+            assert stage_paths(inst) == reference_stage_paths(inst), inst
             seen.update(capacity_features(inst))
         assert min(seen.values()) >= 100, seen
 
@@ -93,9 +100,9 @@ class TestStagePaths:
 class TestAttachStage:
     def test_no_residual_keeps_paths(self):
         inst = complete([2, 1, 1, 1], 2)
-        paths, residual = build_stage_paths(inst)
+        paths, residual = stage_paths(inst)
         trees = attach_stage(inst, [list(p) for p in paths], [0] * 4)
-        assert trees == [(path, []) for path in paths]
+        assert list(trees) == [(path, []) for path in paths]
 
     def test_ample_capacity_spans_everything(self):
         inst = complete([5, 5, 5], 2)
@@ -154,7 +161,7 @@ class TestSolveComplete:
         for _ in range(200):
             inst = random_complete_instance(rng, max_n=7, max_k=4, cap_hi=5)
             active = min(inst.capacities[inst.root], inst.num_trees)
-            paths, _ = build_stage_paths(inst)
+            paths, _ = stage_paths(inst)
             packing = solve_complete(inst)
             non_null = sum(1 for t in packing.trees if t)
             assert non_null <= active
@@ -209,12 +216,14 @@ class TestPackingText:
             packing = solve_complete(inst)
             want = reference_attach(inst, *reference_stage_paths(inst))
             assert map_items(packing) == map_items(want), inst  # same maps, same order
-            value, chunks = _packing_text(attach_stage(inst, *build_stage_paths(inst)))
+            value, chunks = _packing_text(inst)
             chunks = list(chunks)
             assert len(chunks) == inst.num_trees + 1
             assert "".join(chunks) == _packing_json(packing, inst.n) + "\n", inst
             assert value == objective(packing)
             caps = inst.capacities
+            paths = stage_paths(inst)[0]
+            shapes["reused_path"] += any(a is b and len(a) > 1 for a, b in zip(paths, paths[1:]))
             shapes["n1"] += inst.n == 1
             shapes["root_zero"] += caps[inst.root] == 0
             shapes["all_zero"] += not any(caps)
@@ -222,9 +231,28 @@ class TestPackingText:
             shapes["k_is_n"] += inst.num_trees == inst.n > 1
         assert min(shapes.values()) >= 20, shapes
 
+    def test_one_path_per_chunk_asked_for(self, monkeypatch):
+        """The objective comes first; path k is built when tree k's chunk is asked for."""
+        drawn = []
+        real = complete_solver.build_stage_paths
+
+        def counted(inst):
+            paths, residual = real(inst)
+            return (drawn.append(path) or path for path in paths), residual
+
+        monkeypatch.setattr(complete_solver, "build_stage_paths", counted)
+        inst = complete([5, 2, 3, 1, 0, 4], 4)
+        value, chunks = _packing_text(inst)
+        assert value == optimal_objective(inst) and drawn == []
+        for k in range(inst.num_trees):
+            next(chunks)
+            assert len(drawn) == k + 1
+        assert next(chunks) == f'], "objective": {value}}}\n'
+        assert drawn == stage_paths(inst)[0]
+
     def test_worked_chunks(self):
         inst = complete([2, 1, 1, 1], 2)
-        value, chunks = _packing_text(attach_stage(inst, *build_stage_paths(inst)))
+        value, chunks = _packing_text(inst)
         assert value == 7
         assert list(chunks) == [
             '{"trees": [{"edges": [[0, 1], [1, 2], [2, 3]]}',

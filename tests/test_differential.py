@@ -535,15 +535,22 @@ def complete_case(rng: random.Random) -> Instance:
 
 
 def assert_stages_match(inst: Instance) -> None:
+    """Both stages, drawn one tree at a time, against the references."""
     paths, residual = build_stage_paths(inst)
     want_paths, want_residual = reference_stage_paths(inst)
-    assert paths == want_paths
     assert residual == want_residual
     got = attach_stage(inst, paths, residual)
+    assert iter(paths) is paths and iter(got) is got  # lazy: nothing is built up front
     want = reference_attach(inst, want_paths, want_residual)
-    assert [path for path, _ in got] == paths
-    for (path, runs), parent in zip(got, want.trees):  # the runs are the map's adoptions
+    prev = None
+    for (path, runs), want_path, parent in zip(got, want_paths, want.trees, strict=True):
+        assert path == want_path
+        assert (path is prev) == (path == prev)  # an unchanged path is the same list
+        # the runs are the map's adoptions, and none is empty
         assert [(c, p) for p, ids in runs for c in ids] == list(parent.items())[len(path) - 1 :]
+        assert all(ids for _, ids in runs)
+        prev = path
+    assert next(got, None) is None
     assert map_items(solve_complete(inst)) == map_items(want)
     assert residual == want_residual  # attach works on a copy
 

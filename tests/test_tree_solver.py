@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_tree_instance, stripe_vector
+from helpers import map_items, random_tree_instance, stripe_vector
 from treepack import (
     Instance,
+    Packing,
     brute_force_solve,
     objective,
     solve_mckp,
@@ -19,7 +21,8 @@ from treepack import (
     stripe_values,
     verify_packing,
 )
-from treepack.tree_solver import greedy_allocation
+from treepack.core import _packing_json
+from treepack.tree_solver import _packing_text, greedy_allocation
 
 
 def mckp_brute_force(stripes: int, capacity: int, child_values) -> int:
@@ -375,3 +378,83 @@ class TestNestedTrees:
                 ]
                 saw_proper_subtree |= len(later) < len(earlier)
         assert saw_proper_subtree
+
+
+def reference_tree_maps(inst: Instance) -> list[dict[int, int]]:
+    """The K parent maps filled directly by the walk: a grant of level s enters trees 0..s-1."""
+    values = stripe_values(inst)
+    maps: list[dict[int, int]] = [{} for _ in range(inst.num_trees)]
+    stack = [(inst.root, -1, inst.num_trees)]
+    while stack:
+        u, up, level = stack.pop()
+        kids = [w for w in inst.neighbors(u) if w != up]
+        allocation = greedy_allocation(level, inst.capacities[u], [values[w] for w in kids])
+        for w, granted in zip(kids, allocation):
+            if granted:
+                for s in range(granted):
+                    maps[s][w] = u
+                stack.append((w, u, granted))
+    return maps
+
+
+def text_case(rng: random.Random) -> Instance:
+    """A relabelled random tree with a random root, K up to n, in one of several capacity shapes."""
+    n = 1 if rng.random() < 0.05 else rng.randint(2, 50)
+    label = list(range(n))
+    rng.shuffle(label)
+    if rng.random() < 0.3:  # a few hubs over long chains, or a random recursive tree
+        edges = [(label[rng.randrange(min(v, 3))], label[v]) for v in range(1, n)]
+    else:
+        edges = [(label[rng.randrange(v)], label[v]) for v in range(1, n)]
+    shape = rng.choice(("small", "up_to_n", "huge", "all_zero"))
+    hi = {"small": 3, "up_to_n": n, "huge": 10**20}.get(shape, 0)
+    caps = tuple(rng.randint(0, hi) for _ in range(n))
+    return Instance("tree", n, caps, rng.randint(1, n), root=rng.randrange(n), edges=tuple(edges))
+
+
+class TestTreePackingText:
+    """The writer of granted levels gives the bytes of solve_tree's document."""
+
+    def test_chunks_equal_the_packing_document(self):
+        rng = random.Random(27)
+        shapes = Counter()
+        for _ in range(1500):
+            inst = text_case(rng)
+            value, packing = solve_tree(inst)
+            assert map_items(packing) == map_items(Packing(inst.root, reference_tree_maps(inst)))
+            best, chunks = _packing_text(inst)
+            chunks = list(chunks)
+            assert len(chunks) == inst.num_trees + 1
+            assert "".join(chunks) == _packing_json(packing, inst.n) + "\n", inst
+            assert best == value == objective(packing)
+            caps = inst.capacities
+            shapes["n1"] += inst.n == 1
+            shapes["all_zero"] += not any(caps)
+            shapes["huge"] += max(caps) > 2**64
+            shapes["k_is_n"] += inst.num_trees == inst.n > 1
+            shapes["nested"] += len(packing.trees[0]) > len(packing.trees[-1]) > 0
+        assert min(shapes.values()) >= 20, shapes
+
+    def test_worked_chunks(self):
+        # The root's 3 slots grant vertex 1 level 2 and vertex 2 level 1;
+        # vertex 1's one slot grants vertex 3 level 1.
+        inst = Instance("tree", 4, (3, 1, 0, 0), 2, edges=((0, 1), (0, 2), (1, 3)))
+        value, chunks = _packing_text(inst)
+        assert value == 6
+        assert list(chunks) == [
+            '{"trees": [{"edges": [[0, 1], [0, 2], [1, 3]]}',
+            ', {"edges": [[0, 1]]}',
+            '], "objective": 6}\n',
+        ]
+
+    def test_the_walk_waits_for_the_first_chunk(self, monkeypatch):
+        import treepack.tree_solver as tree_solver
+
+        walks = []
+        real = tree_solver._grants
+        monkeypatch.setattr(tree_solver, "_grants", lambda *a: walks.append(1) or real(*a))
+        inst = Instance("tree", 3, (1, 1, 0), 2, edges=((0, 1), (1, 2)))
+        value, chunks = _packing_text(inst)
+        assert value == 4 and walks == []
+        assert next(chunks) == '{"trees": [{"edges": [[0, 1], [1, 2]]}'
+        assert walks == [1]
