@@ -3,12 +3,17 @@
 Results go to stdout as JSON, a one-line summary goes to stderr.  Exit
 codes: 0 success, 1 failed verification, 2 input or parse errors, 3
 search limit violations.  solve and oracle write their packing document
-as text, byte for byte what json.dumps of packing_to_dict gives: a
-complete solve tree by tree from its root paths and adoption runs
-(complete_solver._packing_text), any other from the parent maps
-(core._packing_json), with the instance's n ids formatted once into a
-table.  The other results are small dicts passed to json.dumps.  Every
-document reaches stdout, and the -o file, as a sequence of text chunks.
+as text, byte for byte what json.dumps of packing_to_dict gives.  An
+exact solve, complete or tree, knows the optimum before it builds a tree
+and prints the summary first; its solver's _packing_text then yields the
+document one tree per chunk as _emit asks for it (complete: root paths
+and adoption runs; tree: the walk's granted levels), so the solve holds
+no parent map and no document-sized string, only its solver's
+per-vertex state and one tree's text.  A greedy solve and oracle write
+from their parent maps (core._packing_json), with the instance's n ids
+formatted once into a table.  The other results are small dicts passed
+to json.dumps.  Every document reaches stdout, and the -o file, as a
+sequence of text chunks.
 
 The cyclic garbage collector is paused for the length of each command
 and put back as the caller had it.  A call builds up to about a million

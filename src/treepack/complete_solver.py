@@ -5,14 +5,17 @@ highest-id non-root vertex of positive capacity and active = min(c_root,
 K), path k < active is the root, the other vertices of capacity above k
 (ascending id), then last; later paths are the root alone.  The residual
 capacity is max(c_v - active, 0), except c_last at last.  Stage two turns
-each path into a tree: scanning the path from the root, every vertex with
-residual capacity adopts the still-missing vertices (smallest id first)
-until the tree spans everything or capacity runs out.  It returns each
-tree in that native form, its path and its runs of (adopter, adopted
-ids); solve_complete turns the pairs into parent maps, and the CLI
-writes the packing document straight from them, one tree at a time
-(_packing_text), so a complete solve builds no parent map and no
-document-sized string.
+each path into a tree: in path order, every vertex with residual capacity
+adopts the still-missing vertices (smallest id first) until the tree
+spans everything or capacity runs out.  Those vertices are known before
+any path is built: the root, the vertices with c_v > active, which lie
+on every active path, and last.  Both stages are generators: path k is
+filtered from path k-1 when tree k is asked for, and each tree comes in
+its native form, its path and its runs of (adopter, adopted ids).
+solve_complete turns the pairs into parent maps; the CLI takes the
+optimum from optimal_objective and writes the document one tree at a
+time as the pairs come (_packing_text), so a complete solve holds O(n)
+state plus one tree's text.
 
 On a complete graph this is optimal.  Every capacity unit spent buys one
 extra vertex occurrence, at most min(c_root, K) trees can be non-null
@@ -57,7 +60,7 @@ def build_stage_paths(inst: Instance) -> tuple[Iterator[list[int]], list[int]]:
     active = min(caps[root], count) if last != root else 0
     if max(caps) > active:
         residual = [c - active if c > active else 0 for c in caps]
-    else:
+    else:  # every capacity is spent on the paths: skip the pass over n
         residual = [0] * inst.n
     residual[last] = caps[last]
 

@@ -15,9 +15,10 @@ Packing documents are written as text straight from the parent maps
 (_packing_json), with the same bytes as json.dumps of packing_to_dict;
 each vertex id becomes text once per document, in a table indexed by id,
 so the writer requires every id in [0, n), as every solver makes them.
-A second writer, for complete solves, lives in complete_solver
-(_packing_text): it writes from the solver's root paths and adoption
-runs, and sits there because a command compiles only the modules it runs.
+The exact solvers have writers of their own, complete_solver and
+tree_solver._packing_text, because a command compiles only the modules
+it runs: they write from root paths and adoption runs, and from granted
+levels, one tree per chunk, framed by _document.
 """
 
 import json

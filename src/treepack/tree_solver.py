@@ -37,6 +37,17 @@ sum of the c_u largest stays the same.  A vertex costs O((d + L) * log
 c), where L is the length of its own and its children's lists, never
 more than its reach each.  Reconstruction reads each child's level off
 the same ranking.
+
+The tree is rooted once, into child lists; leaves and vertices of
+capacity 0 take no part in the merge.  The optimum, K plus the sum of
+the root's list, is known before any tree is built.  Reconstruction is
+one walk from the root that keeps, in the order it grants them, each
+granted child and its level s, the number of trees it is in (trees
+0..s-1); tree t is the walk's grants of level above t.  The CLI writes
+the document from those grants one tree at a time, each "[parent,
+child]" string formatted once (_packing_text), so a tree solve holds
+O(n) state plus one tree's text; solve_tree builds K parent maps from
+the same grants.
 """
 
 from heapq import heappop, heappush, nsmallest
@@ -176,23 +187,18 @@ def stripe_values(inst: Instance) -> dict[int, list[int]]:
     k up to the reach.  Leaves and vertices of capacity 0 keep the empty
     list and cost nothing past the rooting.  Children are finished before
     their parents (iterative, so path-like trees of any depth are fine).
-    For u with d children, u's level-k excess is the growth of
-    min(capacity, d*k) plus the growth of the sum of the `capacity`
-    largest child excesses at levels up to k, and the list stops where
-    that is 0.  When no child has an excess, that is d per level while
-    d*k <= capacity, then the remainder; otherwise one pass over the
-    levels keeps the chosen excesses in a min-heap.
+    For each vertex in the order, one pass over the levels pushes every
+    child's level-k excess into a min-heap holding the best `capacity`
+    excesses so far, keeping their sum; u's level-k excess is the growth
+    of min(capacity, d*k), for d children, plus the growth of that sum,
+    and the pass stops where it is 0.
     """
     children, order, reach = _rooted(inst)
     caps = inst.capacities
     values: dict[int, list[int]] = {v: [] for v in range(inst.n)}
     for u in reversed(order):
         capacity, d = caps[u], len(children[u])
-        kids = [e for w in children[u] if (e := values[w])]
-        if not kids:
-            full, rest = divmod(capacity, d)
-            values[u] = [d] * min(full, reach[u]) + [rest] * (0 < rest and full < reach[u])
-            continue
+        kids = [e for w in children[u] if (e := values[w])]  # the children with an excess
         taken: list[int] = []  # min-heap of the chosen excesses
         total = reached = 0
         values[u] = excess = []
