@@ -104,23 +104,19 @@ def attach_stage(
     if spare[root]:
         funded.remove(root)
     for k, path in enumerate(paths):
-        runs = []
-        left = n - len(path)  # vertices still missing from the tree
-        if left and (spare[root] or funded):
-            if len(path) > 1:
-                last = path[-1]
-                adopters = [root, *funded]
-                missing = (v for v in range(n) if caps[v] <= k and v != last)
-            else:
-                adopters = [root]
-                missing = (v for v in range(n) if v != root)
-            for v in compress(adopters, map(spare.__getitem__, adopters)):
-                adopted = list(islice(missing, min(spare[v], left)))
-                runs.append((v, adopted))
-                spare[v] -= len(adopted)
-                left -= len(adopted)
-                if not left:
-                    break  # the tree spans every vertex
+        runs, left = [], n - len(path)  # left: the vertices missing from the tree
+        if len(path) > 1:  # an active path holds every funded vertex
+            adopters, last = [root, *funded], path[-1]
+            missing = (v for v in range(n) if caps[v] <= k and v != last)
+        else:
+            adopters, missing = [root], (v for v in range(n) if v != root)
+        for v in compress(adopters, map(spare.__getitem__, adopters)):
+            if not left:
+                break  # the tree spans every vertex
+            adopted = list(islice(missing, min(spare[v], left)))
+            runs.append((v, adopted))
+            spare[v] -= len(adopted)
+            left -= len(adopted)
         yield path, runs
 
 

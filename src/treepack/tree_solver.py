@@ -50,7 +50,7 @@ O(n) state plus one tree's text; solve_tree builds K parent maps from
 the same grants.
 """
 
-from heapq import heappop, heappush, nsmallest
+from heapq import heappush, heappushpop, nsmallest
 from collections.abc import Iterator, Sequence
 
 from .core import KIND_TREE, Instance, Packing, _document
@@ -203,12 +203,13 @@ def stripe_values(inst: Instance) -> dict[int, list[int]]:
         total = reached = 0
         values[u] = excess = []
         for k in range(reach[u]):
-            kids = [e for e in kids if len(e) > k]
+            kids = [e for e in kids if len(e) > k] if k else kids
             for e in kids:
-                heappush(taken, e[k])
-                total += e[k]
-                if len(taken) > capacity:
-                    total -= heappop(taken)
+                if len(taken) < capacity:
+                    heappush(taken, e[k])
+                    total += e[k]
+                elif e[k] > taken[0]:
+                    total += e[k] - heappushpop(taken, e[k])
             grown = min(capacity, d * (k + 1)) + total
             if grown == reached:
                 break
