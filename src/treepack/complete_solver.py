@@ -157,8 +157,7 @@ def _packing_text(inst: Instance) -> tuple[int, Iterator[str]]:
         for path, runs in trees:
             if path is not prev:
                 if not links and len(path) > 1:
-                    names = [f"{v}" for v in path]  # each id formatted once
-                    links = dict(zip(path, [f"{x}], [{x}, " for x in names]))
+                    links = {v: f"{x}], [{x}, " for v, x in zip(path, map(str, path))}
                     links[path[0]], links[path[-1]] = f"[{path[0]}, ", f"{path[-1]}]"
                 text, prev = "".join(map(links.__getitem__, path)) if len(path) > 1 else "", path
             edges = [text] if text else []
