@@ -99,10 +99,8 @@ def attach_stage(
     """
     _require_complete(inst)
     caps, n, root = inst.capacities, inst.n, inst.root
-    spare = list(residual)
-    funded = list(compress(range(n), spare))
-    if spare[root]:
-        funded.remove(root)
+    spare = {v: residual[v] for v in compress(range(n), residual)}  # works on a copy
+    funded = [v for v in spare if v != root]
     for k, path in enumerate(paths):
         runs, left = [], n - len(path)  # left: the vertices missing from the tree
         if len(path) > 1:  # an active path holds every funded vertex
@@ -110,7 +108,7 @@ def attach_stage(
             missing = (v for v in range(n) if caps[v] <= k and v != last)
         else:
             adopters, missing = [root], (v for v in range(n) if v != root)
-        for v in compress(adopters, map(spare.__getitem__, adopters)):
+        for v in compress(adopters, map(spare.get, adopters)):
             if not left:
                 break  # the tree spans every vertex
             adopted = list(islice(missing, min(spare[v], left)))
@@ -153,13 +151,15 @@ def _packing_text(inst: Instance) -> tuple[int, Iterator[str]]:
     trees = attach_stage(inst, *build_stage_paths(inst))
 
     def texts() -> Iterator[str]:
-        links, text, prev = {}, "", None
+        links, text, prev = [], "", None  # links: indexed by id, lighter than a dict
         for path, runs in trees:
             if path is not prev:
                 if not links and len(path) > 1:
-                    links = {v: f"{x}], [{x}, " for v, x in zip(path, map(str, path))}
+                    links = [""] * inst.n
+                    for v, x in zip(path, map(str, path)):
+                        links[v] = f"{x}], [{x}, "
                     links[path[0]], links[path[-1]] = f"[{path[0]}, ", f"{path[-1]}]"
-                text, prev = "".join(map(links.__getitem__, path)) if len(path) > 1 else "", path
+                text, prev = "".join([links[v] for v in path]) if len(path) > 1 else "", path
             edges = [text] if text else []
             edges += [f"[{p}, " + f"], [{p}, ".join(map(str, ids)) + "]" for p, ids in runs if ids]
             yield ", ".join(edges)
