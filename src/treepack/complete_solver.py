@@ -141,9 +141,10 @@ def _packing_text(inst: Instance) -> tuple[int, Iterator[str]]:
     newline; joined, they equal _packing_json(solve_complete(inst), n)
     plus "\n".  They are written from attach_stage's pairs as they come,
     with no parent map and no document-sized string.  A path is one join
-    over a table of strings, built from the first active path, which
-    holds every later one's vertices: "[root, " for the root, "v], [v, "
-    for an inner vertex and "last]" for last.  A path that is the same
+    over a table of strings indexed by id, each id formatted once, for
+    the vertices of the first active path, which holds every later
+    one's: "[root, " for the root, "v], [v, " for an inner vertex and
+    "last]" for last.  A path that is the same
     list as the one before reuses its text; a run is one join after its
     adopter's "[p, " prefix.
     """
