@@ -58,7 +58,7 @@ from .core import (
 
 complete_text = _on_first_call("complete_solver", "_packing_text")
 tree_text = _on_first_call("tree_solver", "_packing_text")
-solve_tree = _on_first_call("tree_solver", "solve_tree")  # unused here; the benchmark's tracer swaps cli.solve_tree
+solve_tree = _on_first_call("tree_solver", "solve_tree")  # unused here; the benchmark's tracer swaps it
 greedy_general = _on_first_call("greedy", "greedy_general")
 brute_force_solve = _on_first_call("oracle", "brute_force_solve")
 load_dimacs = _on_first_call("reduction", "load_dimacs")

@@ -144,9 +144,8 @@ def _packing_text(inst: Instance) -> tuple[int, Iterator[str]]:
     over a table of strings indexed by id, each id formatted once, for
     the vertices of the first active path, which holds every later
     one's: "[root, " for the root, "v], [v, " for an inner vertex and
-    "last]" for last.  A path that is the same
-    list as the one before reuses its text; a run is one join after its
-    adopter's "[p, " prefix.
+    "last]" for last.  A path that is the same list as the one before
+    reuses its text; a run is one join after its adopter's "[p, " prefix.
     """
     value = optimal_objective(inst)
     trees = attach_stage(inst, *build_stage_paths(inst))

@@ -218,7 +218,9 @@ def stripe_values(inst: Instance) -> dict[int, list[int]]:
     return values
 
 
-def _grants(inst: Instance, values: dict[int, list[int]]) -> tuple[list[tuple[int, int]], list[int]]:
+def _grants(
+    inst: Instance, values: dict[int, list[int]]
+) -> tuple[list[tuple[int, int]], list[int]]:
     """The walk's grants in order, as (child, parent) pairs, and each child's level.
 
     A vertex granted level s is in trees 0..s-1, so each stripe set is a
