@@ -58,10 +58,7 @@ def build_stage_paths(inst: Instance) -> tuple[Iterator[list[int]], list[int]]:
         inner.remove(root)
     last = inner.pop() if inner else root  # last = root: no path is active
     active = min(caps[root], count) if last != root else 0
-    if max(caps) > active:
-        residual = [c - active if c > active else 0 for c in caps]
-    else:  # every capacity is spent on the paths: skip the pass over n
-        residual = [0] * inst.n
+    residual = [c - active if c > active else 0 for c in caps]
     residual[last] = caps[last]
 
     def paths(inner: list[int]) -> Iterator[list[int]]:
@@ -96,6 +93,10 @@ def attach_stage(
     path those other than the root; they are drawn lazily, smallest id
     first, until the tree spans everything or capacity runs out.  A tree
     costs O(adopters + attached + the members skipped on the way).
+
+    So paths must be build_stage_paths(inst)'s, unmodified, and residual
+    its residual or one no larger at any vertex: a path is read only for
+    its length and its last vertex, and any vertex with residual adopts.
     """
     _require_complete(inst)
     caps, n, root = inst.capacities, inst.n, inst.root

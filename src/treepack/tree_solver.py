@@ -131,19 +131,15 @@ def greedy_allocation(stripes: int, capacity: int, excesses: Sequence[Sequence[i
     in one step.  For concave value functions this is the allocation
     solve_mckp returns.
     """
-    above = [min(len(excess), stripes) for excess in excesses]  # marginals above 1
-    spare = capacity - sum(above)
-    if spare < 0:  # they do not all fit: take the `capacity` largest
-        levels = [0] * len(excesses)
-        ranked = [(-x, i) for i, excess in enumerate(excesses) for x in excess[:stripes]]
-        for _, i in nsmallest(capacity, ranked):
-            levels[i] += 1
-        return levels
-    levels = []
-    for taken in above:
-        ones = min(stripes - taken, spare)
+    ranked = [(-x, i) for i, excess in enumerate(excesses) for x in excess[:stripes]]
+    levels = [0] * len(excesses)
+    for _, i in nsmallest(capacity, ranked):
+        levels[i] += 1
+    spare = max(capacity - len(ranked), 0)
+    for i, excess in enumerate(excesses):
+        ones = min(max(stripes - len(excess), 0), spare)
+        levels[i] += ones
         spare -= ones
-        levels.append(taken + ones)
     return levels
 
 
