@@ -3,16 +3,17 @@
 Results go to stdout as JSON, a one-line summary goes to stderr.  Exit
 codes: 0 success, 1 failed verification, 2 input or parse errors, 3
 search limit violations.  solve and oracle write their packing document
-as text, byte for byte what json.dumps of packing_to_dict gives.  An
-exact solve, complete or tree, knows the optimum before it builds a tree
-and prints the summary first; its solver's _packing_text then yields the
-document one tree per chunk as _emit asks for it (complete: root paths
-and adoption runs; tree: the walk's granted levels), so the solve holds
-no parent map and no document-sized string, only its solver's
-per-vertex state and one tree's text.  A greedy solve and oracle write
-from their parent maps (core._packing_json), with the instance's n ids
-formatted once into a table.  The other results are small dicts passed
-to json.dumps.  Every document reaches stdout, and the -o file, as a
+as text chunks, one per tree and then the tail (core._document), byte
+for byte what json.dumps of packing_to_dict gives.  An exact solve,
+complete or tree, knows the optimum before it builds a tree and prints
+the summary first; its solver's _packing_text then yields the trees as
+_emit asks for them (complete: root paths and adoption runs; tree: the
+walk's granted levels), so the solve holds no parent map and no
+document-sized string, only its solver's per-vertex state and one
+tree's text, and --value-only takes the optimum and builds no tree.  A
+greedy solve and oracle write from their parent maps
+(core._packing_chunks).  The other results are small dicts passed to
+json.dumps.  Every document reaches stdout, and the -o file, as a
 sequence of text chunks.
 
 The cyclic garbage collector is paused for the length of each command
@@ -48,7 +49,7 @@ from .core import (
     SearchLimitExceeded,
     _load_packing,
     _on_first_call,
-    _packing_json,
+    _packing_chunks,
     instance_to_dict,
     load_instance,
     objective,
@@ -63,7 +64,6 @@ greedy_general = _on_first_call("greedy", "greedy_general")
 brute_force_solve = _on_first_call("oracle", "brute_force_solve")
 load_dimacs = _on_first_call("reduction", "load_dimacs")
 reduce_3sat = _on_first_call("reduction", "reduce_3sat")
-optimal_objective = _on_first_call("complete_solver", "optimal_objective")
 verify_packing = _on_first_call("verifier", "verify_packing")
 
 EXIT_OK = 0
@@ -126,9 +126,7 @@ def cmd_solve(args: SimpleNamespace) -> int:
         _note("general instance: greedy baseline, result is heuristic, not optimal")
     if alg == "greedy":
         packing = greedy_general(inst)
-        value, chunks = objective(packing), [_packing_json(packing, inst.n) + "\n"]
-    elif alg == "complete" and args.value_only:
-        value = optimal_objective(inst)
+        value, chunks = objective(packing), _packing_chunks(packing, inst.n)
     else:  # the optimum now; the trees, one chunk each, as _emit asks for them
         value, chunks = (complete_text if alg == "complete" else tree_text)(inst)
     if args.value_only:
@@ -155,7 +153,7 @@ def cmd_oracle(args: SimpleNamespace) -> int:
     inst = _read_instance(args.instance)
     value, packing = brute_force_solve(inst, max_n=args.max_n, max_k=args.max_k)
     _note(f"exhaustive optimum {value} (n={inst.n}, K={inst.num_trees})")
-    _emit([_packing_json(packing, inst.n) + "\n"], args.output)
+    _emit(_packing_chunks(packing, inst.n), args.output)
     return EXIT_OK
 
 

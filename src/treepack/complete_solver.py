@@ -9,13 +9,15 @@ each path into a tree: in path order, every vertex with residual capacity
 adopts the still-missing vertices (smallest id first) until the tree
 spans everything or capacity runs out.  Those vertices are known before
 any path is built: the root, the vertices with c_v > active, which lie
-on every active path, and last.  Both stages are generators: path k is
+on every active path, and last.  Both stages are generators, and
+attach_stage(inst) draws stage one itself at its first tree: path k is
 filtered from path k-1 when tree k is asked for, and each tree comes in
 its native form, its path and its runs of (adopter, adopted ids).
 solve_complete turns the pairs into parent maps; the CLI takes the
 optimum from optimal_objective and writes the document one tree at a
-time as the pairs come (_packing_text), so a complete solve holds O(n)
-state plus one tree's text.
+time as the pairs come (_packing_text, framed by core._document), so a
+complete solve holds O(n) state plus one tree's text, and one that only
+asks for the optimum builds no tree.
 
 On a complete graph this is optimal.  Every capacity unit spent buys one
 extra vertex occurrence, at most min(c_root, K) trees can be non-null
@@ -27,7 +29,7 @@ O(nK).  A path costs its own length, and a tree its path plus the
 vertices it adopts and the members skipped on the way to them.
 """
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from itertools import compress, islice
 
 from .core import KIND_COMPLETE, Instance, Packing, _document
@@ -75,33 +77,28 @@ def build_stage_paths(inst: Instance) -> tuple[Iterator[list[int]], list[int]]:
     return paths(inner), residual
 
 
-def attach_stage(
-    inst: Instance, paths: Iterable[list[int]], residual: list[int]
-) -> Iterator[tuple[list[int], list[tuple[int, list[int]]]]]:
-    """Grow each path, as build_stage_paths yields it, into a tree; lazily.
+def attach_stage(inst: Instance) -> Iterator[tuple[list[int], list[tuple[int, list[int]]]]]:
+    """Grow each root path of build_stage_paths(inst) into a tree; lazily.
 
     Yields one (path, runs) pair per tree: runs lists the tree's
     adoptions in order, as (adopter, adopted ids), each run after the
-    path and the runs before it.  Only vertices with residual capacity
-    adopt, and they are known up front: capacities never increase, so a
-    vertex missing from path k had zero capacity when the path was built
-    and still has zero now.  The root is on every path, and every other
-    vertex with residual capacity (c_v > active, or last) is on every
-    active path; they adopt in path order, root first, then ascending
-    id.  The missing vertices of active path k are those other than last
-    with c_v <= k (the root's capacity is at least active), of a null
-    path those other than the root; they are drawn lazily, smallest id
-    first, until the tree spans everything or capacity runs out.  A tree
-    costs O(adopters + attached + the members skipped on the way).
-
-    So paths must be build_stage_paths(inst)'s, unmodified, and residual
-    its residual or one no larger at any vertex: a path is read only for
-    its length and its last vertex, and any vertex with residual adopts.
+    path and the runs before it.  Stage one is drawn at the first tree.
+    Only vertices with residual capacity adopt, and they are known up
+    front: capacities never increase, so a vertex missing from path k
+    had zero capacity when the path was built and still has zero now.
+    The root is on every path, and every other vertex with residual
+    capacity (c_v > active, or last) is on every active path; they adopt
+    in path order, root first, then ascending id.  The missing vertices
+    of active path k are those other than last with c_v <= k (the root's
+    capacity is at least active), of a null path those other than the
+    root; they are drawn lazily, smallest id first, until the tree spans
+    everything or capacity runs out.  So a path is read only for its
+    length and its last vertex.  A tree costs O(adopters + attached +
+    the members skipped on the way).
     """
-    _require_complete(inst)
     caps, n, root = inst.capacities, inst.n, inst.root
-    spare = {v: residual[v] for v in compress(range(n), residual)}  # works on a copy
-    funded = [v for v in spare if v != root]
+    paths, residual = build_stage_paths(inst)
+    funded = [v for v in compress(range(n), residual) if v != root]
     for k, path in enumerate(paths):
         runs, left = [], n - len(path)  # left: the vertices missing from the tree
         if len(path) > 1:  # an active path holds every funded vertex
@@ -109,12 +106,12 @@ def attach_stage(
             missing = (v for v in range(n) if caps[v] <= k and v != last)
         else:
             adopters, missing = [root], (v for v in range(n) if v != root)
-        for v in compress(adopters, map(spare.get, adopters)):
+        for v in compress(adopters, map(residual.__getitem__, adopters)):
             if not left:
                 break  # the tree spans every vertex
-            adopted = list(islice(missing, min(spare[v], left)))
+            adopted = list(islice(missing, min(residual[v], left)))
             runs.append((v, adopted))
-            spare[v] -= len(adopted)
+            residual[v] -= len(adopted)
             left -= len(adopted)
         yield path, runs
 
@@ -127,7 +124,7 @@ def solve_complete(inst: Instance) -> Packing:
     Each parent map is its path's edges, then each run's, root outward.
     """
     trees = []
-    for path, runs in attach_stage(inst, *build_stage_paths(inst)):
+    for path, runs in attach_stage(inst):
         parent = dict(zip(path[1:], path))
         for adopter, ids in runs:
             parent.update(dict.fromkeys(ids, adopter))
@@ -139,17 +136,18 @@ def _packing_text(inst: Instance) -> tuple[int, Iterator[str]]:
     """The optimum in closed form, and the packing document in chunks.
 
     The chunks are one per tree, then the tail with the objective and a
-    newline; joined, they equal _packing_json(solve_complete(inst), n)
-    plus "\n".  They are written from attach_stage's pairs as they come,
-    with no parent map and no document-sized string.  A path is one join
-    over a table of strings indexed by id, each id formatted once, for
-    the vertices of the first active path, which holds every later
-    one's: "[root, " for the root, "v], [v, " for an inner vertex and
-    "last]" for last.  A path that is the same list as the one before
-    reuses its text; a run is one join after its adopter's "[p, " prefix.
+    newline; joined, they equal json.dumps(packing_to_dict(p)) plus "\n"
+    for p = solve_complete(inst).  They are written from attach_stage's
+    pairs as they come, with no parent map and no document-sized string.
+    A path is one join over a table of strings indexed by id, each id
+    formatted once, for the vertices of the first active path, which
+    holds every later one's: "[root, " for the root, "v], [v, " for an
+    inner vertex and "last]" for last.  A path that is the same list as
+    the one before reuses its text; a run is one join after its
+    adopter's "[p, " prefix.
     """
     value = optimal_objective(inst)
-    trees = attach_stage(inst, *build_stage_paths(inst))
+    trees = attach_stage(inst)
 
     def texts() -> Iterator[str]:
         links, text, prev = [], "", None  # links: indexed by id, lighter than a dict

@@ -11,14 +11,15 @@ K trees contributes j.
 
 An instance keeps one edge lookup, its sorted adjacency tuples: has_edge
 is a binary search there, and the edges tuple is the normalized input.
-Packing documents are written as text straight from the parent maps
-(_packing_json), with the same bytes as json.dumps of packing_to_dict;
-each vertex id becomes text once per document, in a table indexed by id,
-so the writer requires every id in [0, n), as every solver makes them.
-The exact solvers have writers of their own, complete_solver and
-tree_solver._packing_text, because a command compiles only the modules
-it runs: they write from root paths and adoption runs, and from granted
-levels, one tree per chunk, framed by _document.
+Every packing document is written as text in chunks, one per tree and
+then the tail, framed by _document, with the same bytes as json.dumps of
+packing_to_dict plus a newline.  _packing_chunks writes them from parent
+maps (greedy and the oracle), formatting each vertex id once per
+document into a table indexed by id, so it requires every id in [0, n),
+as every solver makes them.  The exact solvers have writers of their
+own, complete_solver and tree_solver._packing_text, because a command
+compiles only the modules it runs: they write from root paths and
+adoption runs, and from granted levels.
 """
 
 import json
@@ -353,30 +354,28 @@ def packing_to_dict(packing: Packing) -> dict:
     return {"trees": trees, "objective": objective(packing)}
 
 
-def _packing_json(packing: Packing, n: int) -> str:
-    """json.dumps(packing_to_dict(packing)), written straight from the parent maps.
+def _packing_chunks(packing: Packing, n: int) -> Iterator[str]:
+    """The packing document in chunks, written straight from the parent maps.
 
-    One join per tree over "[parent, child]" strings, with no list built per
-    edge.  Each id in [0, n) is formatted once per call, into a table of
-    names indexed by id.  Precondition: every id in the maps lies in
-    [0, n), as every solver makes them; a negative id would index the table
-    from its end, and an id >= n raises IndexError.
+    One chunk per tree, framed by _document, then the tail; joined, they
+    equal json.dumps(packing_to_dict(packing)) plus "\n".  A tree's text is
+    one join over "[parent, child]" strings, with no list built per edge.
+    Each id in [0, n) is formatted once per call, into a table of names
+    indexed by id.  Precondition: every id in the maps lies in [0, n), as
+    every solver makes them; a negative id would index the table from its
+    end, and an id >= n raises IndexError.
     """
     names = list(map(str, range(n)))
-
-    def edges(parent: dict[int, int]) -> str:
-        return ", ".join([f"[{names[p]}, {names[c]}]" for c, p in parent.items()])
-
-    trees = ", ".join([f'{{"edges": [{edges(parent)}]}}' for parent in packing.trees])
-    return f'{{"trees": [{trees}], "objective": {objective(packing)}}}'
+    texts = (", ".join([f"[{names[p]}, {names[c]}]" for c, p in t.items()]) for t in packing.trees)
+    return _document(texts, objective(packing))
 
 
 def _document(texts: Iterable[str], value: int) -> Iterator[str]:
     """A packing document in chunks: one per tree from its edges' text, then the tail.
 
     A tree's text is its "[parent, child]" pairs joined by ", ".  Joined,
-    the chunks are _packing_json's document for those trees and value,
-    plus "\n".  There is at least one tree, since K >= 1.
+    the chunks are json.dumps of packing_to_dict's document for those
+    trees and value, plus "\n".  There is at least one tree, since K >= 1.
     """
     head = '{"trees": ['
     for text in texts:

@@ -224,7 +224,9 @@ def _grants(
     given level j <= s by greedy_allocation is in its parent's first j.
     The walk reads each granted vertex's children off the adjacency (the
     tree was rooted in stripe_values) and descends only into vertices
-    that can grant: leaves and vertices of capacity 0 end the walk.
+    with a non-empty excess list, which are exactly those of _rooted's
+    order (reach >= 1 and a first excess >= 1): leaves and vertices of
+    capacity 0 keep [] and end the walk.
     """
     caps, adjacency = inst.capacities, inst._adjacency
     pairs: list[tuple[int, int]] = []
@@ -238,7 +240,7 @@ def _grants(
             if granted:
                 pairs.append((w, u))
                 levels.append(granted)
-                if caps[w] and len(adjacency[w]) > 1:
+                if values[w]:
                     stack.append((w, u, granted))
     return pairs, levels
 
@@ -282,7 +284,7 @@ def _packing_text(inst: Instance) -> tuple[int, Iterator[str]]:
     built; the walk runs when the first chunk is asked for.  Each
     "[parent, child]" string is formatted once, and a tree's text is
     joined again only where a level ends.  Joined, the chunks equal
-    _packing_json(solve_tree(inst)[1], n) plus "\n".
+    json.dumps(packing_to_dict(solve_tree(inst)[1])) plus "\n".
     """
     values = stripe_values(inst)
     best = inst.num_trees + sum(values[inst.root])

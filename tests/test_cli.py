@@ -13,8 +13,21 @@ from pathlib import Path
 
 import pytest
 
-from helpers import EXAMPLE_DIMACS, random_complete_instance, satlib_uf_text
-from treepack import cli, instance_to_dict, objective, solve_complete
+from helpers import (
+    EXAMPLE_DIMACS,
+    random_complete_instance,
+    random_tree_instance,
+    satlib_uf_text,
+)
+from treepack import (
+    cli,
+    complete_solver,
+    instance_to_dict,
+    objective,
+    solve_complete,
+    solve_tree,
+    tree_solver,
+)
 from treepack.cli import main
 
 COMPLETE4 = {"kind": "complete", "n": 4, "root": 0, "capacities": [2, 1, 1, 1], "K": 2}
@@ -70,14 +83,15 @@ class TestSolve:
     def test_value_only_on_complete_takes_the_closed_form(
         self, capsys, write_json, monkeypatch, extra
     ):
+        # The one path: complete_text, whose stage one is never drawn.
         rng = random.Random(31)
         cases = [random_complete_instance(rng, max_n=30, max_k=8, cap_hi=6) for _ in range(25)]
         values = [objective(solve_complete(inst)) for inst in cases]
 
         def boom(inst):
-            raise AssertionError("complete solver called under --value-only")
+            raise AssertionError("stage paths built under --value-only")
 
-        monkeypatch.setattr(cli, "complete_text", boom)
+        monkeypatch.setattr(complete_solver, "build_stage_paths", boom)
         for inst, value in zip(cases, values):
             path = write_json("c.json", instance_to_dict(inst))
             code, out, err = run(capsys, "solve", "-i", path, *extra, "--value-only")
@@ -86,6 +100,22 @@ class TestSolve:
             assert err == (
                 f"objective {value} (complete, kind=complete, n={inst.n}, K={inst.num_trees})\n"
             )
+
+    def test_value_only_on_a_tree_builds_no_tree(self, capsys, write_json, monkeypatch):
+        rng = random.Random(32)
+        cases = [random_tree_instance(rng, max_n=30, max_k=8, cap_hi=6) for _ in range(25)]
+        values = [solve_tree(inst)[0] for inst in cases]
+
+        def boom(*args):
+            raise AssertionError("tree walked under --value-only")
+
+        monkeypatch.setattr(tree_solver, "_grants", boom)
+        for inst, value in zip(cases, values):
+            path = write_json("t.json", instance_to_dict(inst))
+            code, out, err = run(capsys, "solve", "-i", path, "--value-only")
+            assert code == 0
+            assert out == json.dumps({"objective": value}) + "\n"
+            assert err.startswith(f"objective {value} (tree, kind=tree, ")
 
     def test_kind_picks_the_solver_unless_greedy_is_asked(self, capsys, write_json):
         for data, alg in ((COMPLETE4, "complete"), (TREE3, "tree"), (GENERAL4, "greedy")):

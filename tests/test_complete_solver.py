@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 
@@ -21,12 +22,12 @@ from treepack import (
     build_stage_paths,
     objective,
     optimal_objective,
+    packing_to_dict,
     solve_complete,
     verify_packing,
 )
 from treepack import complete_solver
 from treepack.complete_solver import _packing_text
-from treepack.core import _packing_json
 
 
 def complete(caps, k, root=0):
@@ -99,10 +100,11 @@ class TestStagePaths:
 
 class TestAttachStage:
     def test_no_residual_keeps_paths(self):
-        inst = complete([2, 1, 1, 1], 2)
+        # Both paths are [0, 1, 2, 3]: every vertex is in, so none is adopted.
+        inst = complete([3, 2, 2, 2], 2)
         paths, residual = stage_paths(inst)
-        trees = attach_stage(inst, [list(p) for p in paths], [0] * 4)
-        assert list(trees) == [(path, []) for path in paths]
+        assert all(sorted(path) == [0, 1, 2, 3] for path in paths) and any(residual)
+        assert list(attach_stage(inst)) == [(path, []) for path in paths]
 
     def test_ample_capacity_spans_everything(self):
         inst = complete([5, 5, 5], 2)
@@ -219,7 +221,7 @@ class TestPackingText:
             value, chunks = _packing_text(inst)
             chunks = list(chunks)
             assert len(chunks) == inst.num_trees + 1
-            assert "".join(chunks) == _packing_json(packing, inst.n) + "\n", inst
+            assert "".join(chunks) == json.dumps(packing_to_dict(packing)) + "\n", inst
             assert value == objective(packing)
             caps = inst.capacities
             paths = stage_paths(inst)[0]

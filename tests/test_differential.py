@@ -539,7 +539,7 @@ def assert_stages_match(inst: Instance) -> None:
     paths, residual = build_stage_paths(inst)
     want_paths, want_residual = reference_stage_paths(inst)
     assert residual == want_residual
-    got = attach_stage(inst, paths, residual)
+    got = attach_stage(inst)
     assert iter(paths) is paths and iter(got) is got  # lazy: nothing is built up front
     want = reference_attach(inst, want_paths, want_residual)
     prev = None
@@ -552,7 +552,7 @@ def assert_stages_match(inst: Instance) -> None:
         prev = path
     assert next(got, None) is None
     assert map_items(solve_complete(inst)) == map_items(want)
-    assert residual == want_residual  # attach works on a copy
+    assert residual == want_residual  # attach spends its own residual, not this one
 
 
 class TestCompleteStagesMatchReference:

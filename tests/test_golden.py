@@ -2,8 +2,9 @@
 
 The other tests check values, feasibility and agreement between solvers,
 which any optimal packing passes.  This one pins the packing text itself:
-the sha256 of `_packing_json` over a seeded family, so a change to a
-solver's search or walk order that keeps every value still shows here.
+the sha256 of `json.dumps(packing_to_dict(p))`, the bytes of every
+writer, over a seeded family, so a change to a solver's search or walk
+order that keeps every value still shows here.
 It pins the verifier's reports the same way: the sha256 of each
 report's JSON over valid packings and copies damaged by the faults of
 test_differential.corrupt_maps, and what `treepack verify` gives on the
@@ -36,11 +37,15 @@ from treepack import (
     verify_packing,
 )
 from treepack.cli import main
-from treepack.core import _packing_json
 
 GOLDEN = "c80dd0bf336946b378a37b41cf17762434cec882e2c7795d59bbfc3c53501f9e"
 GOLDEN_REPORTS = "e0b8143073c6056e74cc3d8a641f488ab1c5b602c560ccbd84cef482f2ebe6eb"
 GOLDEN_CLI_REPORTS = "b4d39e2d2a5cc2f899e154bdb93f079df1b82faa9cadb12e73eab139ad206325"
+
+
+def document(packing) -> str:
+    """The packing's document, the bytes every writer gives (test_packing_text)."""
+    return json.dumps(packing_to_dict(packing))
 
 
 def packing_texts():
@@ -50,16 +55,16 @@ def packing_texts():
         for make in (random_complete_instance, random_tree_instance, random_general_instance):
             inst = make(rng, max_n=6)
             value, packing = brute_force_solve(inst)
-            yield f"oracle {value} {_packing_json(packing, inst.n)}"
-            yield f"greedy {_packing_json(greedy_general(inst), inst.n)}"
+            yield f"oracle {value} {document(packing)}"
+            yield f"greedy {document(greedy_general(inst))}"
             if inst.kind == "tree":
                 value, packing = solve_tree(inst)
-                yield f"tree {value} {_packing_json(packing, inst.n)}"
+                yield f"tree {value} {document(packing)}"
     for _ in range(12):
         inst = reduce_3sat(random_3cnf(rng, max_vars=3, max_clauses=3)).instance
         value, packing = brute_force_solve(inst, max_n=inst.n)
-        yield f"gadget {value} {_packing_json(packing, inst.n)}"
-        yield f"greedy {_packing_json(greedy_general(inst), inst.n)}"
+        yield f"gadget {value} {document(packing)}"
+        yield f"greedy {document(greedy_general(inst))}"
 
 
 def damaged_cases(count: int):

@@ -1,12 +1,14 @@
 """The packing document as text: the same bytes as json.dumps, and the counted objective.
 
-solve and oracle write their packing straight from the parent maps
-(core._packing_json) instead of encoding packing_to_dict.  These tests hold
-that text to json.dumps(packing_to_dict(p)) on every solver's output,
-null trees included, and on the damaged packings of the Hypothesis
-strategy with ids in the writer's [0, n) id table; pin that the writer
-reads each map through one items() call; and hold objective to the
-vertex count on packings that verify.
+A greedy solve and oracle write their packing straight from the parent
+maps (core._packing_chunks), one chunk per tree and then the tail,
+instead of encoding packing_to_dict.  These tests hold the joined chunks
+to the reference json.dumps(packing_to_dict(p)) + "\n", and their count
+to K + 1, on every solver's output, null trees and n = 1 included, and
+on the damaged packings of the Hypothesis strategy with ids in the
+writer's [0, n) id table; pin that the writer reads each map through
+one items() call; and hold objective to the vertex count on packings
+that verify.
 """
 
 from __future__ import annotations
@@ -39,7 +41,19 @@ from treepack import (
     verify_packing,
 )
 from treepack.cli import main
-from treepack.core import _packing_json
+from treepack.core import _packing_chunks
+
+
+def reference(packing: Packing) -> str:
+    """The document every writer must give: json.dumps of packing_to_dict, and a newline."""
+    return json.dumps(packing_to_dict(packing)) + "\n"
+
+
+def written(packing: Packing, n: int) -> str:
+    """_packing_chunks' document joined, after checking it comes as K + 1 chunks."""
+    chunks = list(_packing_chunks(packing, n))
+    assert len(chunks) == len(packing.trees) + 1
+    return "".join(chunks)
 
 
 def _family(kind: str) -> list[tuple[Instance, Packing]]:
@@ -76,11 +90,11 @@ KINDS = ("complete", "tree", "general", "oracle")
 class TestSolverPackings:
     def test_text_equals_json_dumps(self, kind):
         for inst, packing in _family(kind):
-            assert _packing_json(packing, inst.n) == json.dumps(packing_to_dict(packing))
+            assert written(packing, inst.n) == reference(packing)
 
     def test_text_loads_to_the_same_maps_in_order(self, kind):
         for inst, packing in _family(kind):
-            loaded = packing_from_dict(json.loads(_packing_json(packing, inst.n)), inst.root)
+            loaded = packing_from_dict(json.loads(written(packing, inst.n)), inst.root)
             assert map_items(loaded) == map_items(packing)
 
     def test_objective_counts_vertices(self, kind):
@@ -96,8 +110,29 @@ def test_family_has_null_trees():
 
 
 def test_null_packing_text():
-    packing = Packing(2, ({}, {}))
-    assert _packing_json(packing, 3) == '{"trees": [{"edges": []}, {"edges": []}], "objective": 2}'
+    assert list(_packing_chunks(Packing(2, ({}, {})), 3)) == [
+        '{"trees": [{"edges": []}',
+        ', {"edges": []}',
+        '], "objective": 2}\n',
+    ]
+
+
+def test_greedy_and_oracle_chunks_equal_the_reference():
+    """Seeded families of every kind, with null trees and n = 1 among them."""
+    rng = random.Random("packing-chunks")
+    makes = (random_complete_instance, random_tree_instance, random_general_instance)
+    shapes = Counter()
+    for i in range(600):
+        inst = makes[i % 3](rng, max_n=1 if i % 20 == 0 else 9, max_k=5, cap_hi=2)
+        packings_ = [greedy_general(inst)]
+        if inst.n <= 5 and inst.num_trees <= 2:
+            packings_.append(brute_force_solve(inst)[1])
+            shapes["oracle"] += 1
+        for packing in packings_:
+            assert written(packing, inst.n) == reference(packing), inst
+            shapes["null_tree"] += not all(packing.trees)
+            shapes["n1"] += inst.n == 1
+    assert min(shapes.values()) >= 20, shapes
 
 
 class _CountedMap(dict):
@@ -123,8 +158,8 @@ class _CountedMap(dict):
 def test_writer_reads_each_map_through_one_items_call():
     plain = [{1: 0, 2: 1, 3: 1}, {3: 0}, {}]
     counted = [_CountedMap(parent) for parent in plain]
-    text = _packing_json(Packing(0, counted), 4)
-    assert text == json.dumps(packing_to_dict(Packing(0, plain)))
+    text = written(Packing(0, counted), 4)
+    assert text == reference(Packing(0, plain))
     assert [dict(parent.calls) for parent in counted] == [{"items": 1}] * 3
 
 
@@ -135,17 +170,17 @@ DAMAGED_N = 16
 class TestDamagedPackings:
     @given(packings(lowest=0))
     def test_text_equals_json_dumps(self, packing):
-        assert _packing_json(packing, DAMAGED_N) == json.dumps(packing_to_dict(packing))
+        assert written(packing, DAMAGED_N) == reference(packing)
 
     @given(packings(lowest=0))
     def test_text_loads_to_the_same_maps_in_order(self, packing):
-        text = _packing_json(packing, DAMAGED_N)
+        text = written(packing, DAMAGED_N)
         loaded = packing_from_dict(json.loads(text), packing.root)
         assert map_items(loaded) == map_items(packing)
 
 
 class TestCliStdout:
-    """solve and oracle print json.dumps(packing_to_dict(...)) and a newline."""
+    """solve and oracle print the reference document."""
 
     def _run(self, capsys, tmp_path, inst: Instance, *argv: str) -> str:
         path = tmp_path / "instance.json"
@@ -157,7 +192,7 @@ class TestCliStdout:
     def test_solve(self, capsys, tmp_path, kind):
         for inst, packing in _family(kind)[:8]:
             out = self._run(capsys, tmp_path, inst, "solve")
-            assert out == json.dumps(packing_to_dict(packing)) + "\n"
+            assert out == reference(packing)
 
     @pytest.mark.parametrize("kind", ("complete", "tree", "general"))
     def test_oracle(self, capsys, tmp_path, kind):
@@ -170,4 +205,4 @@ class TestCliStdout:
         for _ in range(6):
             inst = make(rng, max_n=4, max_k=2, cap_hi=2)
             out = self._run(capsys, tmp_path, inst, "oracle")
-            assert out == json.dumps(packing_to_dict(brute_force_solve(inst)[1])) + "\n"
+            assert out == reference(brute_force_solve(inst)[1])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from collections import Counter
 
@@ -16,12 +17,12 @@ from treepack import (
     Packing,
     brute_force_solve,
     objective,
+    packing_to_dict,
     solve_mckp,
     solve_tree,
     stripe_values,
     verify_packing,
 )
-from treepack.core import _packing_json
 from treepack.tree_solver import _packing_text, greedy_allocation
 
 
@@ -425,7 +426,7 @@ class TestTreePackingText:
             best, chunks = _packing_text(inst)
             chunks = list(chunks)
             assert len(chunks) == inst.num_trees + 1
-            assert "".join(chunks) == _packing_json(packing, inst.n) + "\n", inst
+            assert "".join(chunks) == json.dumps(packing_to_dict(packing)) + "\n", inst
             assert best == value == objective(packing)
             caps = inst.capacities
             shapes["n1"] += inst.n == 1
@@ -458,3 +459,36 @@ class TestTreePackingText:
         assert value == 4 and walks == []
         assert next(chunks) == '{"trees": [{"edges": [[0, 1], [1, 2]]}'
         assert walks == [1]
+
+
+class TestWalk:
+    def test_expands_only_the_vertices_that_can_grant(self, monkeypatch):
+        """One greedy_allocation per expanded vertex: the root, then each granted
+        vertex with a non-empty excess list, which is one with children and capacity."""
+        import treepack.tree_solver as tree_solver
+
+        calls = []
+        real = tree_solver.greedy_allocation
+        monkeypatch.setattr(
+            tree_solver, "greedy_allocation", lambda *a: calls.append(1) or real(*a)
+        )
+        rng = random.Random(28)
+        shapes = Counter()
+        for i in range(400):
+            if i % 2:
+                inst = hub_tree_instance(rng)
+            else:
+                inst = random_tree_instance(rng, max_n=30, max_k=30, cap_hi=2)
+            values = stripe_values(inst)
+            calls.clear()
+            pairs, _ = tree_solver._grants(inst, values)
+            granted = [w for w, _ in pairs]
+            inner = [w for w in granted if inst.capacities[w] and len(inst.neighbors(w)) > 1]
+            assert len(calls) == 1 + sum(1 for w in granted if values[w]) == 1 + len(inner)
+            below = {c for w in granted if not inst.capacities[w] for c in inst.neighbors(w)}
+            shapes["granted_leaf"] += any(len(inst.neighbors(w)) == 1 for w in granted)
+            shapes["granted_zero_hub"] += any(
+                not inst.capacities[w] and len(inst.neighbors(w)) > 1 for w in granted
+            )
+            shapes["subtree_below_a_zero_hub"] += bool(below - set(granted) - {inst.root})
+        assert min(shapes.values()) >= 20, shapes
