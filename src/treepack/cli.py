@@ -27,9 +27,16 @@ the usage line of a usage error (exit 2).  A value is the next word, or
 follows "=" or a short flag (-ifile); a next word starting with "-" is a
 value only if it is "-" or a negative number.  The last repeat wins.
 
+verify parses the packing document and hands it to
+verifier.valid_document, one pass over each tree's [parent, child]
+list that builds no parent map.  Only a file that pass does not find
+valid takes the long route: core's parent maps and stated objective,
+then verify_packing, which finds and orders every violation; so every
+report, error and exit code is the one verify_packing gives.
+
 A call loads, and compiles, only the modules its command runs: this
-module imports core alone, and each solver entry point below, and the
-verifier, is a stand-in that imports its submodule when first called.
+module imports core alone, and each solver and verifier entry point
+below is a stand-in that imports its submodule when first called.
 The console script and ``python -m treepack.cli`` go through run(),
 which flushes the standard streams and ends the process without
 tearing the interpreter down.
@@ -47,9 +54,10 @@ from types import SimpleNamespace
 from .core import (
     Instance,
     SearchLimitExceeded,
-    _load_packing,
     _on_first_call,
     _packing_chunks,
+    _parse,
+    _stated_packing,
     instance_to_dict,
     load_instance,
     objective,
@@ -64,6 +72,7 @@ greedy_general = _on_first_call("greedy", "greedy_general")
 brute_force_solve = _on_first_call("oracle", "brute_force_solve")
 load_dimacs = _on_first_call("reduction", "load_dimacs")
 reduce_3sat = _on_first_call("reduction", "reduce_3sat")
+valid_document = _on_first_call("verifier", "valid_document")
 verify_packing = _on_first_call("verifier", "verify_packing")
 
 EXIT_OK = 0
@@ -139,8 +148,12 @@ def cmd_solve(args: SimpleNamespace) -> int:
 def cmd_verify(args: SimpleNamespace) -> int:
     inst = _read_instance(args.instance)
     with open(args.packing, "rb") as fh:
-        packing, stated = _load_packing(fh, inst)
-    report = verify_packing(inst, packing, stated)
+        data = _parse(fh, "packing")
+    if valid_document(inst, data):
+        report = {"valid": True, "violations": []}
+    else:  # in doubt: the parent maps, and every violation in order
+        packing, stated = _stated_packing(data, inst.root)
+        report = verify_packing(inst, packing, stated)
     _emit([json.dumps(report) + "\n"])
     if report["valid"]:
         _note("packing is valid")

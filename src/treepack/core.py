@@ -20,6 +20,11 @@ as every solver makes them.  The exact solvers have writers of their
 own, complete_solver and tree_solver._packing_text, because a command
 compiles only the modules it runs: they write from root paths and
 adoption runs, and from granted levels.
+
+A packing document is read into parent maps by packing_from_dict, one
+loop over each tree's edges (_parent_map).  treepack verify builds them
+only for a file that verifier.valid_document, one pass over the parsed
+document's edge lists, does not find valid.
 """
 
 import json
@@ -220,6 +225,8 @@ class Packing(_Value):
     file lists: every solver inserts each child after its parent, root
     outward, which lets verify_packing check the tree in one pass.  The
     maps are kept as given, not copied, and treated as immutable.
+    treepack verify builds no Packing for a valid file: it checks the
+    document's edge lists themselves (verifier.valid_document).
 
     Construction does no validation: connectivity, edge membership and the
     root are verify_packing's job, so damaged packings read from files can
@@ -286,7 +293,7 @@ def _parse(source: IOBase, what: str) -> object:
         return json.load(source)
     except RecursionError:
         raise ValueError(f"{what}: JSON nested too deeply") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, an over-long integer
         raise ValueError(f"{what}: {exc}") from None
 
 
@@ -298,20 +305,10 @@ def load_instance(source: IOBase) -> Instance:
 def _parent_map(edges: list, i: int) -> dict[int, int]:
     """Tree i's child -> parent map from its [parent, child] pairs, in edge order.
 
-    Whole-list tests at C speed; the per-edge loop runs only when one
-    fails, to raise the first error in edge order (or to accept int
-    subclasses, which only library callers pass).
+    One loop over the edges; it raises ValueError at the first edge that
+    is not a pair of integers, or whose child already has a parent.  Int
+    subclasses, which only library callers pass, are accepted.
     """
-    if set(map(type, edges)) <= {list}:
-        try:
-            parent = {c: p for p, c in edges}
-        except (TypeError, ValueError):  # a pair of another length, an unhashable child
-            pass
-        else:
-            if len(parent) == len(edges) and (
-                set(map(type, parent)) | set(map(type, parent.values())) <= {int}
-            ):
-                return parent
     parent = {}
     for e in edges:
         if not isinstance(e, list) or len(e) != 2:
@@ -386,13 +383,12 @@ def _document(texts: Iterable[str], value: int) -> Iterator[str]:
 
 def load_packing(source: IOBase, inst: Instance) -> Packing:
     """Parse a packing JSON document; its root is the instance root."""
-    return _load_packing(source, inst)[0]
+    return packing_from_dict(_parse(source, "packing"), inst.root)
 
 
-def _load_packing(source: IOBase, inst: Instance) -> tuple[Packing, int | None]:
-    """load_packing, and the document's stated objective: an integer, or None if absent."""
-    data = _parse(source, "packing")
-    packing = packing_from_dict(data, inst.root)
+def _stated_packing(data: object, root: int) -> tuple[Packing, int | None]:
+    """packing_from_dict, and the document's stated objective: an integer, or None if absent."""
+    packing = packing_from_dict(data, root)
     if "objective" not in data:
         return packing, None
     return packing, _as_int(data["objective"], "objective")

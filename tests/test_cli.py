@@ -22,11 +22,14 @@ from helpers import (
 from treepack import (
     cli,
     complete_solver,
+    core,
     instance_to_dict,
     objective,
+    packing_to_dict,
     solve_complete,
     solve_tree,
     tree_solver,
+    verifier,
 )
 from treepack.cli import main
 
@@ -271,7 +274,11 @@ class TestMalformedEdges:
 
 
 class TestVerify:
-    @pytest.mark.parametrize("text", [b"{", b'{"trees": "\xff"}'], ids=["syntax", "encoding"])
+    @pytest.mark.parametrize(
+        "text",
+        [b"{", b'{"trees": "\xff"}', b'{"n": ' + b"9" * 5000 + b"}"],
+        ids=["syntax", "encoding", "long-integer"],  # past the 4,300-digit limit
+    )
     @pytest.mark.parametrize("broken", ["instance", "packing"])
     def test_unreadable_json_names_its_document(self, capsys, write_json, text, broken):
         paths = {
@@ -283,6 +290,23 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and err.startswith(f"error: {broken}: "), err
+
+    def test_valid_files_build_no_parent_maps(self, capsys, write_json, monkeypatch):
+        """A valid file is settled by the pass over its edge lists: the long route never runs."""
+
+        def long_route(*args):
+            raise AssertionError("a valid file took the parent-map route")
+
+        monkeypatch.setattr(core, "packing_from_dict", long_route)
+        monkeypatch.setattr(verifier, "verify_packing", long_route)
+        rng = random.Random(29)
+        complete = random_complete_instance(rng, max_n=300, max_k=8, cap_hi=4)
+        tree = random_tree_instance(rng, max_n=300, max_k=8, cap_hi=4)
+        for inst, packing in ((complete, solve_complete(complete)), (tree, solve_tree(tree)[1])):
+            inst_path = write_json("inst.json", instance_to_dict(inst))
+            pack_path = write_json("pack.json", packing_to_dict(packing))
+            code, out, err = run(capsys, "verify", "-i", inst_path, "-p", pack_path)
+            assert (code, out, err) == (0, '{"valid": true, "violations": []}\n', "packing is valid\n")
 
     def test_tampered_packing_fails(self, capsys, write_json, tmp_path):
         inst = write_json("c4.json", COMPLETE4)

@@ -10,6 +10,8 @@ results: the same violation list in the same order, the same paths and
 residuals, the same parent maps in the same insertion order, the same
 error for a malformed document.  Edges are listed in parent-map order,
 so saving, loading and saving again must give the same document.
+``long_route`` is treepack verify's output from the parent maps, which
+the verifier's pass over a document's edge lists must reproduce.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from treepack import (
     brute_force_solve,
     build_stage_paths,
     greedy_general,
+    instance_to_dict,
     objective,
     optimal_objective,
     packing_from_dict,
@@ -41,7 +44,7 @@ from treepack import (
     solve_tree,
     verify_packing,
 )
-from treepack import core, verifier
+from treepack import cli, core, verifier
 
 
 def violation(tree: int | None, vertex: int, reason: str) -> dict:
@@ -304,6 +307,15 @@ class TestEdgesInMapOrder:
             assert_map_order_round_trip(Packing(0, (tree,)), 0)
 
 
+def no_sort(*args, **kwargs):
+    raise AssertionError("the verifier sorted a tree")
+
+
+def root_outward(inst: Instance, parent: dict[int, int], mark: list[int], ti: int) -> bool:
+    """The verifier's one-pass check over a parent map, as verify_packing runs it."""
+    return verifier._outward_edges(inst, zip(parent.values(), parent), mark, [0] * inst.n, ti)
+
+
 class TestVerifyMatchesReference:
     def test_valid_packings(self):
         for _, inst, packing in seeded_cases(4, 600):
@@ -331,7 +343,7 @@ class TestVerifyMatchesReference:
             assert report == reference_verify(inst, damaged)
             invalid += not report["valid"]
             for parent in damaged.trees:
-                ordered = verifier._rooted_outward(inst, parent, [-1] * inst.n, 0)
+                ordered = root_outward(inst, parent, [-1] * inst.n, 0)
                 outward += ordered
                 fallback += not ordered
         assert invalid > 1500
@@ -354,13 +366,15 @@ class TestVerifyMatchesReference:
             assert report == reference_verify(inst, shuffled)
             mark = [-1] * inst.n
             fallback += sum(
-                not verifier._rooted_outward(inst, t, mark, ti) for ti, t in enumerate(shuffled.trees)
+                not root_outward(inst, t, mark, ti) for ti, t in enumerate(shuffled.trees)
             )
         assert fallback > 500
 
-    def test_capacity_overflow_in_root_outward_packings(self):
+    def test_capacity_overflow_in_root_outward_packings(self, monkeypatch):
         # Each tree grows by leaves appended in order, so every tree still
-        # passes the ordered pass and only the capacity totals can fail.
+        # passes the ordered pass and only the capacity totals can fail:
+        # no tree is sorted.
+        monkeypatch.setattr(verifier, "sorted", no_sort, raising=False)
         invalid = 0
         for rng, inst, packing in seeded_cases(12, 900):
             maps = []
@@ -376,7 +390,7 @@ class TestVerifyMatchesReference:
                         members.append(w)
                 maps.append(parent)
             grown = Packing(inst.root, maps)
-            assert all(verifier._rooted_outward(inst, t, [-1] * inst.n, 0) for t in grown.trees)
+            assert all(root_outward(inst, t, [-1] * inst.n, 0) for t in grown.trees)
             report = verify_packing(inst, grown)
             assert report == reference_verify(inst, grown)
             assert all(v["tree"] is None for v in report["violations"])
@@ -487,6 +501,150 @@ class TestPackingFromDictMatchesReference:
         doc = {"trees": [{"edges": [[0, 1], [0, 2.0], [2, 1]]}]}
         with pytest.raises(ValueError, match=r"^trees\[0\].edges: expected an integer, got 2.0$"):
             packing_from_dict(doc, 0)
+
+
+def long_route(inst: Instance, doc: object) -> tuple[int, str, str]:
+    """verify's exit code, stdout and stderr from the parent maps: packing_from_dict, then verify_packing."""
+    try:
+        packing = packing_from_dict(doc, inst.root)
+        stated = core._as_int(doc["objective"], "objective") if "objective" in doc else None
+        report = verify_packing(inst, packing, stated)
+    except ValueError as exc:
+        return 2, "", f"error: {exc}\n"
+    out = json.dumps(report) + "\n"
+    if report["valid"]:
+        return 0, out, "packing is valid\n"
+    return 1, out, f"packing is invalid: {len(report['violations'])} violation(s)\n"
+
+
+C4 = Instance("complete", 4, (2, 1, 1, 1), 2)
+T3 = Instance("tree", 3, (1, 1, 0), 2, edges=((0, 1), (1, 2)))
+G4 = Instance("general", 4, (2, 1, 1, 1), 2, edges=((0, 1), (0, 2), (1, 3), (2, 3)))
+
+
+def c4_doc(first: object, **extra) -> dict:
+    """A C4 document: the given first tree's edges, then the valid tree [[0, 3]]."""
+    return {"trees": [{"edges": first}, {"edges": [[0, 3]]}], **extra}
+
+
+VALID_C4 = [[0, 1], [1, 2]]  # with the second tree, 5 occurrences; vertex 0 has 2 children
+
+EXPLICIT_DOCUMENTS = {
+    "objective absent": (C4, c4_doc(VALID_C4)),
+    "objective equal": (C4, c4_doc(VALID_C4, objective=5)),
+    "objective null": (C4, c4_doc(VALID_C4, objective=None)),
+    "objective true": (C4, c4_doc(VALID_C4, objective=True)),
+    "objective 5.0": (C4, c4_doc(VALID_C4, objective=5.0)),
+    "objective -1": (C4, c4_doc(VALID_C4, objective=-1)),
+    "objective one low": (C4, c4_doc(VALID_C4, objective=4)),
+    "objective one high": (C4, c4_doc(VALID_C4, objective=6)),
+    "objective -1, one edge": (C4, {"trees": [{"edges": [[0, 1]]}, {"edges": []}], "objective": -1}),
+    "bool child": (C4, c4_doc([[0, True]])),
+    "bool parent": (C4, c4_doc([[0, 1], [True, 2]])),
+    "float child": (C4, c4_doc([[0, 1.0]])),
+    "float parent": (C4, c4_doc([[0, 1], [1.0, 2]])),
+    "negative child": (C4, c4_doc([[0, -1]])),
+    "negative parent": (C4, c4_doc([[-1, 1]])),
+    "child n": (C4, c4_doc([[0, 4]])),
+    "parent n": (C4, c4_doc([[0, 1], [4, 2]])),
+    "duplicate child": (C4, c4_doc([[0, 1], [0, 1]])),
+    "child with two parents": (C4, c4_doc([[0, 1], [0, 2], [2, 1]])),
+    "root as child": (C4, c4_doc([[0, 1], [1, 0]])),
+    "root as its own child": (C4, c4_doc([[0, 0]])),
+    "child before its parent": (C4, c4_doc([[1, 2], [0, 1]])),
+    "self edge": (C4, c4_doc([[0, 1], [2, 2]])),
+    "1-list edge": (C4, c4_doc([[0, 1], [0]])),
+    "3-list edge": (C4, c4_doc([[0, 1, 2]])),
+    "empty edge": (C4, c4_doc([[]])),
+    "string edge": (C4, c4_doc(["01"])),
+    "edges a number": (C4, c4_doc(5)),
+    "edges an object": (C4, c4_doc({"0": 1})),
+    "edges null": (C4, c4_doc(None)),
+    "tree without edges": (C4, {"trees": [{}, {"edges": [[0, 3]]}]}),
+    "tree a list": (C4, {"trees": [[[0, 1]], {"edges": [[0, 3]]}]}),
+    "trees an object": (C4, {"trees": {"edges": [[0, 1]]}}),
+    "trees a number": (C4, {"trees": 2}),
+    "no trees": (C4, {"objective": 2}),
+    "document a list": (C4, [{"edges": [[0, 1]]}, {"edges": []}]),
+    "document null": (C4, None),
+    "one tree for K=2": (C4, {"trees": [{"edges": [[0, 1]]}]}),
+    "three trees for K=2": (C4, {"trees": [{"edges": []}] * 3}),
+    "capacity overflow": (C4, c4_doc([[0, 1], [0, 2]])),
+    "capacity overflow off the root": (C4, c4_doc([[0, 1], [1, 2], [1, 3]])),
+    "valid tree": (T3, {"trees": [{"edges": [[0, 1], [1, 2]]}, {"edges": [[0, 1]]}], "objective": 5}),
+    "edge missing from a tree": (T3, {"trees": [{"edges": [[0, 2]]}, {"edges": []}]}),
+    "valid general": (G4, {"trees": [{"edges": [[0, 1], [1, 3]]}, {"edges": [[0, 2]]}]}),
+    "edge missing from a general graph": (G4, {"trees": [{"edges": [[0, 3]]}, {"edges": []}]}),
+}
+
+
+class TestVerifyDocumentMatchesLongRoute:
+    """treepack verify's one pass over the edge lists gives what the parent maps give.
+
+    Each document goes through a file, as verify reads it, and the
+    outcome is compared with long_route on the same parsed document.
+    """
+
+    @pytest.fixture
+    def verify(self, tmp_path, capsys, monkeypatch):
+        """Run verify on (instance, document); count the document pass's answers."""
+        answers: Counter = Counter()
+        real = verifier.valid_document
+
+        def counting(inst, data):
+            answers[valid := real(inst, data)] += 1
+            return valid
+
+        monkeypatch.setattr(verifier, "valid_document", counting)
+        inst_path, pack_path = tmp_path / "inst.json", tmp_path / "pack.json"
+
+        def _verify(inst: Instance, doc: object) -> tuple[int, str, str]:
+            inst_path.write_text(json.dumps(instance_to_dict(inst)))
+            pack_path.write_text(text := json.dumps(doc))
+            code = cli.main(["verify", "-i", str(inst_path), "-p", str(pack_path)])
+            out, err = capsys.readouterr()
+            assert (code, out, err) == long_route(inst, json.loads(text)), text
+            return code, out, err
+
+        _verify.answers = answers
+        return _verify
+
+    def test_valid_documents(self, verify):
+        for rng, inst, packing in seeded_cases(20, 450):
+            doc = packing_to_dict(packing)
+            if rng.random() < 0.3:
+                del doc["objective"]
+            assert verify(inst, doc)[0] == 0
+        assert verify.answers == {True: 450}
+
+    def test_reordered_valid_documents(self, verify):
+        for rng, inst, packing in seeded_cases(21, 300):
+            doc = packing_to_dict(packing)
+            for tree in doc["trees"]:
+                rng.shuffle(tree["edges"])
+            assert verify(inst, doc)[0] == 0
+        assert verify.answers[False] > 100
+
+    def test_damaged_parent_maps(self, verify):
+        codes = Counter()
+        for rng, inst, packing in seeded_cases(22, 1200):
+            doc = packing_to_dict(corrupt(rng, inst, packing))
+            if rng.random() < 0.3:
+                doc["objective"] += rng.choice((-1, 1))
+            codes[verify(inst, doc)[0]] += 1
+        assert codes[1] > 900  # an id out of range is a violation, not an input error
+        assert verify.answers[False] > 1000
+
+    def test_malformed_documents(self, verify):
+        codes = Counter()
+        for rng, inst, packing in seeded_cases(23, 1200):
+            codes[verify(inst, malform(rng, packing_to_dict(packing)))[0]] += 1
+        assert codes[2] > 1000 and codes[1] + codes[0] > 40  # a subclass id reads back as an int
+
+    @pytest.mark.parametrize("inst, doc", EXPLICIT_DOCUMENTS.values(), ids=EXPLICIT_DOCUMENTS)
+    def test_explicit_documents(self, verify, inst, doc):
+        if verify(inst, doc)[0] != 0:
+            assert verify.answers == {False: 1}  # the pass accepts no faulty file
 
 
 class TestGreedyMatchesReference:
