@@ -14,17 +14,14 @@ is a binary search there, and the edges tuple is the normalized input.
 Every packing document is written as text in chunks, one per tree and
 then the tail, framed by _document, with the same bytes as json.dumps of
 packing_to_dict plus a newline.  _packing_chunks writes them from parent
-maps (greedy and the oracle), formatting each vertex id once per
-document into a table indexed by id, so it requires every id in [0, n),
-as every solver makes them.  The exact solvers have writers of their
+maps (greedy and the oracle).  The exact solvers have writers of their
 own, complete_solver and tree_solver._packing_text, because a command
 compiles only the modules it runs: they write from root paths and
 adoption runs, and from granted levels.
 
 A packing document is read into parent maps by packing_from_dict, one
-loop over each tree's edges (_parent_map).  treepack verify builds them
-only for a file that verifier.valid_document, one pass over the parsed
-document's edge lists, does not find valid.
+loop over each tree's edges (_parent_map).  How treepack verify judges
+a document: verifier.verify_document.
 """
 
 import json
@@ -224,9 +221,8 @@ class Packing(_Value):
     insertion order is the tree's one edge order, the order the packing
     file lists: every solver inserts each child after its parent, root
     outward, which lets verify_packing check the tree in one pass.  The
-    maps are kept as given, not copied, and treated as immutable.
-    treepack verify builds no Packing for a valid file: it checks the
-    document's edge lists themselves (verifier.valid_document).
+    maps are kept as given, not copied, and treated as immutable.  How
+    treepack verify judges a document: verifier.verify_document.
 
     Construction does no validation: connectivity, edge membership and the
     root are verify_packing's job, so damaged packings read from files can
@@ -351,19 +347,14 @@ def packing_to_dict(packing: Packing) -> dict:
     return {"trees": trees, "objective": objective(packing)}
 
 
-def _packing_chunks(packing: Packing, n: int) -> Iterator[str]:
+def _packing_chunks(packing: Packing) -> Iterator[str]:
     """The packing document in chunks, written straight from the parent maps.
 
     One chunk per tree, framed by _document, then the tail; joined, they
     equal json.dumps(packing_to_dict(packing)) plus "\n".  A tree's text is
     one join over "[parent, child]" strings, with no list built per edge.
-    Each id in [0, n) is formatted once per call, into a table of names
-    indexed by id.  Precondition: every id in the maps lies in [0, n), as
-    every solver makes them; a negative id would index the table from its
-    end, and an id >= n raises IndexError.
     """
-    names = list(map(str, range(n)))
-    texts = (", ".join([f"[{names[p]}, {names[c]}]" for c, p in t.items()]) for t in packing.trees)
+    texts = (", ".join([f"[{p}, {c}]" for c, p in t.items()]) for t in packing.trees)
     return _document(texts, objective(packing))
 
 
@@ -384,11 +375,3 @@ def _document(texts: Iterable[str], value: int) -> Iterator[str]:
 def load_packing(source: IOBase, inst: Instance) -> Packing:
     """Parse a packing JSON document; its root is the instance root."""
     return packing_from_dict(_parse(source, "packing"), inst.root)
-
-
-def _stated_packing(data: object, root: int) -> tuple[Packing, int | None]:
-    """packing_from_dict, and the document's stated objective: an integer, or None if absent."""
-    packing = packing_from_dict(data, root)
-    if "objective" not in data:
-        return packing, None
-    return packing, _as_int(data["objective"], "objective")

@@ -6,16 +6,21 @@ valid exactly when violations is empty.  tree is None on a capacity
 violation, which no one tree causes, and tree and vertex are None when
 the document's stated objective differs from the packing's count.
 
-One per-edge check, _outward_edges, serves both entry points.
-valid_document runs it over a parsed packing document's [parent, child]
-lists and builds nothing per tree; verify_packing runs it over each
-parent map, and falls back to the full search for violations only on a
-tree the check rejects.
+verify_document is treepack verify's one entry point: it judges a
+parsed packing document.  One per-edge check, _outward_edges, first
+runs over the document's [parent, child] lists and builds nothing per
+tree; a file it finds valid gets the valid report at once.  Any other
+file takes the long route: core.packing_from_dict's parent maps and
+the stated objective, then verify_packing, which runs the same check
+over each parent map and falls back to the full search for violations
+only on a tree the check rejects.  So every report, input error and
+its order is verify_packing's.
 """
 
 from operator import le
 
-from .core import KIND_COMPLETE, Instance, Packing, objective
+from . import core
+from .core import KIND_COMPLETE, Instance, Packing, _as_int, objective
 
 
 def _outward_edges(inst: Instance, edges, mark: list[int], totals: list[int], ti: int) -> bool:
@@ -48,33 +53,40 @@ def _outward_edges(inst: Instance, edges, mark: list[int], totals: list[int], ti
     return True
 
 
-def valid_document(inst: Instance, data: object) -> bool:
-    """Is the parsed packing document valid, by one pass over each tree's edge list?
+def verify_document(inst: Instance, data: object) -> dict:
+    """The report on a parsed packing document, as treepack verify prints it.
 
-    True when the document has K trees, each tree's edges all pass
-    _outward_edges, no vertex's children across trees exceed its
-    capacity, and the stated objective, if the key is present, is an int
-    equal to the count of occurrences: then verify_packing of the loaded
-    packing reports no violation.  False means only that this pass is in
-    doubt: a damaged shape, an edge out of root-outward order, a fault of
-    any kind.  No parent map is built.  data is as json.load returns it:
-    a tuple edge, which JSON never yields, would pass where
+    First one pass over each tree's [parent, child] list (_outward_edges),
+    which builds no parent map.  The document is valid, and gets
+    {"valid": true, "violations": []} at once, when it has K trees whose
+    edges all pass, no vertex's children across trees exceed its
+    capacity, and the stated objective is absent or an int equal to the
+    count of occurrences.  Any other document, valid ones whose edges are
+    not root outward included, takes the long route:
+    core.packing_from_dict (through the module, so a swapped loader is
+    the one called), the stated objective as an integer, or None when the
+    key is absent, then verify_packing.  That route alone raises
+    ValueError on a malformed document or objective, with the loader's
+    error winning, and writes every violation.  data is as json.load
+    returns it: a tuple edge, which JSON never yields, would pass where
     packing_from_dict rejects it.
     """
-    if not isinstance(data, dict) or not isinstance(trees := data.get("trees"), list):
-        return False
-    if len(trees) != inst.num_trees:
-        return False
-    mark, totals = [-1] * inst.n, [0] * inst.n
-    count = len(trees)
-    for ti, tree in enumerate(trees):
-        edges = tree.get("edges") if isinstance(tree, dict) else None
-        if not isinstance(edges, list) or not _outward_edges(inst, edges, mark, totals, ti):
-            return False
-        count += len(edges)
-    if "objective" in data and not (type(stated := data["objective"]) is int and stated == count):
-        return False
-    return all(map(le, totals, inst.capacities))
+    trees = data.get("trees") if isinstance(data, dict) else None
+    if isinstance(trees, list) and len(trees) == inst.num_trees:
+        mark, totals = [-1] * inst.n, [0] * inst.n
+        count = len(trees)
+        for ti, tree in enumerate(trees):
+            edges = tree.get("edges") if isinstance(tree, dict) else None
+            if not isinstance(edges, list) or not _outward_edges(inst, edges, mark, totals, ti):
+                break
+            count += len(edges)
+        else:
+            stated = data.get("objective", count)
+            if type(stated) is int and stated == count and all(map(le, totals, inst.capacities)):
+                return {"valid": True, "violations": []}
+    packing = core.packing_from_dict(data, inst.root)
+    stated = _as_int(data["objective"], "objective") if "objective" in data else None
+    return verify_packing(inst, packing, stated)
 
 
 def verify_packing(inst: Instance, packing: Packing, stated: int | None = None) -> dict:
@@ -86,7 +98,9 @@ def verify_packing(inst: Instance, packing: Packing, stated: int | None = None) 
     stated objective, if given (the packing document's), must equal
     objective(packing), the count of its occurrences.  Failures are
     collected and reported, never raised; only a packing whose root is not
-    the instance root, or whose tree count is not K, is an error.
+    the instance root, whose tree count is not K, or with an id that is
+    not an integer (a bool included) is an error, a ValueError; the last
+    with packing_from_dict's message, and int subclasses pass as there.
 
     A tree whose parent map lists its edges root outward, as every solver
     and load_packing build them, is checked in one pass over the map
@@ -110,6 +124,10 @@ def verify_packing(inst: Instance, packing: Packing, stated: int | None = None) 
         if _outward_edges(inst, zip(parent.values(), parent), mark, totals, ti):
             continue
         sound = False
+        for child, par in parent.items():  # the loader's id test, on the first bad edge
+            if type(par) is not int or type(child) is not int:
+                _as_int(par, f"trees[{ti}].edges")
+                _as_int(child, f"trees[{ti}].edges")
         if root in parent:
             violations.append({"tree": ti, "vertex": root, "reason": "root must not have a parent"})
         bad_ids = set()

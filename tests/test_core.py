@@ -276,6 +276,33 @@ class TestVerifyPacking:
         with pytest.raises(ValueError, match=r"^packing rooted at 0, instance root is 2$"):
             verify_packing(inst, Packing(0, ({1: 0, 2: 1}, {})))
 
+    @pytest.mark.parametrize(
+        "trees",
+        [({1.0: 0}, {2: 0}), ({True: 0}, {2: 0}), ({1: 0, 2: 1.0}, {3: 0}), ({1: True}, {2: 0})],
+        ids=["float child", "bool child", "float parent after a sound edge", "bool parent"],
+    )
+    def test_id_not_an_integer_raises_the_loaders_error(self, trees):
+        inst = Instance(kind="complete", n=4, capacities=(2, 1, 1, 1), num_trees=2)
+        packing = Packing(0, trees)
+        with pytest.raises(ValueError) as loaded:
+            packing_from_dict(packing_to_dict(packing), 0)
+        with pytest.raises(ValueError) as verified:
+            verify_packing(inst, packing)
+        assert str(verified.value) == str(loaded.value)
+        assert str(verified.value).startswith("trees[0].edges: expected an integer, got ")
+
+    def test_int_subclass_ids_accepted(self):
+        """As the loader accepts them: the report is the one for plain ints."""
+
+        class Vertex(int):
+            pass
+
+        inst = Instance(kind="complete", n=4, capacities=(1, 1, 1, 1), num_trees=2)
+        for plain in (({1: 0}, {2: 0}), ({1: 0}, {2: 1, 3: 2})):  # valid, then over capacity
+            subclassed = [{Vertex(c): Vertex(p) for c, p in t.items()} for t in plain]
+            report = verify_packing(inst, Packing(0, subclassed))
+            assert report == verify_packing(inst, Packing(0, plain))
+
     def test_maps_kept_as_given(self):
         maps = [{1: 0}, {}]
         packing = Packing(0, maps)

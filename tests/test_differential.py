@@ -575,6 +575,17 @@ EXPLICIT_DOCUMENTS = {
     "edge missing from a tree": (T3, {"trees": [{"edges": [[0, 2]]}, {"edges": []}]}),
     "valid general": (G4, {"trees": [{"edges": [[0, 1], [1, 3]]}, {"edges": [[0, 2]]}]}),
     "edge missing from a general graph": (G4, {"trees": [{"edges": [[0, 3]]}, {"edges": []}]}),
+    "float child, objective x": (C4, c4_doc([[0, 1.0]], objective="x")),
+    "one tree for K=2, objective x": (C4, {"trees": [{"edges": [[0, 1]]}], "objective": "x"}),
+    "capacity overflow, objective x": (C4, c4_doc([[0, 1], [0, 2]], objective="x")),
+}
+
+# Which error wins when a document has two faults: the loader's, then the
+# stated objective's, then verify_packing's tree count; violations last.
+FIRST_ERRORS = {
+    "float child, objective x": "trees[0].edges: expected an integer, got 1.0",
+    "one tree for K=2, objective x": "objective: expected an integer, got 'x'",
+    "capacity overflow, objective x": "objective: expected an integer, got 'x'",
 }
 
 
@@ -587,15 +598,14 @@ class TestVerifyDocumentMatchesLongRoute:
 
     @pytest.fixture
     def verify(self, tmp_path, capsys, monkeypatch):
-        """Run verify on (instance, document); count the document pass's answers."""
-        answers: Counter = Counter()
-        real = verifier.valid_document
+        """Run verify on (instance, document); count the documents that took the long route."""
+        real = core.packing_from_dict
 
-        def counting(inst, data):
-            answers[valid := real(inst, data)] += 1
-            return valid
+        def counting(data, root):
+            _verify.loads += 1
+            return real(data, root)
 
-        monkeypatch.setattr(verifier, "valid_document", counting)
+        monkeypatch.setattr(core, "packing_from_dict", counting)
         inst_path, pack_path = tmp_path / "inst.json", tmp_path / "pack.json"
 
         def _verify(inst: Instance, doc: object) -> tuple[int, str, str]:
@@ -606,7 +616,7 @@ class TestVerifyDocumentMatchesLongRoute:
             assert (code, out, err) == long_route(inst, json.loads(text)), text
             return code, out, err
 
-        _verify.answers = answers
+        _verify.loads = 0
         return _verify
 
     def test_valid_documents(self, verify):
@@ -615,7 +625,7 @@ class TestVerifyDocumentMatchesLongRoute:
             if rng.random() < 0.3:
                 del doc["objective"]
             assert verify(inst, doc)[0] == 0
-        assert verify.answers == {True: 450}
+        assert verify.loads == 0  # no valid document written root outward loads parent maps
 
     def test_reordered_valid_documents(self, verify):
         for rng, inst, packing in seeded_cases(21, 300):
@@ -623,7 +633,7 @@ class TestVerifyDocumentMatchesLongRoute:
             for tree in doc["trees"]:
                 rng.shuffle(tree["edges"])
             assert verify(inst, doc)[0] == 0
-        assert verify.answers[False] > 100
+        assert verify.loads > 100
 
     def test_damaged_parent_maps(self, verify):
         codes = Counter()
@@ -633,7 +643,7 @@ class TestVerifyDocumentMatchesLongRoute:
                 doc["objective"] += rng.choice((-1, 1))
             codes[verify(inst, doc)[0]] += 1
         assert codes[1] > 900  # an id out of range is a violation, not an input error
-        assert verify.answers[False] > 1000
+        assert verify.loads > 1000
 
     def test_malformed_documents(self, verify):
         codes = Counter()
@@ -644,7 +654,11 @@ class TestVerifyDocumentMatchesLongRoute:
     @pytest.mark.parametrize("inst, doc", EXPLICIT_DOCUMENTS.values(), ids=EXPLICIT_DOCUMENTS)
     def test_explicit_documents(self, verify, inst, doc):
         if verify(inst, doc)[0] != 0:
-            assert verify.answers == {False: 1}  # the pass accepts no faulty file
+            assert verify.loads == 1  # the pass accepts no faulty file
+
+    @pytest.mark.parametrize("name", FIRST_ERRORS)
+    def test_first_error_wins(self, verify, name):
+        assert verify(*EXPLICIT_DOCUMENTS[name]) == (2, "", f"error: {FIRST_ERRORS[name]}\n")
 
 
 class TestGreedyMatchesReference:

@@ -5,10 +5,10 @@ maps (core._packing_chunks), one chunk per tree and then the tail,
 instead of encoding packing_to_dict.  These tests hold the joined chunks
 to the reference json.dumps(packing_to_dict(p)) + "\n", and their count
 to K + 1, on every solver's output, null trees and n = 1 included, and
-on the damaged packings of the Hypothesis strategy with ids in the
-writer's [0, n) id table; pin that the writer reads each map through
-one items() call; and hold objective to the vertex count on packings
-that verify.
+on the damaged packings of the Hypothesis strategy, negative ids
+included, and on ids outside the instance; pin that the writer reads
+each map through one items() call; and hold objective to the vertex
+count on packings that verify.
 """
 
 from __future__ import annotations
@@ -49,9 +49,9 @@ def reference(packing: Packing) -> str:
     return json.dumps(packing_to_dict(packing)) + "\n"
 
 
-def written(packing: Packing, n: int) -> str:
+def written(packing: Packing) -> str:
     """_packing_chunks' document joined, after checking it comes as K + 1 chunks."""
-    chunks = list(_packing_chunks(packing, n))
+    chunks = list(_packing_chunks(packing))
     assert len(chunks) == len(packing.trees) + 1
     return "".join(chunks)
 
@@ -90,11 +90,11 @@ KINDS = ("complete", "tree", "general", "oracle")
 class TestSolverPackings:
     def test_text_equals_json_dumps(self, kind):
         for inst, packing in _family(kind):
-            assert written(packing, inst.n) == reference(packing)
+            assert written(packing) == reference(packing)
 
     def test_text_loads_to_the_same_maps_in_order(self, kind):
         for inst, packing in _family(kind):
-            loaded = packing_from_dict(json.loads(written(packing, inst.n)), inst.root)
+            loaded = packing_from_dict(json.loads(written(packing)), inst.root)
             assert map_items(loaded) == map_items(packing)
 
     def test_objective_counts_vertices(self, kind):
@@ -113,11 +113,17 @@ def test_family_has_null_trees():
 
 
 def test_null_packing_text():
-    assert list(_packing_chunks(Packing(2, ({}, {})), 3)) == [
+    assert list(_packing_chunks(Packing(2, ({}, {})))) == [
         '{"trees": [{"edges": []}',
         ', {"edges": []}',
         '], "objective": 2}\n',
     ]
+
+
+def test_ids_outside_the_instance_written_as_json_dumps():
+    """Each id is formatted as it is: -1 and n = 3 are written as -1 and 3."""
+    packing = Packing(0, ({3: 0, -1: 3}, {2: -1}))
+    assert written(packing) == reference(packing)
 
 
 class _CountedMap(dict):
@@ -143,23 +149,19 @@ class _CountedMap(dict):
 def test_writer_reads_each_map_through_one_items_call():
     plain = [{1: 0, 2: 1, 3: 1}, {3: 0}, {}]
     counted = [_CountedMap(parent) for parent in plain]
-    text = written(Packing(0, counted), 4)
+    text = written(Packing(0, counted))
     assert text == reference(Packing(0, plain))
     assert [dict(parent.calls) for parent in counted] == [{"items": 1}] * 3
 
 
-# packings(lowest=0) draws ids in [0, 16): each falls in the writer's table.
-DAMAGED_N = 16
-
-
 class TestDamagedPackings:
-    @given(packings(lowest=0))
+    @given(packings())
     def test_text_equals_json_dumps(self, packing):
-        assert written(packing, DAMAGED_N) == reference(packing)
+        assert written(packing) == reference(packing)
 
-    @given(packings(lowest=0))
+    @given(packings())
     def test_text_loads_to_the_same_maps_in_order(self, packing):
-        text = written(packing, DAMAGED_N)
+        text = written(packing)
         loaded = packing_from_dict(json.loads(text), packing.root)
         assert map_items(loaded) == map_items(packing)
 

@@ -60,16 +60,16 @@ def graph_instances(draw, max_n: int = 12) -> Instance:
 
 
 @st.composite
-def packings(draw, lowest: int = -3) -> Packing:
+def packings(draw) -> Packing:
     """Valid trees next to damaged ones: cycles, orphans, a root with a parent,
-    self-edges and, unless lowest >= 0, negative ids.  Ids lie in [lowest, 16)."""
+    self-edges and negative ids.  Ids lie in [-3, 16)."""
     root = draw(st.integers(0, 6))
     valid = st.integers(1, 10).flatmap(
         lambda n: st.tuples(*(st.integers(0, v - 1) for v in range(1, n))).map(
             lambda parents: {root + v: root + p for v, p in enumerate(parents, start=1)}
         )
     )
-    ids = st.integers(lowest, 12)
+    ids = st.integers(-3, 12)
     damaged = st.dictionaries(ids, ids, max_size=12)
     trees = draw(st.lists(st.one_of(valid, damaged), min_size=1, max_size=4))
     return Packing(root, trees)
