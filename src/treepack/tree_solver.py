@@ -38,16 +38,16 @@ c), where L is the length of its own and its children's lists, never
 more than its reach each.  Reconstruction reads each child's level off
 the same ranking.
 
-The tree is rooted once, into child lists; leaves and vertices of
-capacity 0 take no part in the merge.  The optimum, K plus the sum of
-the root's list, is known before any tree is built.  Reconstruction is
-one walk from the root that keeps, in the order it grants them, each
-granted child and its level s, the number of trees it is in (trees
-0..s-1); tree t is the walk's grants of level above t.  The CLI writes
-the document from those grants one tree at a time, each "[parent,
-child]" string formatted once (_packing_text), so a tree solve holds
-O(n) state plus one tree's text; solve_tree builds K parent maps from
-the same grants.
+The tree is rooted once, into child lists that the merge and the
+reconstruction both read; leaves and vertices of capacity 0 have none
+and take no part in the merge.  The optimum, K plus the sum of the
+root's list, is known before any tree is built.  Reconstruction is one
+walk from the root that keeps, in the order it grants them, each granted
+child and its level s, the number of trees it is in (trees 0..s-1); tree
+t is the walk's grants of level above t.  The CLI writes the document
+from those grants one tree at a time, each "[parent, child]" string
+formatted once (_packing_text), so a tree solve holds O(n) state plus
+one tree's text; solve_tree builds K parent maps from the same grants.
 """
 
 from heapq import heappush, heappushpop, nsmallest
@@ -143,16 +143,27 @@ def greedy_allocation(stripes: int, capacity: int, excesses: Sequence[Sequence[i
     return levels
 
 
-def _rooted(inst: Instance) -> tuple[list, list[int], list[int]]:
-    """Child lists, the vertices that can serve a child (root first), and reach.
+def stripe_values(inst: Instance) -> tuple[list, dict[int, list[int]]]:
+    """The child lists and the excess lists of a tree instance, by the greedy merge.
 
-    reach[v] bounds the trees v can be served by: K at the root, and
-    min(reach[u], c_u) for a child of u (0 outside the order).  Only a
-    vertex with children and positive capacity is in the order: a leaf
-    and a vertex of capacity 0 have the empty excess list and grant
+    children[u] lists u's children in ascending id when u can serve a
+    child, that is when it has children and positive capacity, and is ()
+    for every other vertex: a leaf and a vertex of capacity 0 grant
     nothing, and nothing below a vertex of capacity 0 is ever served.
-    children[u] lists all of u's children in ascending id, and is () for
-    a vertex outside the order.
+
+    Entry k-1 of vertex u's excess list is f_u(k) - f_u(k-1) - 1, where
+    f_u(k) is the best occupancy of u's subtree with u served by k trees.
+    The list ends before the first level whose marginal is 1, or at u's
+    reach, the most trees u can be served by (K at the root, and
+    min(reach(u), c_u) for a child of u), so f_u(k) = k + sum(list[:k])
+    for every k up to the reach.  A vertex whose child list is () keeps
+    the empty list and costs nothing past the rooting.  Children are
+    finished before their parents (iterative, so path-like trees of any
+    depth are fine).  For each vertex that can serve a child, one pass
+    over the levels pushes every child's level-k excess into a min-heap
+    holding the best `capacity` excesses so far, keeping their sum; u's
+    level-k excess is the growth of min(capacity, d*k), for d children,
+    plus the growth of that sum, and the pass stops where it is 0.
     """
     if inst.kind != KIND_TREE:
         raise ValueError(f"kind: expected a tree instance, got {inst.kind!r}")
@@ -161,7 +172,7 @@ def _rooted(inst: Instance) -> tuple[list, list[int], list[int]]:
     reach = [0] * n
     reach[inst.root] = inst.num_trees
     children: list = [()] * n
-    order = [inst.root] if caps[inst.root] and n > 1 else []
+    order = [inst.root] if caps[inst.root] and n > 1 else []  # parents before children
     for u in order:
         kids = children[u] = [w for w in adjacency[u] if w != up[u]]
         below = min(reach[u], caps[u])
@@ -170,28 +181,7 @@ def _rooted(inst: Instance) -> tuple[list, list[int], list[int]]:
                 up[w] = u
                 reach[w] = below
                 order.append(w)
-    return children, order, reach
-
-
-def stripe_values(inst: Instance) -> dict[int, list[int]]:
-    """Excess lists of every vertex of a tree instance, by the greedy merge.
-
-    Entry k-1 of vertex u's list is f_u(k) - f_u(k-1) - 1, where f_u(k) is
-    the best occupancy of u's subtree with u served by k trees.  The list
-    ends before the first level whose marginal is 1, or at u's reach, the
-    most trees u can be served by, so f_u(k) = k + sum(list[:k]) for every
-    k up to the reach.  Leaves and vertices of capacity 0 keep the empty
-    list and cost nothing past the rooting.  Children are finished before
-    their parents (iterative, so path-like trees of any depth are fine).
-    For each vertex in the order, one pass over the levels pushes every
-    child's level-k excess into a min-heap holding the best `capacity`
-    excesses so far, keeping their sum; u's level-k excess is the growth
-    of min(capacity, d*k), for d children, plus the growth of that sum,
-    and the pass stops where it is 0.
-    """
-    children, order, reach = _rooted(inst)
-    caps = inst.capacities
-    values: dict[int, list[int]] = {v: [] for v in range(inst.n)}
+    values: dict[int, list[int]] = {v: [] for v in range(n)}
     for u in reversed(order):
         capacity, d = caps[u], len(children[u])
         kids = [e for w in children[u] if (e := values[w])]  # the children with an excess
@@ -211,37 +201,34 @@ def stripe_values(inst: Instance) -> dict[int, list[int]]:
                 break
             excess.append(grown - reached)
             reached = grown
-    return values
+    return children, values
 
 
 def _grants(
-    inst: Instance, values: dict[int, list[int]]
+    inst: Instance, children: list, values: dict[int, list[int]]
 ) -> tuple[list[tuple[int, int]], list[int]]:
     """The walk's grants in order, as (child, parent) pairs, and each child's level.
 
     A vertex granted level s is in trees 0..s-1, so each stripe set is a
     prefix, carried as its length: the root holds level K, and a child
     given level j <= s by greedy_allocation is in its parent's first j.
-    The walk reads each granted vertex's children off the adjacency (the
-    tree was rooted in stripe_values) and descends only into vertices
-    with a non-empty excess list, which are exactly those of _rooted's
-    order (reach >= 1 and a first excess >= 1): leaves and vertices of
-    capacity 0 keep [] and end the walk.
+    The walk reads stripe_values' child lists and descends into a granted
+    child only when its list is not ().
     """
-    caps, adjacency = inst.capacities, inst._adjacency
+    caps = inst.capacities
     pairs: list[tuple[int, int]] = []
     levels: list[int] = []
-    stack = [(inst.root, -1, inst.num_trees)]
+    stack = [(inst.root, inst.num_trees)]
     while stack:
-        u, up, level = stack.pop()
-        kids = [w for w in adjacency[u] if w != up]
+        u, level = stack.pop()
+        kids = children[u]
         allocation = greedy_allocation(level, caps[u], [values[w] for w in kids])
         for w, granted in zip(kids, allocation):
             if granted:
                 pairs.append((w, u))
                 levels.append(granted)
-                if values[w]:
-                    stack.append((w, u, granted))
+                if children[w]:
+                    stack.append((w, granted))
     return pairs, levels
 
 
@@ -269,11 +256,11 @@ def solve_tree(inst: Instance, *, value_only: bool = False) -> tuple[int, Packin
     sub-map of tree t's) and each map lists every child after its parent.
     Each grant of a stripe to a child consumes one capacity unit.
     """
-    values = stripe_values(inst)
+    children, values = stripe_values(inst)
     best = inst.num_trees + sum(values[inst.root])
     if value_only:
         return best, None
-    pairs, levels = _grants(inst, values)
+    pairs, levels = _grants(inst, children, values)
     return best, Packing(inst.root, [dict(t) for t in _nested(pairs, levels, inst.num_trees)])
 
 
@@ -286,11 +273,11 @@ def _packing_text(inst: Instance) -> tuple[int, Iterator[str]]:
     joined again only where a level ends.  Joined, the chunks equal
     json.dumps(packing_to_dict(solve_tree(inst)[1])) plus "\n".
     """
-    values = stripe_values(inst)
+    children, values = stripe_values(inst)
     best = inst.num_trees + sum(values[inst.root])
 
     def texts() -> Iterator[str]:
-        pairs, levels = _grants(inst, values)
+        pairs, levels = _grants(inst, children, values)
         edges = [f"[{p}, {c}]" for c, p in pairs]
         text, prev = "", None
         for tree in _nested(edges, levels, inst.num_trees):

@@ -1,4 +1,7 @@
-"""Shared builders for randomized test families and gadget witnesses, plus a reference.
+"""Shared builders for randomized test families, small scopes and gadget witnesses, plus a reference.
+
+tree_scope and complete_scope enumerate every instance of a small scope
+once, for bounded-exhaustive checks.
 
 stripe_vector expands the tree solver's excess lists back into the K
 values that solve_mckp, the independent check of the tree DP, reads;
@@ -87,6 +90,51 @@ def random_general_instance(
         root=rng.randrange(n),
         edges=tuple(sorted(edges)),
     )
+
+
+def tree_shapes(n: int) -> list[tuple[tuple[int, int], ...]]:
+    """One rooted tree on vertices 0..n-1 per shape up to isomorphism, as its edges.
+
+    Each tree is a parent array, parent[v] < v for v >= 1, given as the
+    edges (parent[v], v); the root is 0.  Of all (n-1)! arrays, the first
+    with each canonical form (the sorted nesting of its subtrees) is kept.
+    """
+    shapes: dict[str, tuple[tuple[int, int], ...]] = {}
+    for parent in itertools.product(*(range(v) for v in range(1, n))):
+        kids: list[list[int]] = [[] for _ in range(n)]
+        for v, p in enumerate(parent, start=1):
+            kids[p].append(v)
+        forms = [""] * n
+        for v in range(n - 1, -1, -1):  # children have larger ids
+            forms[v] = "(" + "".join(sorted(forms[w] for w in kids[v])) + ")"
+        shapes.setdefault(forms[0], tuple((p, v) for v, p in enumerate(parent, start=1)))
+    return list(shapes.values())
+
+
+def tree_scope(max_n: int = 5, cap_hi: int = 2, max_k: int = 3):
+    """Every tree instance in the scope, rooted at 0.
+
+    Each shape of tree_shapes(n) for n <= max_n, with every capacity
+    vector over 0..cap_hi and K = 1..min(max_k, n).
+    """
+    for n in range(1, max_n + 1):
+        for edges in tree_shapes(n):
+            for caps in itertools.product(range(cap_hi + 1), repeat=n):
+                for k in range(1, min(max_k, n) + 1):
+                    yield Instance("tree", n, caps, k, root=0, edges=edges)
+
+
+def complete_scope(max_n: int = 5, cap_hi: int = 2, max_k: int = 3):
+    """Every complete instance in the scope, up to relabelling, rooted at 0.
+
+    The root's capacity is any of 0..cap_hi, the others are a sorted
+    multiset over 0..cap_hi, and K = 1..min(max_k, n).
+    """
+    for n in range(1, max_n + 1):
+        for root_cap in range(cap_hi + 1):
+            for rest in itertools.combinations_with_replacement(range(cap_hi + 1), n - 1):
+                for k in range(1, min(max_k, n) + 1):
+                    yield Instance("complete", n, (root_cap, *rest), k, root=0)
 
 
 CAPACITY_SHAPES = ("random", "mostly_zero", "root_below_k", "root_above_k", "one_spare")

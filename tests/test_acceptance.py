@@ -96,7 +96,7 @@ def test_criterion_4_reconstruction_soundness():
             report = verify_packing(inst, packing)
             assert report["valid"], report["violations"]
             assert objective(packing) == value
-            assert value == inst.num_trees + sum(stripe_values(inst)[inst.root])
+            assert value == inst.num_trees + sum(stripe_values(inst)[1][inst.root])
 
 
 def test_criterion_5_reduction_fidelity():
@@ -138,7 +138,7 @@ def test_criterion_7_invariant_suites():
         for _ in range(60):
             inst = random_tree_instance(rng, max_n=8, max_k=3, cap_hi=3)
             count = inst.num_trees
-            for v, excess in stripe_values(inst).items():
+            for v, excess in stripe_values(inst)[1].items():
                 assert len(excess) <= count and all(x >= 1 for x in excess)
                 vec = stripe_vector(excess, count)
                 neighbors = inst.neighbors(v)

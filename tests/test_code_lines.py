@@ -47,3 +47,30 @@ def test_total_is_the_sum_of_the_rows():
     *files, (total, name) = rows(ROOT / "src" / "treepack")
     assert name == "total" and len(files) >= 9
     assert total == sum(count for count, _ in files)
+
+
+def run(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([*TOOL, *args], capture_output=True, text=True)
+
+
+def test_help_prints_the_usage_line():
+    for flag in ("-h", "--help"):
+        done = run(flag)
+        assert done.returncode == 0 and done.stderr == ""
+        assert done.stdout == "usage: python3 tools/code_lines.py PATH [PATH ...]\n"
+
+
+def test_a_missing_path_is_one_error_line(tmp_path):
+    missing = tmp_path / "missing.py"
+    done = run(str(missing))
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == f"error: {missing}: No such file or directory\n"
+
+
+def test_a_file_that_does_not_parse_is_one_error_line(tmp_path):
+    good, bad = tmp_path / "good.py", tmp_path / "bad.py"
+    good.write_text("x = 1\n")
+    bad.write_text("x = 1\ny = (\n")
+    done = run(str(good), str(bad))
+    assert done.returncode == 2 and done.stdout == ""  # no rows before the error either
+    assert done.stderr == f"error: {bad}, line 2: '(' was never closed\n"

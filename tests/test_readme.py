@@ -23,6 +23,7 @@ def test_library_example_runs_and_its_comments_hold():
     scope: dict = {"__name__": "readme_library_example"}
     exec(compile(library_example(), f"{README.name}: Library", "exec"), scope)
     assert scope["value"] == 4
+    assert scope["children"] == [[1], [2], ()]
     assert scope["excess"] == {0: [2], 1: [1], 2: []}
     assert scope["gadget"].instance.n == 16 and scope["gadget"].gamma == 12
     assert scope["best"] == 12

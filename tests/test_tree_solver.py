@@ -156,14 +156,14 @@ class TestSolveMckp:
 class TestStripeValues:
     def test_star_with_two_leaves(self):
         inst = tree_instance(((0, 1), (0, 2)), (1, 0, 0), 2)
-        values = stripe_values(inst)
+        _, values = stripe_values(inst)
         assert values[0] == [1]  # f = [2, 3]
         assert values[1] == []  # f = [1, 2]
         assert values[2] == []
 
     def test_three_path(self):
         inst = tree_instance(((0, 1), (1, 2)), (1, 1, 0), 2)
-        values = stripe_values(inst)
+        _, values = stripe_values(inst)
         assert values[2] == []  # f = [1, 2]
         assert values[1] == [1]  # f = [2, 3]
         assert values[0] == [2]  # f = [3, 4]
@@ -172,7 +172,7 @@ class TestStripeValues:
         rng = random.Random(9)
         for _ in range(30):
             inst = random_tree_instance(rng)
-            values = stripe_values(inst)
+            _, values = stripe_values(inst)
             for v in range(inst.n):
                 neighbors = inst.neighbors(v)
                 if v != inst.root and len(neighbors) == 1:
@@ -182,7 +182,7 @@ class TestStripeValues:
         rng = random.Random(10)
         for _ in range(60):
             inst = random_tree_instance(rng)
-            values = stripe_values(inst)
+            _, values = stripe_values(inst)
             sizes = subtree_sizes(inst)
             for v, excess in values.items():
                 assert len(excess) <= inst.num_trees and all(x >= 1 for x in excess)
@@ -204,7 +204,7 @@ class TestStripeValues:
             root=0,
             edges=tuple((rng.randrange(v), v) for v in range(1, n)),
         )
-        assert sum(map(len, stripe_values(inst).values())) <= 2 * n
+        assert sum(map(len, stripe_values(inst)[1].values())) <= 2 * n
 
     def test_lists_stop_at_the_reach(self):
         # A path of capacity-K vertices under a root of capacity 1: every
@@ -212,7 +212,7 @@ class TestStripeValues:
         # cut at the reach the lists hold (n - 1)**2 entries.
         n = 1000
         inst = tree_instance(tuple((v, v + 1) for v in range(n - 1)), (1,) + (n,) * (n - 1), n)
-        values = stripe_values(inst)
+        _, values = stripe_values(inst)
         assert sum(map(len, values.values())) <= 2 * n
         assert solve_tree(inst, value_only=True)[0] == n + (n - 1)
         reach = reaches(inst)
@@ -222,6 +222,25 @@ class TestStripeValues:
         inst = Instance(kind="complete", n=3, capacities=(1, 1, 1), num_trees=1)
         with pytest.raises(ValueError, match="tree"):
             stripe_values(inst)
+
+    def test_each_solve_path_calls_it_once(self, monkeypatch):
+        """A tracer times the merge by wrapping tree_solver.stripe_values, so
+        every solve path calls it once, through the module attribute."""
+        import treepack.tree_solver as tree_solver
+
+        calls = []
+        real = tree_solver.stripe_values
+        monkeypatch.setattr(tree_solver, "stripe_values", lambda inst: calls.append(inst) or real(inst))
+        inst = Instance("tree", 3, (1, 1, 0), 2, edges=((0, 1), (1, 2)))
+        paths = {
+            "solve_tree": lambda: solve_tree(inst),
+            "value_only": lambda: solve_tree(inst, value_only=True),
+            "_packing_text": lambda: next(_packing_text(inst)[1]),
+        }
+        for name, path in paths.items():
+            calls.clear()
+            path()
+            assert calls == [inst], name
 
 
 class TestSolveTree:
@@ -283,7 +302,7 @@ class TestGreedyMerge:
     @settings(max_examples=200, deadline=None)
     @given(tree_instances())
     def test_stripe_vectors_are_concave_with_unit_marginals(self, inst):
-        for excess in stripe_values(inst).values():
+        for excess in stripe_values(inst)[1].values():
             assert len(excess) <= inst.num_trees
             assert all(x >= y >= 1 for x, y in zip(excess, excess[1:] + [1])), excess
             vec = stripe_vector(excess, inst.num_trees)
@@ -299,7 +318,7 @@ class TestGreedyMerge:
             else:
                 inst = hub_tree_instance(rng, max_n=16)
             count = inst.num_trees
-            values = stripe_values(inst)
+            _, values = stripe_values(inst)
             children, _ = rooted_children(inst)
             reach = reaches(inst)
             for u, kids in children.items():
@@ -383,7 +402,7 @@ class TestNestedTrees:
 
 def reference_tree_maps(inst: Instance) -> list[dict[int, int]]:
     """The K parent maps filled directly by the walk: a grant of level s enters trees 0..s-1."""
-    values = stripe_values(inst)
+    _, values = stripe_values(inst)
     maps: list[dict[int, int]] = [{} for _ in range(inst.num_trees)]
     stack = [(inst.root, -1, inst.num_trees)]
     while stack:
@@ -479,9 +498,9 @@ class TestWalk:
                 inst = hub_tree_instance(rng)
             else:
                 inst = random_tree_instance(rng, max_n=30, max_k=30, cap_hi=2)
-            values = stripe_values(inst)
+            children, values = stripe_values(inst)
             calls.clear()
-            pairs, _ = tree_solver._grants(inst, values)
+            pairs, _ = tree_solver._grants(inst, children, values)
             granted = [w for w, _ in pairs]
             inner = [w for w in granted if inst.capacities[w] and len(inst.neighbors(w)) > 1]
             assert len(calls) == 1 + sum(1 for w in granted if values[w]) == 1 + len(inner)

@@ -9,7 +9,9 @@ docstring lines are not code.  A token that spans lines (a multi-line
 string) makes each of its lines code.  Tokens come from ``tokenize``
 and docstrings from ``ast``.  Each PATH is a .py file or a directory
 searched for them.  Prints one row per file, its code lines then its
-path, and the total last.
+path, and the total last.  ``-h`` or ``--help`` prints the usage line.
+A path that cannot be read or a file that does not parse prints one
+``error:`` line to stderr, and no rows, and exits 2.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ NOT_CODE = {
     tokenize.ENDMARKER,
 }
 SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+USAGE = "usage: python3 tools/code_lines.py PATH [PATH ...]"
 
 
 def docstring_starts(tree: ast.AST) -> set[tuple[int, int]]:
@@ -49,13 +52,18 @@ def docstring_starts(tree: ast.AST) -> set[tuple[int, int]]:
 def code_lines(path: Path) -> int:
     """How many of path's lines are code."""
     source = path.read_bytes()
-    docs = docstring_starts(ast.parse(source, str(path)))
+    docs = docstring_starts(ast.parse(source))
     lines: set[int] = set()
     with path.open("rb") as fh:
         for tok in tokenize.tokenize(fh.readline):
             if tok.type not in NOT_CODE and tok.start not in docs:
                 lines.update(range(tok.start[0], tok.end[0] + 1))
     return len(lines)
+
+
+def error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def python_files(paths: list[str]) -> list[Path]:
@@ -67,15 +75,26 @@ def python_files(paths: list[str]) -> list[Path]:
 
 
 def main(argv: list[str]) -> int:
+    if any(arg in ("-h", "--help") for arg in argv):
+        print(USAGE)
+        return 0
     if not argv:
-        print("usage: python3 tools/code_lines.py PATH [PATH ...]", file=sys.stderr)
+        print(USAGE, file=sys.stderr)
         return 2
-    total = 0
+    rows = []
     for path in python_files(argv):
-        count = code_lines(path)
-        total += count
+        try:
+            rows.append((code_lines(path), path))
+        except OSError as exc:
+            return error(f"{path}: {exc.strerror}")
+        except SyntaxError as exc:
+            where = f", line {exc.lineno}" if exc.lineno else ""
+            return error(f"{path}{where}: {exc.msg}")
+        except ValueError as exc:  # a null byte, before Python 3.12
+            return error(f"{path}: {exc}")
+    for count, path in rows:
         print(f"{count:6} {path}")
-    print(f"{total:6} total")
+    print(f"{sum(count for count, _ in rows):6} total")
     return 0
 
 

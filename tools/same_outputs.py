@@ -29,18 +29,10 @@ import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from cli_ab import source_dir  # noqa: E402  (this script's own directory is on sys.path)
 from workloads import WORKLOADS, build_plan  # noqa: E402
 
 FIELDS = ("exit code", "stdout", "stderr", "written files")
-
-
-def source_dir(path: str) -> Path:
-    """The directory that holds the treepack package: path/src, or path itself."""
-    path = Path(path).resolve()
-    src = path if (path / "treepack").is_dir() else path / "src"
-    if not (src / "treepack" / "cli.py").is_file():
-        sys.exit(f"error: no treepack sources under {path}")
-    return src
 
 
 def side_env(src: Path) -> dict:
@@ -88,7 +80,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--workloads", nargs="+", choices=list(WORKLOADS), default=list(WORKLOADS))
     args = parser.parse_args(argv)
-    envs = [side_env(source_dir(args.old)), side_env(source_dir(args.new))]
+    envs = [side_env(Path(source_dir(side))) for side in (args.old, args.new)]
     calls = differ = 0
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as scratch:
         for workload in args.workloads:
