@@ -161,7 +161,15 @@ def cmd_oracle(args: SimpleNamespace) -> int:
     return EXIT_OK
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Do paths a and b name one file: one path once resolved, or one inode when both exist?"""
+    both = os.path.exists(a) and os.path.exists(b)
+    return os.path.realpath(a) == os.path.realpath(b) or both and os.path.samefile(a, b)
+
+
 def cmd_reduce(args: SimpleNamespace) -> int:
+    if args.labels is not None and _same_file(args.labels, args.output):
+        raise ValueError(f"-o and --labels name the same file: {args.labels}")
     with open(args.cnf, "rb") as fh:
         sat = load_dimacs(fh)
     reduction = reduce_3sat(sat)

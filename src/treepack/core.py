@@ -220,9 +220,9 @@ class Packing(_Value):
     (parent[v], v); the empty map {} is the null tree, just the root.  Its
     insertion order is the tree's one edge order, the order the packing
     file lists: every solver inserts each child after its parent, root
-    outward, which lets verify_packing check the tree in one pass.  The
-    maps are kept as given, not copied, and treated as immutable.  How
-    treepack verify judges a document: verifier.verify_document.
+    outward, which lets treepack verify settle a valid file in one pass
+    over its edge lists (verifier.verify_document).  The maps are kept as
+    given, not copied, and treated as immutable.
 
     Construction does no validation: connectivity, edge membership and the
     root are verify_packing's job, so damaged packings read from files can

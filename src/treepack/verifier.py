@@ -11,10 +11,9 @@ parsed packing document.  One per-edge check, _outward_edges, first
 runs over the document's [parent, child] lists and builds nothing per
 tree; a file it finds valid gets the valid report at once.  Any other
 file takes the long route: core.packing_from_dict's parent maps and
-the stated objective, then verify_packing, which runs the same check
-over each parent map and falls back to the full search for violations
-only on a tree the check rejects.  So every report, input error and
-its order is verify_packing's.
+the stated objective, then verify_packing, which checks every edge of
+every tree in child order and walks each vertex's parent chain.  So
+every report, input error and its order is verify_packing's.
 """
 
 from operator import le
@@ -102,15 +101,12 @@ def verify_packing(inst: Instance, packing: Packing, stated: int | None = None) 
     not an integer (a bool included) is an error, a ValueError; the last
     with packing_from_dict's message, and int subclasses pass as there.
 
-    A tree whose parent map lists its edges root outward, as every solver
-    and load_packing build them, is checked in one pass over the map
-    (_outward_edges), which also counts its children.  Any other tree,
-    valid or not, falls back to checking every edge in child order and
-    walking each vertex's parent chain, which finds and orders its
-    violations; then every tree's children are counted again, so no
-    partial count of a rejected tree reaches the capacity check.
-    Children are counted per vertex in an n-long list, so capacity
-    violations come in ascending id order.
+    Every tree, valid or not, has its ids tested, its edges checked in
+    child order and each vertex's parent chain walked, which finds and
+    orders its violations; so a valid map of m edges costs a sort and a
+    walk, O(m log m), wherever its edges are listed.  Then children are
+    counted per vertex in an n-long list, so capacity violations come in
+    ascending id order.
     """
     root, n, trees = inst.root, inst.n, packing.trees
     if packing.root != root:
@@ -118,12 +114,7 @@ def verify_packing(inst: Instance, packing: Packing, stated: int | None = None) 
     if len(trees) != inst.num_trees:
         raise ValueError(f"packing has {len(trees)} trees, instance needs K={inst.num_trees}")
     violations: list[dict] = []
-    mark, totals = [-1] * n, [0] * n
-    sound = True
     for ti, parent in enumerate(trees):
-        if _outward_edges(inst, zip(parent.values(), parent), mark, totals, ti):
-            continue
-        sound = False
         for child, par in parent.items():  # the loader's id test, on the first bad edge
             if type(par) is not int or type(child) is not int:
                 _as_int(par, f"trees[{ti}].edges")
@@ -154,12 +145,11 @@ def verify_packing(inst: Instance, packing: Packing, stated: int | None = None) 
                 status[y] = ok
                 if not ok:
                     violations.append({"tree": ti, "vertex": y, "reason": "not connected to the root"})
-    if not sound:  # a rejected tree's pass counted only some of its children
-        totals = [0] * n
-        for parent in trees:
-            for v in parent.values():
-                if 0 <= v < n:
-                    totals[v] += 1
+    totals = [0] * n
+    for parent in trees:
+        for v in parent.values():
+            if 0 <= v < n:
+                totals[v] += 1
     for v, (total, cap) in enumerate(zip(totals, inst.capacities)):
         if total > cap:
             reason = f"capacity exceeded: {total} children across trees, capacity {cap}"

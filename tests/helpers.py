@@ -1,7 +1,8 @@
 """Shared builders for randomized test families, small scopes and gadget witnesses, plus a reference.
 
-tree_scope and complete_scope enumerate every instance of a small scope
-once, for bounded-exhaustive checks.
+tree_scope, complete_scope and graph_scope enumerate every instance of
+a small scope once, for bounded-exhaustive checks; tools/scope.py runs
+them past the sizes tier-1 can afford.
 
 stripe_vector expands the tree solver's excess lists back into the K
 values that solve_mckp, the independent check of the tree DP, reads;
@@ -124,17 +125,47 @@ def tree_scope(max_n: int = 5, cap_hi: int = 2, max_k: int = 3):
                     yield Instance("tree", n, caps, k, root=0, edges=edges)
 
 
-def complete_scope(max_n: int = 5, cap_hi: int = 2, max_k: int = 3):
-    """Every complete instance in the scope, up to relabelling, rooted at 0.
+def complete_scope(max_n: int = 5, cap_hi: int = 2, max_k: int = 3, every_root: bool = False):
+    """Every complete instance in the scope, up to relabelling, rooted at 0 or anywhere.
 
     The root's capacity is any of 0..cap_hi, the others are a sorted
-    multiset over 0..cap_hi, and K = 1..min(max_k, n).
+    multiset over 0..cap_hi, and K = 1..min(max_k, n).  With every_root,
+    the root also takes each place among the others: root r follows the
+    r smallest of them, on vertices 0..r-1.
     """
     for n in range(1, max_n + 1):
-        for root_cap in range(cap_hi + 1):
-            for rest in itertools.combinations_with_replacement(range(cap_hi + 1), n - 1):
+        for root in range(n if every_root else 1):
+            for root_cap in range(cap_hi + 1):
+                for rest in itertools.combinations_with_replacement(range(cap_hi + 1), n - 1):
+                    caps = (*rest[:root], root_cap, *rest[root:])
+                    for k in range(1, min(max_k, n) + 1):
+                        yield Instance("complete", n, caps, k, root=root)
+
+
+def connected_graphs(n: int):
+    """Every connected graph on vertices 0..n-1, as its sorted (u, v) edges with u < v."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        edges = tuple(pair for i, pair in enumerate(pairs) if mask >> i & 1)
+        reached = {0}
+        for _ in range(n):  # a vertex is at most n - 1 edges from 0
+            reached.update(*(pair for pair in edges if reached.intersection(pair)))
+        if len(reached) == n:
+            yield edges
+
+
+def graph_scope(max_n: int = 4, cap_hi: int = 2, max_k: int = 3):
+    """Every general instance in the scope, rooted at 0.
+
+    Each connected graph on 0..n-1 for n <= max_n (connected_graphs: 1,
+    1, 4 and 38 of them for n = 1..4), with every capacity vector over
+    0..cap_hi and K = 1..min(max_k, n).
+    """
+    for n in range(1, max_n + 1):
+        for edges in connected_graphs(n):
+            for caps in itertools.product(range(cap_hi + 1), repeat=n):
                 for k in range(1, min(max_k, n) + 1):
-                    yield Instance("complete", n, (root_cap, *rest), k, root=0)
+                    yield Instance("general", n, caps, k, root=0, edges=edges)
 
 
 CAPACITY_SHAPES = ("random", "mostly_zero", "root_below_k", "root_above_k", "one_spare")

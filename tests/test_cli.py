@@ -572,6 +572,21 @@ class TestOutputFiles:
         assert Path(gadget).read_bytes() == EXAMPLE_GADGET.encode()
         assert Path(labels).read_bytes() == EXAMPLE_LABELS.encode()
 
+    def test_reduce_refuses_one_file_for_gadget_and_labels(self, capsys, tmp_path, monkeypatch):
+        """-o and --labels that resolve to one file: exit 2 with one error line, neither written."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f.cnf").write_text(EXAMPLE_DIMACS)
+        (tmp_path / "link.json").symlink_to("g.json")
+        for gadget, labels in (("g.json", "g.json"), ("g.json", "./g.json"), ("link.json", "g.json")):
+            code, out, err = run(capsys, "reduce", "--cnf", "f.cnf", "-o", gadget, "--labels", labels)
+            assert (code, out, err) == (2, "", f"error: -o and --labels name the same file: {labels}\n")
+            assert not (tmp_path / "g.json").exists()
+        (tmp_path / "g.json").write_text("old\n")
+        os.link(tmp_path / "g.json", tmp_path / "h.json")
+        code, out, err = run(capsys, "reduce", "--cnf", "f.cnf", "-o", "g.json", "--labels", "h.json")
+        assert (code, out, err) == (2, "", "error: -o and --labels name the same file: h.json\n")
+        assert (tmp_path / "g.json").read_text() == "old\n"
+
     def test_dev_null(self, capsys, write_json):
         inst = write_json("c4.json", COMPLETE4)
         _, plain, _ = run(capsys, "solve", "-i", inst)

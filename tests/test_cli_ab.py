@@ -26,9 +26,10 @@ def test_two_rounds_report_both_sides(tmp_path):
     done = cli_ab(tmp_path, str(ROOT), str(ROOT / "src"), *argv)
     assert done.returncode == 0, done.stdout + done.stderr
     lines = done.stdout.splitlines()
-    assert len(lines) == 3
+    assert len(lines) == 4
     assert all(re.fullmatch(ROW, line) for line in lines[:2]), lines
-    assert lines[2] == "2 rounds, 0 failed calls"
+    assert re.fullmatch("new faster in [012] of 2 rounds", lines[2]), lines
+    assert lines[3] == "2 rounds, 0 failed calls"
     assert json.loads((tmp_path / "p.json").read_text())["objective"] == 7
 
 

@@ -32,7 +32,6 @@ from treepack import (
     Instance,
     Packing,
     attach_stage,
-    brute_force_solve,
     build_stage_paths,
     greedy_general,
     instance_to_dict,
@@ -307,12 +306,8 @@ class TestEdgesInMapOrder:
             assert_map_order_round_trip(Packing(0, (tree,)), 0)
 
 
-def no_sort(*args, **kwargs):
-    raise AssertionError("the verifier sorted a tree")
-
-
 def root_outward(inst: Instance, parent: dict[int, int], mark: list[int], ti: int) -> bool:
-    """The verifier's one-pass check over a parent map, as verify_packing runs it."""
+    """The verifier's one-pass check over a parent map: verify_document runs it on edge lists."""
     return verifier._outward_edges(inst, zip(parent.values(), parent), mark, [0] * inst.n, ti)
 
 
@@ -333,8 +328,8 @@ class TestVerifyMatchesReference:
         assert invalid > 1500
 
     def test_corrupted_reloaded_packings(self):
-        # Reloaded maps list edges root outward, so undamaged trees take the
-        # ordered pass and each fault lands in a map the pass reads in order.
+        # Reloaded maps list edges root outward, so undamaged trees pass the
+        # one-pass check and each fault lands in a map listed in that order.
         outward = fallback = invalid = 0
         for rng, inst, packing in seeded_cases(10, 2000):
             reloaded = packing_from_dict(packing_to_dict(packing), inst.root)
@@ -350,6 +345,8 @@ class TestVerifyMatchesReference:
         assert outward > 2000 and fallback > 1500
 
     def test_reordered_valid_packings_take_the_fallback(self):
+        # The fallback is the long route: a file listing these maps fails
+        # verify_document's one-pass check and reaches verify_packing.
         fallback = 0
         for rng, inst, packing in seeded_cases(11, 900, max_n=16):
             maps = []
@@ -370,11 +367,9 @@ class TestVerifyMatchesReference:
             )
         assert fallback > 500
 
-    def test_capacity_overflow_in_root_outward_packings(self, monkeypatch):
+    def test_capacity_overflow_in_root_outward_packings(self):
         # Each tree grows by leaves appended in order, so every tree still
-        # passes the ordered pass and only the capacity totals can fail:
-        # no tree is sorted.
-        monkeypatch.setattr(verifier, "sorted", no_sort, raising=False)
+        # passes the one-pass check and only the capacity totals can fail.
         invalid = 0
         for rng, inst, packing in seeded_cases(12, 900):
             maps = []
@@ -396,27 +391,6 @@ class TestVerifyMatchesReference:
             assert all(v["tree"] is None for v in report["violations"])
             invalid += not report["valid"]
         assert invalid > 300
-
-    def test_root_outward_trees_skip_sort_and_walk(self, monkeypatch):
-        sorted_args = []
-
-        def counting_sorted(items, **kwargs):
-            items = list(items)
-            sorted_args.append(items)
-            return sorted(items, **kwargs)
-
-        monkeypatch.setattr(verifier, "sorted", counting_sorted, raising=False)
-        rng = random.Random(13)
-        for _ in range(30):
-            for make, solve in FAMILIES:
-                inst = make(rng, max_n=60, max_k=5, cap_hi=4)
-                sorted_args.clear()
-                assert verify_packing(inst, solve(inst))["valid"]
-                assert sorted_args == []  # no fallback sort, and overflows come in id order
-                desk = make(rng, max_n=5, max_k=3, cap_hi=3)
-                sorted_args.clear()
-                assert verify_packing(desk, brute_force_solve(desk)[1])["valid"]
-                assert sorted_args == []
 
     def test_self_edges_on_complete_kind(self):
         inst = Instance("complete", 4, (3, 3, 3, 3), 1)

@@ -5,15 +5,26 @@ Complete graphs: n <= 5, root 0, the other capacities as a sorted
 multiset over 0..2.  Each solver's value must equal the oracle's (and, on
 complete graphs, the closed form), its packing must verify with that
 objective, and its streamed document must be the bytes of the packing's.
+General graphs: every connected graph up to n = 4, capacities 0..2,
+K = 1..min(3, n), root 0.  The oracle's packing must verify with its
+value, greedy's must verify and never beat it, and on a graph that is a
+tree or complete the oracle must equal that kind's exact solver; on one
+graph per class up to relabelling, and K <= 2, it must also equal
+test_oracle's second exhaustive search.  tools/scope.py runs the tree
+and complete scopes further.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 
-from helpers import complete_scope, tree_scope, tree_shapes
+from helpers import complete_scope, connected_graphs, graph_scope, tree_scope, tree_shapes
+from test_oracle import naive_best
 from treepack import (
+    Instance,
     brute_force_solve,
+    greedy_general,
     objective,
     optimal_objective,
     packing_to_dict,
@@ -60,3 +71,49 @@ def test_every_small_complete_instance():
         check_packing(inst, value, solve_complete(inst), complete_solver._packing_text)
         count += 1
     assert count == 3 * (1 * 1 + 3 * 2 + 6 * 3 + 10 * 3 + 15 * 3) == 300
+
+
+def test_every_small_general_instance():
+    count, as_kind = 0, {"tree": 0, "complete": 0}
+    for inst in graph_scope():
+        value, packing = brute_force_solve(inst)
+        assert verify_packing(inst, packing, value)["valid"], inst
+        greedy = greedy_general(inst)
+        assert verify_packing(inst, greedy)["valid"], inst
+        assert objective(greedy) <= value, inst
+        n, caps, k, edges = inst.n, inst.capacities, inst.num_trees, inst.edges
+        if len(edges) == n - 1:
+            assert solve_tree(Instance("tree", n, caps, k, 0, edges), value_only=True)[0] == value, inst
+            as_kind["tree"] += 1
+        if len(edges) == n * (n - 1) // 2:
+            assert optimal_objective(Instance("complete", n, caps, k)) == value, inst
+            as_kind["complete"] += 1
+        count += 1
+    assert count == 3 + 18 + 4 * 27 * 3 + 38 * 81 * 3 == 9579
+    # Labeled trees (Cayley: n^(n-2)) and the one complete graph, per n.
+    assert as_kind == {"tree": 3 + 18 + 3 * 81 + 16 * 243, "complete": 3 + 18 + 81 + 243}
+
+
+def rooted_form(n: int, edges: tuple) -> tuple:
+    """The graph's smallest edge list under the relabellings that fix vertex 0."""
+    return min(
+        tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in edges))
+        for p in ((0, *perm) for perm in itertools.permutations(range(1, n)))
+    )
+
+
+def test_oracle_matches_a_second_search_on_small_graphs():
+    # naive_best takes about 19 ms on an n = 4 instance with K = 3, so
+    # this takes one graph per rooted class, and K <= 2.
+    firsts: dict[tuple, tuple] = {}
+    for n in range(1, 5):
+        for edges in connected_graphs(n):
+            firsts.setdefault((n, rooted_form(n, edges)), edges)
+    assert len(firsts) == 1 + 1 + 3 + 11
+    representatives = set(firsts.values())  # an edge list fixes its n: vertex n - 1 is on an edge
+    count = 0
+    for inst in graph_scope(max_k=2):
+        if inst.edges in representatives:
+            assert brute_force_solve(inst)[0] == naive_best(inst), inst
+            count += 1
+    assert count == 3 + 18 + 3 * 27 * 2 + 11 * 81 * 2

@@ -12,11 +12,15 @@ is the same file on both sides.
 
 Per side it prints the median and the quartiles [q1, q3] of the wall
 time from spawn to exit, the child's minor page faults and the child's
-own maximum resident set size, both read from ``os.wait4``.  Linux
-carries the parent's resident high-water mark into a spawned child, so
-this script keeps its own memory small: it imports only os, sys and time,
-and re-runs itself under ``python -S`` when started without it.  Exits 1
-if any call exits non-zero.
+own maximum resident set size, both read from ``os.wait4``.  Then it
+prints in how many rounds the new side's call took less wall time than
+the old side's, as ``new faster in W of N rounds``.  Exits 1 if any
+call exits non-zero.
+
+Linux carries the parent's resident high-water mark into a spawned
+child, so this script keeps its own memory small: it imports only os,
+sys and time, and re-runs itself under ``python -S`` when started
+without it.
 """
 
 import os
@@ -89,6 +93,8 @@ def main(argv: list[str]) -> int:
             q1, mid, q3 = (fmt.format(x) for x in quartiles([run[i] for run in runs]))
             cells.append(f"{label} {mid} [{q1}, {q3}]")
         print(f"{name}  " + "  ".join(cells))
+    wins = sum(new[0] < old[0] for old, new in zip(results["old"], results["new"]))
+    print(f"new faster in {wins} of {rounds} rounds")
     print(f"{rounds} rounds, {failed} failed calls")
     return 1 if failed else 0
 
