@@ -45,10 +45,11 @@ import re
 import stat
 import sys
 from collections.abc import Iterable
+from contextlib import ExitStack
+from io import BufferedWriter
 from types import SimpleNamespace
 
 from .core import (
-    Instance,
     SearchLimitExceeded,
     _on_first_call,
     _packing_chunks,
@@ -76,27 +77,45 @@ EXIT_INPUT = 2
 EXIT_LIMIT = 3
 
 
-def _read_instance(path: str) -> Instance:
+def _read(path: str, load, *args):
+    """load(fh, *args) on the file at path, opened for binary reading."""
     with open(path, "rb") as fh:
-        return load_instance(fh)
+        return load(fh, *args)
 
 
-def _write(path: str, chunks: Iterable[str], echo=None) -> None:
-    """Write the chunks over path in place, then trim a regular file to its end.
+def _open(*paths: str) -> list[BufferedWriter]:
+    """Every path opened to be written in place, in order, or none of them.
 
-    echo, if given, is called with each chunk just before it is written.
     Opening without O_TRUNC matters: on ext4, truncating a file whose
     last contents are still being written back waits for that writeback.
     The inode is kept, so symlinks are followed and links, mode and owner
-    survive; devices and FIFOs are written but never truncated.
+    survive.  When a path cannot be opened, the files opened before it
+    are closed, each one this call created is removed, and the error
+    propagates; a file that existed keeps its bytes.
     """
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "wb") as fh:
+    files = []
+    with ExitStack() as undo:
+        for path in paths:
+            made = not os.path.lexists(path)
+            files.append(undo.enter_context(open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb")))
+            if made:
+                undo.callback(os.remove, path)
+        undo.pop_all()  # all open: keep them
+    return files
+
+
+def _write(path: str | BufferedWriter, chunks: Iterable[str], echo=None) -> None:
+    """Write the chunks over path, or a file from _open, then trim a regular file to its end.
+
+    echo, if given, is called with each chunk just before it is written.
+    Devices and FIFOs are written but never truncated.
+    """
+    with _open(path)[0] if isinstance(path, str) else path as fh:
         for chunk in chunks:
             if echo is not None:
                 echo(chunk)
             fh.write(chunk.encode("utf-8"))
-        if stat.S_ISREG(os.fstat(fd).st_mode):
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
             fh.truncate()
 
 
@@ -123,7 +142,7 @@ def _note(message: str) -> None:
 
 
 def cmd_solve(args: SimpleNamespace) -> int:
-    inst = _read_instance(args.instance)
+    inst = _read(args.instance, load_instance)
     alg = inst.kind if args.alg == "auto" else args.alg  # the kind names its exact solver
     if alg == "general":
         alg = "greedy"
@@ -141,10 +160,8 @@ def cmd_solve(args: SimpleNamespace) -> int:
 
 
 def cmd_verify(args: SimpleNamespace) -> int:
-    inst = _read_instance(args.instance)
-    with open(args.packing, "rb") as fh:
-        data = _parse(fh, "packing")
-    report = verify_document(inst, data)
+    inst = _read(args.instance, load_instance)
+    report = verify_document(inst, _read(args.packing, _parse, "packing"))
     _emit([json.dumps(report) + "\n"])
     if report["valid"]:
         _note("packing is valid")
@@ -154,7 +171,7 @@ def cmd_verify(args: SimpleNamespace) -> int:
 
 
 def cmd_oracle(args: SimpleNamespace) -> int:
-    inst = _read_instance(args.instance)
+    inst = _read(args.instance, load_instance)
     value, packing = brute_force_solve(inst, max_n=args.max_n, max_k=args.max_k)
     _note(f"exhaustive optimum {value} (n={inst.n}, K={inst.num_trees})")
     _emit(_packing_chunks(packing), args.output)
@@ -170,14 +187,14 @@ def _same_file(a: str, b: str) -> bool:
 def cmd_reduce(args: SimpleNamespace) -> int:
     if args.labels is not None and _same_file(args.labels, args.output):
         raise ValueError(f"-o and --labels name the same file: {args.labels}")
-    with open(args.cnf, "rb") as fh:
-        sat = load_dimacs(fh)
-    reduction = reduce_3sat(sat)
+    reduction = reduce_3sat(_read(args.cnf, load_dimacs))
     gadget, gamma = reduction.instance, reduction.gamma
-    _write(args.output, [json.dumps(instance_to_dict(gadget)) + "\n"])
+    texts = {args.output: json.dumps(instance_to_dict(gadget)) + "\n"}
     if args.labels is not None:
         labels = {str(v): role for v, role in sorted(reduction.labels.items())}
-        _write(args.labels, [json.dumps({"gamma": gamma, "labels": labels}) + "\n"])
+        texts[args.labels] = json.dumps({"gamma": gamma, "labels": labels}) + "\n"
+    for fh, text in zip(_open(*texts), texts.values()):  # both open before either is written
+        _write(fh, [text])
     summary = {"num_vertices": gadget.n, "num_edges": len(gadget.edges), "gamma": gamma}
     _emit([json.dumps(summary) + "\n"])
     _note(f"gadget written to {args.output}: {gadget.n} vertices, threshold {gamma}")

@@ -20,8 +20,9 @@ compiles only the modules it runs: they write from root paths and
 adoption runs, and from granted levels.
 
 A packing document is read into parent maps by packing_from_dict, one
-loop over each tree's edges (_parent_map).  How treepack verify judges
-a document: verifier.verify_document.
+loop over each tree's edges (_parent_map); its id test, _edge_ids, is
+the one verifier.verify_packing runs on parent maps.  How treepack
+verify judges a document: verifier.verify_document.
 """
 
 import json
@@ -298,21 +299,30 @@ def load_instance(source: IOBase) -> Instance:
     return instance_from_dict(_parse(source, "instance"))
 
 
+def _edge_ids(par: object, child: object, i: int) -> None:
+    """The loader's id test on an edge of tree i: a ValueError unless both ids are integers.
+
+    A bool is not an integer; int subclasses, which only library callers
+    pass, are.  verifier.verify_packing runs the same test on parent maps.
+    """
+    if type(par) is not int or type(child) is not int:
+        _as_int(par, f"trees[{i}].edges")
+        _as_int(child, f"trees[{i}].edges")
+
+
 def _parent_map(edges: list, i: int) -> dict[int, int]:
     """Tree i's child -> parent map from its [parent, child] pairs, in edge order.
 
     One loop over the edges; it raises ValueError at the first edge that
-    is not a pair of integers, or whose child already has a parent.  Int
-    subclasses, which only library callers pass, are accepted.
+    is not a pair, whose ids fail _edge_ids, or whose child already has a
+    parent.
     """
     parent = {}
     for e in edges:
         if not isinstance(e, list) or len(e) != 2:
             raise ValueError(f"trees[{i}].edges: each edge is a [parent, child] pair, got {e!r}")
         par, child = e
-        if type(par) is not int or type(child) is not int:
-            par = _as_int(par, f"trees[{i}].edges")
-            child = _as_int(child, f"trees[{i}].edges")
+        _edge_ids(par, child, i)
         if child in parent:
             raise ValueError(f"trees[{i}]: vertex {child} has two parents")
         parent[child] = par

@@ -48,8 +48,7 @@ class SatInstance(_Value):
             if len(cl) != 3:
                 raise ValueError(f"clause {j}: needs exactly 3 literals, got {len(cl)}")
             for lit in cl:
-                not_int = isinstance(lit, bool) or not isinstance(lit, int)
-                if not_int or lit == 0 or abs(lit) > num_vars:
+                if isinstance(lit, bool) or not isinstance(lit, int) or not 0 < abs(lit) <= num_vars:
                     raise ValueError(f"clause {j}: literal {lit!r} out of range")
         self.__dict__.update(num_vars=num_vars, clauses=clauses)
 
@@ -78,6 +77,14 @@ def _clause_vertex(num_vars: int, j: int) -> int:
     return 3 * num_vars + j
 
 
+def _number(token: str, what: str) -> int:
+    """int(token), or a ValueError that names what the token should be."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"dimacs: bad {what} {token!r}") from None
+
+
 def parse_dimacs(text: str) -> SatInstance:
     """Parse DIMACS CNF text; every clause must have exactly three literals.
 
@@ -101,23 +108,12 @@ def parse_dimacs(text: str) -> SatInstance:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError(f"dimacs: bad problem line {line!r}")
-            try:
-                num_vars = int(parts[2])
-            except ValueError:
-                raise ValueError(f"dimacs: bad variable count {parts[2]!r}") from None
-            try:
-                num_clauses = int(parts[3])
-            except ValueError:
-                raise ValueError(f"dimacs: bad clause count {parts[3]!r}") from None
+            num_vars, num_clauses = _number(parts[2], "variable count"), _number(parts[3], "clause count")
             continue
         if num_vars is None:
             raise ValueError("dimacs: clause before the 'p cnf' problem line")
         for tok in line.split():
-            try:
-                lit = int(tok)
-            except ValueError:
-                raise ValueError(f"dimacs: bad token {tok!r}") from None
-            if lit == 0:
+            if (lit := _number(tok, "token")) == 0:
                 clauses.append(tuple(current))
                 current = []
             else:

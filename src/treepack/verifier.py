@@ -19,7 +19,7 @@ every report, input error and its order is verify_packing's.
 from operator import le
 
 from . import core
-from .core import KIND_COMPLETE, Instance, Packing, _as_int, objective
+from .core import KIND_COMPLETE, Instance, Packing, _as_int, _edge_ids, objective
 
 
 def _outward_edges(inst: Instance, edges, mark: list[int], totals: list[int], ti: int) -> bool:
@@ -99,14 +99,16 @@ def verify_packing(inst: Instance, packing: Packing, stated: int | None = None) 
     collected and reported, never raised; only a packing whose root is not
     the instance root, whose tree count is not K, or with an id that is
     not an integer (a bool included) is an error, a ValueError; the last
-    with packing_from_dict's message, and int subclasses pass as there.
+    is the loader's own test, core._edge_ids, run on each map's edges in
+    order, so the message names the first bad edge as packing_from_dict's
+    does.
 
     Every tree, valid or not, has its ids tested, its edges checked in
     child order and each vertex's parent chain walked, which finds and
     orders its violations; so a valid map of m edges costs a sort and a
-    walk, O(m log m), wherever its edges are listed.  Then children are
-    counted per vertex in an n-long list, so capacity violations come in
-    ascending id order.
+    walk, O(m log m), wherever its edges are listed.  The edge checks also
+    count each in-range parent's children in one n-long list, and the
+    capacity violations follow every tree's, in ascending id order.
     """
     root, n, trees = inst.root, inst.n, packing.trees
     if packing.root != root:
@@ -114,15 +116,16 @@ def verify_packing(inst: Instance, packing: Packing, stated: int | None = None) 
     if len(trees) != inst.num_trees:
         raise ValueError(f"packing has {len(trees)} trees, instance needs K={inst.num_trees}")
     violations: list[dict] = []
+    totals = [0] * n
     for ti, parent in enumerate(trees):
-        for child, par in parent.items():  # the loader's id test, on the first bad edge
-            if type(par) is not int or type(child) is not int:
-                _as_int(par, f"trees[{ti}].edges")
-                _as_int(child, f"trees[{ti}].edges")
+        for child, par in parent.items():
+            _edge_ids(par, child, ti)
         if root in parent:
             violations.append({"tree": ti, "vertex": root, "reason": "root must not have a parent"})
         bad_ids = set()
         for child, par in sorted(parent.items()):
+            if 0 <= par < n:
+                totals[par] += 1
             if not (0 <= child < n and 0 <= par < n):
                 reason = f"edge ({par}, {child}) uses a vertex outside [0, {n})"
                 violations.append({"tree": ti, "vertex": child, "reason": reason})
@@ -145,11 +148,6 @@ def verify_packing(inst: Instance, packing: Packing, stated: int | None = None) 
                 status[y] = ok
                 if not ok:
                     violations.append({"tree": ti, "vertex": y, "reason": "not connected to the root"})
-    totals = [0] * n
-    for parent in trees:
-        for v in parent.values():
-            if 0 <= v < n:
-                totals[v] += 1
     for v, (total, cap) in enumerate(zip(totals, inst.capacities)):
         if total > cap:
             reason = f"capacity exceeded: {total} children across trees, capacity {cap}"

@@ -292,6 +292,14 @@ def cnf_satisfiable(sat: SatInstance) -> bool:
     return False
 
 
+def max_sat(sat: SatInstance) -> int:
+    """The most clauses one assignment satisfies, by truth table: the gadget optimum is 1 + 2n + this."""
+    best = 0
+    for bits in itertools.product((False, True), repeat=sat.num_vars):
+        best = max(best, sum(any((lit > 0) == bits[abs(lit) - 1] for lit in cl) for cl in sat.clauses))
+    return best
+
+
 # The CLI's argparse parser as it was before cli.parse_args replaced it;
 # tests compare the two on valid argv.
 def build_parser() -> argparse.ArgumentParser:

@@ -587,6 +587,28 @@ class TestOutputFiles:
         assert (code, out, err) == (2, "", "error: -o and --labels name the same file: h.json\n")
         assert (tmp_path / "g.json").read_text() == "old\n"
 
+    @pytest.mark.parametrize(
+        "gadget, labels, before",
+        [("g.json", "adir", "old\n"), ("g.json", "adir", None), ("adir", "labels.json", None)],
+    )
+    def test_reduce_writes_neither_output_if_one_cannot_be_opened(
+        self, capsys, tmp_path, monkeypatch, gadget, labels, before
+    ):
+        """Both outputs are opened first: a failed open leaves an old -o as it was and no new file."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f.cnf").write_text(EXAMPLE_DIMACS)
+        (tmp_path / "adir").mkdir()
+        if before is not None:
+            (tmp_path / gadget).write_text(before)
+        code, out, err = run(capsys, "reduce", "--cnf", "f.cnf", "-o", gadget, "--labels", labels)
+        assert (code, out, err) == (2, "", "error: [Errno 21] Is a directory: 'adir'\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["adir", "f.cnf", *[gadget] * (before is not None)]
+        )
+        if before is not None:
+            assert (tmp_path / gadget).read_text() == before
+        assert not any((tmp_path / "adir").iterdir())
+
     def test_dev_null(self, capsys, write_json):
         inst = write_json("c4.json", COMPLETE4)
         _, plain, _ = run(capsys, "solve", "-i", inst)

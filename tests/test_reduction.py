@@ -16,6 +16,7 @@ from helpers import (
     assignment_satisfies,
     cnf_satisfiable,
     gadget_witness,
+    max_sat,
     planted_3cnf,
     random_3cnf,
     satlib_uf_text,
@@ -109,6 +110,13 @@ class TestSatInstance:
     def test_zero_vars_rejected(self):
         with pytest.raises(ValueError, match="num_vars"):
             SatInstance(0, ((1, 1, 1),))
+
+    def test_literal_zero_and_past_num_vars_rejected(self):
+        # DIMACS text cannot carry a literal 0 (it ends a clause), so only
+        # a library caller reaches this check.
+        for lit in (0, 2, -2):
+            with pytest.raises(ValueError, match=rf"^clause 1: literal {lit} out of range$"):
+                SatInstance(1, ((1, lit, 1),))
 
     def test_duplicate_variable_in_clause_accepted(self):
         sat = SatInstance(1, ((1, -1, 1),))
@@ -237,6 +245,20 @@ class TestBidirectional:
                 assignment = extract_assignment(out, packing)
                 assert assignment is not None
                 assert assignment_satisfies(sat, assignment)
+
+    def test_optimum_is_one_plus_two_n_plus_max_sat(self):
+        # A tree holds the root, the n selectors, at most one literal per
+        # variable and the clauses next to a held literal, so the optimum
+        # of any gadget is 1 + 2n + MAX-SAT, not only at the threshold.
+        rng = random.Random(2111)
+        unsatisfiable = 0
+        for _ in range(200):
+            sat = random_3cnf(rng, max_vars=3, max_clauses=8)
+            gadget = reduce_3sat(sat).instance
+            value, _ = brute_force_solve(gadget, max_n=gadget.n, max_k=1)
+            assert value == 1 + 2 * sat.num_vars + max_sat(sat), sat
+            unsatisfiable += max_sat(sat) < sat.num_clauses
+        assert unsatisfiable >= 10
 
 
 # Planted formulas at the clause/variable ratio of SATLIB's uf files; the

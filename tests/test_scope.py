@@ -12,6 +12,10 @@ tree or complete the oracle must equal that kind's exact solver; on one
 graph per class up to relabelling, and K <= 2, it must also equal
 test_oracle's second exhaustive search.  tools/scope.py runs the tree
 and complete scopes further.
+One-edge changes: every packing one edge away from a solver's packing
+on a smaller scope (trees and complete graphs to n = 4, general graphs
+to n = 3) must get test_differential.reference_verify's report, both
+from verify_packing and from verify_document on its packing document.
 """
 
 from __future__ import annotations
@@ -19,10 +23,14 @@ from __future__ import annotations
 import itertools
 import json
 
+import pytest
+
 from helpers import complete_scope, connected_graphs, graph_scope, tree_scope, tree_shapes
+from test_differential import reference_verify
 from test_oracle import naive_best
 from treepack import (
     Instance,
+    Packing,
     brute_force_solve,
     greedy_general,
     objective,
@@ -33,6 +41,7 @@ from treepack import (
     verify_packing,
 )
 from treepack import complete_solver, tree_solver
+from treepack.verifier import verify_document
 
 
 def check_packing(inst, value, packing, packing_text) -> None:
@@ -117,3 +126,44 @@ def test_oracle_matches_a_second_search_on_small_graphs():
             assert brute_force_solve(inst)[0] == naive_best(inst), inst
             count += 1
     assert count == 3 + 18 + 3 * 27 * 2 + 11 * 81 * 2
+
+
+def one_edge_changes(packing: Packing, n: int):
+    """Every packing that differs from packing in one edge of one tree.
+
+    Per tree: each edge deleted; each child re-parented to every vertex
+    but its parent, itself and the root included; and each vertex outside
+    the tree hung under each member, the new edge listed last, so the
+    document no longer lists the tree root outward.
+    """
+    trees = packing.trees
+    for ti, parent in enumerate(trees):
+        members = {packing.root, *parent}
+        changed = [{c: p for c, p in parent.items() if c != child} for child in parent]
+        changed += [{**parent, child: v} for child in parent for v in range(n) if v != parent[child]]
+        changed += [{**parent, w: u} for u in members for w in range(n) if w not in members]
+        for tree in changed:
+            yield Packing(packing.root, (*trees[:ti], tree, *trees[ti + 1 :]))
+
+
+@pytest.mark.parametrize(
+    "scope, solve, counts",
+    [
+        (lambda: tree_scope(4), lambda inst: solve_tree(inst)[1], (12699, 1122)),
+        (lambda: complete_scope(4), solve_complete, (1631, 187)),
+        (lambda: graph_scope(3), lambda inst: brute_force_solve(inst)[1], (2356, 323)),
+    ],
+    ids=["tree", "complete", "general"],
+)
+def test_every_one_edge_change_gets_the_reference_report(scope, solve, counts):
+    # counts: the damaged packings, and how many of them still verify.
+    damaged = still_valid = 0
+    for inst in scope():
+        for packing in one_edge_changes(solve(inst), inst.n):
+            expected = reference_verify(inst, packing)
+            assert verify_packing(inst, packing) == expected, (inst, packing)
+            document = json.loads(json.dumps(packing_to_dict(packing)))
+            assert verify_document(inst, document) == expected, (inst, packing)
+            damaged += 1
+            still_valid += expected["valid"]
+    assert (damaged, still_valid) == counts
