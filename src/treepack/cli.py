@@ -46,7 +46,6 @@ import stat
 import sys
 from collections.abc import Iterable
 from contextlib import ExitStack
-from io import BufferedWriter
 from types import SimpleNamespace
 
 from .core import (
@@ -83,40 +82,37 @@ def _read(path: str, load, *args):
         return load(fh, *args)
 
 
-def _open(*paths: str) -> list[BufferedWriter]:
-    """Every path opened to be written in place, in order, or none of them.
+def _write(path: str, chunks: Iterable[str], *more: tuple[str, Iterable[str]], echo=None) -> None:
+    """Write the chunks over path, then each (path, chunks) pair of more, in place.
 
-    Opening without O_TRUNC matters: on ext4, truncating a file whose
-    last contents are still being written back waits for that writeback.
-    The inode is kept, so symlinks are followed and links, mode and owner
-    survive.  When a path cannot be opened, the files opened before it
-    are closed, each one this call created is removed, and the error
-    propagates; a file that existed keeps its bytes.
+    echo, if given, is called with each chunk just before it is written.
+    Every path is opened before any chunk is written, and each file is
+    closed, and a regular file trimmed to its end, before the next is
+    written; devices and FIFOs are written but never truncated.  Opening
+    without O_TRUNC matters: on ext4, truncating a file whose last
+    contents are still being written back waits for that writeback.  The
+    inode is kept, so symlinks are followed and links, mode and owner
+    survive.  If an open or a write fails, every file is closed, each one
+    this call created is removed, and the error propagates; a file that
+    existed and was not yet written keeps its bytes.
     """
-    files = []
+    outputs = [(path, chunks), *more]
     with ExitStack() as undo:
-        for path in paths:
+        files = []
+        for path, _ in outputs:
             made = not os.path.lexists(path)
             files.append(undo.enter_context(open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb")))
             if made:
                 undo.callback(os.remove, path)
-        undo.pop_all()  # all open: keep them
-    return files
-
-
-def _write(path: str | BufferedWriter, chunks: Iterable[str], echo=None) -> None:
-    """Write the chunks over path, or a file from _open, then trim a regular file to its end.
-
-    echo, if given, is called with each chunk just before it is written.
-    Devices and FIFOs are written but never truncated.
-    """
-    with _open(path)[0] if isinstance(path, str) else path as fh:
-        for chunk in chunks:
-            if echo is not None:
-                echo(chunk)
-            fh.write(chunk.encode("utf-8"))
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            fh.truncate()
+        for fh, (_, chunks) in zip(files, outputs):
+            with fh:
+                for chunk in chunks:
+                    if echo is not None:
+                        echo(chunk)
+                    fh.write(chunk.encode("utf-8"))
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    fh.truncate()
+        undo.pop_all()  # every file is written: keep them
 
 
 def _emit(chunks: Iterable[str], path: str | None = None) -> None:
@@ -130,7 +126,7 @@ def _emit(chunks: Iterable[str], path: str | None = None) -> None:
     if path is None:
         sys.stdout.writelines(chunks)
     else:
-        _write(path, chunks, sys.stdout.write)
+        _write(path, chunks, echo=sys.stdout.write)
 
 
 def _note(message: str) -> None:
@@ -189,12 +185,11 @@ def cmd_reduce(args: SimpleNamespace) -> int:
         raise ValueError(f"-o and --labels name the same file: {args.labels}")
     reduction = reduce_3sat(_read(args.cnf, load_dimacs))
     gadget, gamma = reduction.instance, reduction.gamma
-    texts = {args.output: json.dumps(instance_to_dict(gadget)) + "\n"}
+    sidecar = []
     if args.labels is not None:
         labels = {str(v): role for v, role in sorted(reduction.labels.items())}
-        texts[args.labels] = json.dumps({"gamma": gamma, "labels": labels}) + "\n"
-    for fh, text in zip(_open(*texts), texts.values()):  # both open before either is written
-        _write(fh, [text])
+        sidecar.append((args.labels, [json.dumps({"gamma": gamma, "labels": labels}) + "\n"]))
+    _write(args.output, [json.dumps(instance_to_dict(gadget)) + "\n"], *sidecar)  # both opened, then written
     summary = {"num_vertices": gadget.n, "num_edges": len(gadget.edges), "gamma": gamma}
     _emit([json.dumps(summary) + "\n"])
     _note(f"gadget written to {args.output}: {gadget.n} vertices, threshold {gamma}")

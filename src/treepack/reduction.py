@@ -48,7 +48,8 @@ class SatInstance(_Value):
             if len(cl) != 3:
                 raise ValueError(f"clause {j}: needs exactly 3 literals, got {len(cl)}")
             for lit in cl:
-                if isinstance(lit, bool) or not isinstance(lit, int) or not 0 < abs(lit) <= num_vars:
+                not_int = isinstance(lit, bool) or not isinstance(lit, int)
+                if not_int or lit == 0 or abs(lit) > num_vars:
                     raise ValueError(f"clause {j}: literal {lit!r} out of range")
         self.__dict__.update(num_vars=num_vars, clauses=clauses)
 
@@ -108,12 +109,14 @@ def parse_dimacs(text: str) -> SatInstance:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError(f"dimacs: bad problem line {line!r}")
-            num_vars, num_clauses = _number(parts[2], "variable count"), _number(parts[3], "clause count")
+            num_vars = _number(parts[2], "variable count")
+            num_clauses = _number(parts[3], "clause count")
             continue
         if num_vars is None:
             raise ValueError("dimacs: clause before the 'p cnf' problem line")
         for tok in line.split():
-            if (lit := _number(tok, "token")) == 0:
+            lit = _number(tok, "token")
+            if lit == 0:
                 clauses.append(tuple(current))
                 current = []
             else:

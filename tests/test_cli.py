@@ -609,6 +609,22 @@ class TestOutputFiles:
             assert (tmp_path / gadget).read_text() == before
         assert not any((tmp_path / "adir").iterdir())
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("before", [None, "old\n"])
+    def test_reduce_leaves_labels_as_they_were_if_the_gadget_write_fails(
+        self, capsys, tmp_path, monkeypatch, before
+    ):
+        """Writing -o fails after both are open: a new --labels is removed, an old one keeps its bytes."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f.cnf").write_text(EXAMPLE_DIMACS)
+        if before is not None:
+            (tmp_path / "labels.json").write_text(before)
+        code, out, err = run(capsys, "reduce", "--cnf", "f.cnf", "-o", "/dev/full", "--labels", "labels.json")
+        assert (code, out, err) == (2, "", "error: [Errno 28] No space left on device\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.cnf", *["labels.json"] * (before is not None)]
+        if before is not None:
+            assert (tmp_path / "labels.json").read_text() == before
+
     def test_dev_null(self, capsys, write_json):
         inst = write_json("c4.json", COMPLETE4)
         _, plain, _ = run(capsys, "solve", "-i", inst)

@@ -45,19 +45,24 @@ def tiny_checkout(root: Path) -> None:
 
 def test_the_planted_survivor_is_named(tmp_path):
     tiny_checkout(tmp_path)
-    done = run("--root", str(tmp_path), str(tmp_path / "src" / "tiny.py"))
+    done = run(str(tmp_path / "src" / "tiny.py"))
     assert (done.returncode, done.stderr) == (0, ""), done.stdout + done.stderr
     assert done.stdout.splitlines() == ["src/tiny.py:6: 0 -> 1", "4 mutants, 3 killed, 1 survived"]
     assert (tmp_path / "src" / "tiny.py").read_text() == MODULE
 
 
-def test_failing_tests_and_usage_errors_exit_2(tmp_path):
+def test_failing_tests_and_usage_errors_exit_2(tmp_path, tmp_path_factory):
     tiny_checkout(tmp_path)
     (tmp_path / "tests" / "test_tiny.py").write_text(TEST.replace("== 2", "== 3"))
-    done = run("--root", str(tmp_path), str(tmp_path / "src" / "tiny.py"))
+    done = run(str(tmp_path / "src" / "tiny.py"))
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == "error: the tests fail on the unmutated code\n"
-    for args in ([], ["--root"], ["--bogus", "x.py"], ["--root", str(tmp_path), str(ROOT / "README.md")]):
+    lone = tmp_path_factory.mktemp("lone") / "x.py"  # no tests/ directory above it
+    lone.write_text(MODULE)
+    done = run(str(lone))
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: {lone}: not a file of a checkout with a tests/ directory\n"
+    for args in ([], ["--bogus", "x.py"], [str(ROOT / "README.md")]):
         done = run(*args)
         assert done.returncode == 2 and done.stdout == "", args
         assert done.stderr.count("\n") == 1, args

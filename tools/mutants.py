@@ -1,10 +1,11 @@
 """Mutation run: which small changes to one module do the tests miss?
 
 Usage:
-    python3 tools/mutants.py [--root DIR] MODULE [TEST ...]
+    python3 tools/mutants.py MODULE [TEST ...]
 
-MODULE is a .py file inside the checkout DIR (default: the checkout that
-holds this script), such as src/treepack/reduction.py.  One mutant is
+MODULE is a .py file of a checkout, such as src/treepack/reduction.py;
+the checkout DIR is the nearest directory above MODULE that holds a
+tests/ directory.  One mutant is
 made per site, from the module's ``ast`` and ``tokenize`` positions:
 ``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=`` swapped, ``+`` and
 ``-`` swapped (``+=`` and ``-=`` too), and 1 added to an integer
@@ -25,7 +26,8 @@ code (at least 10 s); it survives when the tests pass.
 Prints each survivor as ``FILE:LINE: original -> mutant``, then
 ``N mutants, K killed, S survived``, and exits 0.  A usage error, a
 module outside DIR or one that does not parse, or tests that fail on the
-unmutated code print one ``error:`` line to stderr and exit 2.
+unmutated code print one ``error:`` line to stderr and exit 2; so does
+a MODULE with no tests/ directory above it.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import time
 import tokenize
 from pathlib import Path
 
-USAGE = "usage: python3 tools/mutants.py [--root DIR] MODULE [TEST ...]"
+USAGE = "usage: python3 tools/mutants.py MODULE [TEST ...]"
 SWAPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "=="}
 SWAPS.update({"+": "-", "-": "+", "+=": "-=", "-=": "+="})
 OPS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!="}
@@ -128,31 +130,21 @@ def main(argv: list[str]) -> int:
     if any(arg in ("-h", "--help") for arg in argv):
         print(USAGE)
         return 0
-    root, rest = Path(__file__).resolve().parents[1], []
-    words = iter(argv)
-    for word in words:
-        if word == "--root":
-            value = next(words, None)
-            if value is None:
-                return error("--root needs a value")
-            root = Path(value).resolve()
-        elif word.startswith("-"):
-            return error(f"unrecognized argument {word!r}")
-        else:
-            rest.append(word)
-    if not rest:
+    if not argv or argv[0].startswith("-"):
         print(USAGE, file=sys.stderr)
         return 2
-    module = Path(rest[0]).resolve()
-    if not module.is_relative_to(root) or not module.is_file():
-        return error(f"{rest[0]}: not a file inside {root}")
+    module = Path(argv[0]).resolve()
+    roots = [p for p in module.parents if (p / "tests").is_dir()]
+    if not module.is_file() or not roots:
+        return error(f"{argv[0]}: not a file of a checkout with a tests/ directory")
+    root = roots[0]
     relative = module.relative_to(root)
     try:
         source = module.read_text(encoding="utf-8")
         found = sites(source)
     except (SyntaxError, ValueError) as exc:
-        return error(f"{rest[0]}: {exc}")
-    tests = rest[1:] or default_tests(root, module)
+        return error(f"{argv[0]}: {exc}")
+    tests = argv[1:] or default_tests(root, module)
     ignore = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis")
     with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
         checkout = Path(scratch) / "checkout"
