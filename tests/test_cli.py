@@ -588,42 +588,30 @@ class TestOutputFiles:
         assert (tmp_path / "g.json").read_text() == "old\n"
 
     @pytest.mark.parametrize(
-        "gadget, labels, before",
-        [("g.json", "adir", "old\n"), ("g.json", "adir", None), ("adir", "labels.json", None)],
+        "gadget, labels, old, error",
+        [
+            ("g.json", "adir", "g.json", "[Errno 21] Is a directory: 'adir'"),
+            ("g.json", "adir", None, "[Errno 21] Is a directory: 'adir'"),
+            ("adir", "labels.json", None, "[Errno 21] Is a directory: 'adir'"),
+            ("/dev/full", "labels.json", None, "[Errno 28] No space left on device"),
+            ("/dev/full", "labels.json", "labels.json", "[Errno 28] No space left on device"),
+        ],
     )
-    def test_reduce_writes_neither_output_if_one_cannot_be_opened(
-        self, capsys, tmp_path, monkeypatch, gadget, labels, before
+    def test_reduce_leaves_its_outputs_as_they_were_if_one_fails(
+        self, capsys, tmp_path, monkeypatch, gadget, labels, old, error
     ):
-        """Both outputs are opened first: a failed open leaves an old -o as it was and no new file."""
+        """A failed open, or a failed write of the gadget, leaves an old output as it was and no new one."""
         monkeypatch.chdir(tmp_path)
         (tmp_path / "f.cnf").write_text(EXAMPLE_DIMACS)
         (tmp_path / "adir").mkdir()
-        if before is not None:
-            (tmp_path / gadget).write_text(before)
+        if old is not None:
+            (tmp_path / old).write_text("old\n")
         code, out, err = run(capsys, "reduce", "--cnf", "f.cnf", "-o", gadget, "--labels", labels)
-        assert (code, out, err) == (2, "", "error: [Errno 21] Is a directory: 'adir'\n")
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-            ["adir", "f.cnf", *[gadget] * (before is not None)]
-        )
-        if before is not None:
-            assert (tmp_path / gadget).read_text() == before
+        assert (code, out, err) == (2, "", f"error: {error}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["adir", "f.cnf", *[old] * (old is not None)])
+        if old is not None:
+            assert (tmp_path / old).read_text() == "old\n"
         assert not any((tmp_path / "adir").iterdir())
-
-    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    @pytest.mark.parametrize("before", [None, "old\n"])
-    def test_reduce_leaves_labels_as_they_were_if_the_gadget_write_fails(
-        self, capsys, tmp_path, monkeypatch, before
-    ):
-        """Writing -o fails after both are open: a new --labels is removed, an old one keeps its bytes."""
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "f.cnf").write_text(EXAMPLE_DIMACS)
-        if before is not None:
-            (tmp_path / "labels.json").write_text(before)
-        code, out, err = run(capsys, "reduce", "--cnf", "f.cnf", "-o", "/dev/full", "--labels", "labels.json")
-        assert (code, out, err) == (2, "", "error: [Errno 28] No space left on device\n")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.cnf", *["labels.json"] * (before is not None)]
-        if before is not None:
-            assert (tmp_path / "labels.json").read_text() == before
 
     def test_dev_null(self, capsys, write_json):
         inst = write_json("c4.json", COMPLETE4)
