@@ -12,8 +12,9 @@ runs over the document's [parent, child] lists and builds nothing per
 tree; a file it finds valid gets the valid report at once.  Any other
 file takes the long route: core.packing_from_dict's parent maps and
 the stated objective, then verify_packing, which checks every edge of
-every tree in child order and walks each vertex's parent chain.  So
-every report, input error and its order is verify_packing's.
+every tree in child order and reaches from the root over each tree's
+child lists.  So every report, input error and its order is
+verify_packing's.
 """
 
 from operator import le
@@ -92,7 +93,7 @@ def verify_packing(inst: Instance, packing: Packing, stated: int | None = None) 
     """Check a packing against its instance; return the report document.
 
     Per tree: every edge present in the instance graph, every vertex
-    reaching the root through the parent chain (no cycles, no orphans).
+    reached from the root along the tree's edges (no cycles, no orphans).
     Across trees: per-vertex child totals within capacity.  Last, a
     stated objective, if given (the packing document's), must equal
     objective(packing), the count of its occurrences.  Failures are
@@ -103,12 +104,17 @@ def verify_packing(inst: Instance, packing: Packing, stated: int | None = None) 
     order, so the message names the first bad edge as packing_from_dict's
     does.
 
-    Every tree, valid or not, has its ids tested, its edges checked in
-    child order and each vertex's parent chain walked, which finds and
-    orders its violations; so a valid map of m edges costs a sort and a
-    walk, O(m log m), wherever its edges are listed.  The edge checks also
-    count each in-range parent's children in one n-long list, and the
-    capacity violations follow every tree's, in ascending id order.
+    The violations come per tree: the root's parent, if it has one; then
+    each edge with an id outside [0, n) or not in the graph, in ascending
+    child id; then, in ascending id, each vertex in [0, n) that the map
+    names, as a child or a parent, and the reach from the root misses,
+    except a child already named for an edge outside [0, n).  After every
+    tree come the capacity violations, in ascending id, and last the
+    stated objective's.  The edge loop, in child order, counts each
+    in-range parent's children in one n-long list and files each child
+    under its parent; the reach follows those lists, out-of-range ids
+    included.  So any map of m edges costs a sort, O(m log m), wherever
+    its edges are listed.
     """
     root, n, trees = inst.root, inst.n, packing.trees
     if packing.root != root:
@@ -122,32 +128,23 @@ def verify_packing(inst: Instance, packing: Packing, stated: int | None = None) 
             _edge_ids(par, child, ti)
         if root in parent:
             violations.append({"tree": ti, "vertex": root, "reason": "root must not have a parent"})
-        bad_ids = set()
+        kids: dict[int, list[int]] = {}
         for child, par in sorted(parent.items()):
+            kids.setdefault(par, []).append(child)
             if 0 <= par < n:
                 totals[par] += 1
             if not (0 <= child < n and 0 <= par < n):
                 reason = f"edge ({par}, {child}) uses a vertex outside [0, {n})"
                 violations.append({"tree": ti, "vertex": child, "reason": reason})
-                bad_ids.add(child)
             elif not inst.has_edge(par, child):
                 reason = f"edge ({par}, {child}) not in the instance graph"
                 violations.append({"tree": ti, "vertex": child, "reason": reason})
-        status: dict[int, bool | None] = {root: True}  # None: cut off, or on the walk's chain
-        for v in sorted({root, *parent, *parent.values()}):
-            if v in status or v in bad_ids:
-                continue
-            chain: list[int] = []
-            x = v
-            while x not in status:
-                status[x] = None
-                chain.append(x)
-                x = parent.get(x, x)  # an orphan is its own parent, which ends the walk
-            ok = status[x]  # None: a parent cycle, an orphan, or a chain into either
-            for y in chain:
-                status[y] = ok
-                if not ok:
-                    violations.append({"tree": ti, "vertex": y, "reason": "not connected to the root"})
+        reached = [root]
+        for v in reached:  # each child list is popped once, so a cycle through the root ends too
+            reached.extend(kids.pop(v, ()))
+        for v in sorted({*parent, *parent.values()}.difference(reached)):
+            if 0 <= v < n and 0 <= parent.get(v, v) < n:  # not a child already reported for its edge
+                violations.append({"tree": ti, "vertex": v, "reason": "not connected to the root"})
     for v, (total, cap) in enumerate(zip(totals, inst.capacities)):
         if total > cap:
             reason = f"capacity exceeded: {total} children across trees, capacity {cap}"

@@ -1,7 +1,8 @@
 """Shared builders for randomized test families, small scopes and gadget witnesses, plus a reference.
 
 tree_scope, complete_scope and graph_scope enumerate every instance of
-a small scope once, for bounded-exhaustive checks; tools/scope.py runs
+a small scope once, for bounded-exhaustive checks, and disagreement
+checks an exact solver's answers on one of them; tools/scope.py runs
 them past the sizes tier-1 can afford.
 
 stripe_vector expands the tree solver's excess lists back into the K
@@ -18,9 +19,18 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import json
 import random
 
-from treepack import Instance, Packing, ReductionOutput, SatInstance
+from treepack import (
+    Instance,
+    Packing,
+    ReductionOutput,
+    SatInstance,
+    brute_force_solve,
+    packing_to_dict,
+    verify_packing,
+)
 from treepack.cli import cmd_oracle, cmd_reduce, cmd_solve, cmd_verify
 
 # Worked example used across the reduction and CLI tests:
@@ -169,6 +179,26 @@ def graph_scope(max_n: int = 4, cap_hi: int = 2, max_k: int = 3):
 
 
 CAPACITY_SHAPES = ("random", "mostly_zero", "root_below_k", "root_above_k", "one_spare")
+
+
+def disagreement(inst: Instance, value: int, packing: Packing, text) -> str | None:
+    """What an exact solver's answers on inst get wrong, or None.
+
+    value must equal brute_force_solve's, packing must verify with value
+    as its stated objective, and text, the streamed document's (value,
+    chunks), must give the same value and the bytes of packing_to_dict's
+    document.
+    """
+    best = brute_force_solve(inst)[0]
+    if value != best:
+        return f"value {value}, oracle {best}"
+    report = verify_packing(inst, packing, value)
+    if not report["valid"]:
+        return f"packing does not verify: {report['violations']}"
+    streamed, chunks = text
+    if streamed != value or "".join(chunks) != json.dumps(packing_to_dict(packing)) + "\n":
+        return "the streamed document differs from the packing's"
+    return None
 
 
 def shaped_instance(rng: random.Random, make, max_n: int = 12) -> Instance:

@@ -33,6 +33,9 @@ def path3_instance(num_trees: int = 2) -> Instance:
     )
 
 
+CUT = "not connected to the root"
+
+
 def full_path_tree() -> dict[int, int]:
     return {1: 0, 2: 1}
 
@@ -262,6 +265,32 @@ class TestVerifyPacking:
         report = verify_packing(inst, packing)
         assert not report["valid"]
         assert any("outside" in v["reason"] for v in report["violations"])
+
+    @pytest.mark.parametrize(
+        "inst, tree, expected",
+        [
+            (path3_instance(1), {1: 7, 2: 1}, [(1, "edge (7, 1) uses a vertex outside [0, 3)"), (2, CUT)]),
+            (path3_instance(1), {2: 1}, [(1, CUT), (2, CUT)]),
+            (Instance("complete", 6, (2,) * 6, 1), {1: 5, 5: 3}, [(1, CUT), (3, CUT), (5, CUT)]),
+            (
+                Instance("complete", 6, (2,) * 6, 1),
+                {9: 0, 2: 9, 3: 2},
+                [
+                    (2, "edge (9, 2) uses a vertex outside [0, 6)"),
+                    (9, "edge (0, 9) uses a vertex outside [0, 6)"),
+                ],
+            ),
+        ],
+        ids=[
+            "parent out of range, child named once",
+            "parent in range outside the tree",
+            "ascending id",
+            "vertex below out-of-range edges stays connected",
+        ],
+    )
+    def test_disconnected_vertices_are_in_range_and_named_once(self, inst, tree, expected):
+        report = verify_packing(inst, Packing(0, (tree,)))
+        assert [(v["vertex"], v["reason"]) for v in report["violations"]] == expected
 
     def test_tree_count_mismatch_raises(self):
         inst = path3_instance(num_trees=2)

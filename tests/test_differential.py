@@ -5,11 +5,14 @@ The reference functions below are the earlier, simpler implementations of
 complete-solver stages, kept verbatim apart from taking the tree or
 instance as an argument and building the report as its JSON document
 (``violation``); ``Instance.has_edge`` is held to a set of the
-instance's edges.  The current code must give exactly the same
-results: the same violation list in the same order, the same paths and
-residuals, the same parent maps in the same insertion order, the same
-error for a malformed document.  Edges are listed in parent-map order,
-so saving, loading and saving again must give the same document.
+instance's edges.  ``reference_verify``'s connectivity check is the one
+exception: a bounded walk up each vertex's parent chain, independent of
+the verifier's reach down from the root.  The current code must give
+exactly the same results: the same violation list in the same order,
+the same paths and residuals, the same parent maps in the same
+insertion order, the same error for a malformed document.  Edges are
+listed in parent-map order, so saving, loading and saving again must
+give the same document.
 ``long_route`` is treepack verify's output from the parent maps, which
 the verifier's pass over a document's edge lists must reproduce.
 """
@@ -51,7 +54,7 @@ def violation(tree: int | None, vertex: int, reason: str) -> dict:
 
 
 def reference_verify(inst: Instance, packing: Packing) -> dict:
-    """A has_edge call per edge and a memoized parent-chain walk per vertex."""
+    """A has_edge call per edge and a bounded walk up the parent chain from each vertex."""
     trees, root = packing.trees, packing.root
     violations: list[dict] = []
     for ti, parent in enumerate(trees):
@@ -69,30 +72,16 @@ def reference_verify(inst: Instance, packing: Packing) -> dict:
                 violations.append(
                     violation(ti, child, f"edge ({par}, {child}) not in the instance graph")
                 )
-        status: dict[int, bool] = {root: True}
-        for v in sorted({root, *parent, *parent.values()}):
-            if v in status or v in bad_ids:
+        for v in sorted({*parent, *parent.values()}):
+            if v in bad_ids or not 0 <= v < inst.n:
                 continue
-            chain: list[int] = []
-            chain_set: set[int] = set()
             x = v
-            while True:
-                if x in status:
-                    ok = status[x]
-                    break
-                if x in chain_set:
-                    ok = False
-                    break
-                chain.append(x)
-                chain_set.add(x)
-                if x not in parent:
-                    ok = False
+            for _ in range(len(parent) + 1):  # a chain longer than the map is a cycle
+                if x == root or x not in parent:
                     break
                 x = parent[x]
-            for y in chain:
-                status[y] = ok
-                if not ok:
-                    violations.append(violation(ti, y, "not connected to the root"))
+            if x != root:
+                violations.append(violation(ti, v, "not connected to the root"))
     totals: Counter = Counter()
     for parent in trees:
         for par in parent.values():

@@ -39,8 +39,8 @@ from treepack import (
 from treepack.cli import main
 
 GOLDEN = "c80dd0bf336946b378a37b41cf17762434cec882e2c7795d59bbfc3c53501f9e"
-GOLDEN_REPORTS = "e0b8143073c6056e74cc3d8a641f488ab1c5b602c560ccbd84cef482f2ebe6eb"
-GOLDEN_CLI_REPORTS = "b4d39e2d2a5cc2f899e154bdb93f079df1b82faa9cadb12e73eab139ad206325"
+GOLDEN_REPORTS = "0590b1af47ce33604eb8a519c426574265b9cdbb985eb78c58f0e6a16bf2e9b0"
+GOLDEN_CLI_REPORTS = "219b4361ee482154e6a89364c22284e98ebd419f34e95956e2dd759a1c973e5d"
 
 
 def document(packing) -> str:

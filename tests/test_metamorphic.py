@@ -15,7 +15,8 @@ on a transformed copy, so it needs no reference solver:
   included, as on that graph given as kind general with every edge, which
   pins its complete-kind scan to the generic neighbor loop.
 
-Desk and medium sizes, seeded.
+Desk and medium sizes, seeded, and a large-K size whose K ranges up to n
+(at most 400), past the medium size's K <= 25.
 """
 
 from __future__ import annotations
@@ -28,8 +29,12 @@ import pytest
 from helpers import map_items, random_complete_instance, random_tree_instance
 from treepack import Instance, greedy_general, objective, optimal_objective, solve_complete, solve_tree
 
-SIZES = {"desk": dict(max_n=8, max_k=3, cap_hi=3), "medium": dict(max_n=150, max_k=25, cap_hi=6)}
-CASES = {"desk": 400, "medium": 60}
+SIZES = {
+    "desk": dict(max_n=8, max_k=3, cap_hi=3),
+    "medium": dict(max_n=150, max_k=25, cap_hi=6),
+    "large-k": dict(max_n=400, max_k=400, cap_hi=40),
+}
+CASES = {"desk": 400, "medium": 60, "large-k": 30}
 FAMILIES = {"tree": random_tree_instance, "complete": random_complete_instance}
 
 

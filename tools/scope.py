@@ -29,23 +29,19 @@ differs; exits 0 when every instance agrees.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
-from helpers import complete_scope, tree_scope  # noqa: E402
+from helpers import complete_scope, disagreement, tree_scope  # noqa: E402
 from treepack import (  # noqa: E402
-    brute_force_solve,
     complete_solver,
     optimal_objective,
-    packing_to_dict,
     solve_complete,
     solve_tree,
     tree_solver,
-    verify_packing,
 )
 
 
@@ -62,20 +58,6 @@ FAMILIES = {
     "tree": (tree_scope, tree_answers),
     "complete": (lambda max_n: complete_scope(max_n - 1, every_root=True), complete_answers),
 }
-
-
-def disagreement(inst, value, packing, text) -> str | None:
-    """What the solver's answers get wrong on inst, or None."""
-    best = brute_force_solve(inst)[0]
-    if value != best:
-        return f"value {value}, oracle {best}"
-    report = verify_packing(inst, packing, value)
-    if not report["valid"]:
-        return f"packing does not verify: {report['violations']}"
-    streamed, chunks = text
-    if streamed != value or "".join(chunks) != json.dumps(packing_to_dict(packing)) + "\n":
-        return "the streamed document differs from the packing's"
-    return None
 
 
 def main(argv: list[str]) -> int:
