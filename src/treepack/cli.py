@@ -6,11 +6,9 @@ search limit violations.  solve and oracle write their packing document
 as text chunks, one per tree and then the tail (core._document), byte
 for byte what json.dumps of packing_to_dict gives.  An exact solve,
 complete or tree, knows the optimum before it builds a tree and prints
-the summary first; its solver's _packing_text then yields the trees as
-_emit asks for them (complete: root paths and adoption runs; tree: the
-walk's granted levels), so the solve holds no parent map and no
-document-sized string, only its solver's per-vertex state and one
-tree's text, and --value-only takes the optimum and builds no tree.  A
+the summary first; its writer, complete_solver._packing_text or
+tree_solver._packing_text, then yields the trees as _emit asks for
+them, and --value-only takes the optimum and builds no tree.  A
 greedy solve and oracle write from their parent maps
 (core._packing_chunks).  The other results are small dicts passed to
 json.dumps.  Every document reaches stdout, and the -o file, as a

@@ -140,7 +140,7 @@ def _packing_text(inst: Instance) -> tuple[int, Iterator[str]]:
     for p = solve_complete(inst).  They are written from attach_stage's
     pairs as they come, with no parent map and no document-sized string.
     A path is one join over a table of strings indexed by id, each id
-    formatted once, for the vertices of the first active path, which
+    formatted once, for the vertices of the first path, which
     holds every later one's: "[root, " for the root, "v], [v, " for an
     inner vertex and "last]" for last.  A path that is the same list as
     the one before reuses its text; a run is one join after its
@@ -153,7 +153,7 @@ def _packing_text(inst: Instance) -> tuple[int, Iterator[str]]:
         links, text, prev = [], "", None  # links: indexed by id, lighter than a dict
         for path, runs in trees:
             if path is not prev:
-                if not links and len(path) > 1:
+                if not links:
                     links = [""] * inst.n
                     for v, x in zip(path, map(str, path)):
                         links[v] = f"{x}], [{x}, "

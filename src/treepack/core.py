@@ -15,9 +15,8 @@ Every packing document is written as text in chunks, one per tree and
 then the tail, framed by _document, with the same bytes as json.dumps of
 packing_to_dict plus a newline.  _packing_chunks writes them from parent
 maps (greedy and the oracle).  The exact solvers have writers of their
-own, complete_solver and tree_solver._packing_text, because a command
-compiles only the modules it runs: they write from root paths and
-adoption runs, and from granted levels.
+own, complete_solver._packing_text and tree_solver._packing_text,
+because a command compiles only the modules it runs.
 
 A packing document is read into parent maps by packing_from_dict, one
 loop over each tree's edges (_parent_map); its id test, _edge_ids, is

@@ -11,8 +11,9 @@ they are exact up to each vertex's reach, where its list stops.
 
 The reference is the CLI's argparse parser, kept as the earlier code
 that tests compare cli.parse_args with, less the options since removed
-(--alg complete and tree, reduce --max-vertices).  The solver stages'
-references live in test_differential.py.
+(--alg complete and tree, reduce --max-vertices).  The solvers'
+references live with their tests: the complete solver's stages in
+test_complete_solver.py, the greedy baseline in test_greedy.py.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 Each test here pins a value that a one-token change to the code would
 alter: a vertex id equal to n or to -1, a bool where an integer belongs,
 zero vertices, the first clause's number, the token a bad header names,
-the vertex a negative capacity names, and the mode a new output file
-gets.
+the vertex a negative capacity names, the kind an exact solver expects,
+and the mode a new output file gets.
 """
 
 from __future__ import annotations
@@ -12,11 +12,14 @@ from __future__ import annotations
 import json
 import os
 import stat
+from functools import partial
 
 import pytest
 
 from treepack import Instance, SatInstance, parse_dimacs
 from treepack.cli import _write, main
+from treepack.complete_solver import build_stage_paths, optimal_objective, solve_complete
+from treepack.tree_solver import solve_tree, stripe_values
 
 N = 4
 INSTANCES = {
@@ -85,6 +88,23 @@ class TestBoolIsNotAnInteger:
 
 
 class TestMessageDetails:
+    @pytest.mark.parametrize(
+        "solve, kind",
+        [
+            (build_stage_paths, "complete"),
+            (solve_complete, "complete"),
+            (optimal_objective, "complete"),
+            (stripe_values, "tree"),
+            (solve_tree, "tree"),
+            (partial(solve_tree, value_only=True), "tree"),
+        ],
+        ids=["build_stage_paths", "solve_complete", "optimal_objective", "stripe_values", "solve_tree", "value_only"],
+    )
+    def test_kind_mismatch(self, solve, kind):
+        for other in sorted(INSTANCES.keys() - {kind}):
+            with pytest.raises(ValueError, match=f"^kind: expected a {kind} instance, got '{other}'$"):
+                solve(INSTANCES[other])
+
     def test_clause_numbers_are_one_based(self):
         with pytest.raises(ValueError, match=r"^clause 1: needs exactly 3 literals, got 2$"):
             SatInstance(3, ((1, 2),))

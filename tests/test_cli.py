@@ -175,15 +175,6 @@ class TestSolve:
         assert code == 2
         assert "error" in err
 
-    def test_output_file_matches_stdout(self, capsys, write_json, tmp_path):
-        for name, inst_data in (("c4.json", COMPLETE4), ("t3.json", TREE3), ("g4.json", GENERAL4)):
-            inst = write_json(name, inst_data)
-            for extra in ((), ("--value-only",)):
-                pack = tmp_path / f"{name}.pack"
-                code, out, _ = run(capsys, "solve", "-i", inst, "-o", str(pack), *extra)
-                assert code == 0
-                assert pack.read_bytes() == out.encode()
-
     @staticmethod
     def traced_solve(monkeypatch, inst: str, out: Path) -> int:
         """The tracemalloc peak of one solve, stdout going to out.
@@ -240,15 +231,6 @@ class TestSolve:
         assert json.loads(out.read_text())["objective"] == n * n
         assert peak < size / 10, (peak, size)
 
-    def test_deeply_nested_instance_is_input_error(self, capsys, tmp_path):
-        deep = tmp_path / "deep.json"
-        deep.write_text("[" * 100_000 + "]" * 100_000)
-        code, out, err = run(capsys, "solve", "-i", str(deep))
-        assert code == 2
-        assert out == ""
-        assert err.count("\n") == 1 and err.startswith("error: instance")
-        assert "Traceback" not in err
-
 
 class TestMalformedEdges:
     """Each malformed edge ends in exit 2 and one stderr line, checked by Instance."""
@@ -276,8 +258,8 @@ class TestMalformedEdges:
 class TestVerify:
     @pytest.mark.parametrize(
         "text",
-        [b"{", b'{"trees": "\xff"}', b'{"n": ' + b"9" * 5000 + b"}"],
-        ids=["syntax", "encoding", "long-integer"],  # past the 4,300-digit limit
+        [b"{", b'{"trees": "\xff"}', b'{"n": ' + b"9" * 5000 + b"}", b"[" * 100_000 + b"]" * 100_000],
+        ids=["syntax", "encoding", "long-integer", "deep"],  # past the 4,300-digit limit, then the recursion limit
     )
     @pytest.mark.parametrize("broken", ["instance", "packing"])
     def test_unreadable_json_names_its_document(self, capsys, write_json, text, broken):
@@ -383,16 +365,6 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == f"error: objective: expected an integer, got {stated!r}\n"
 
-    def test_deeply_nested_packing_is_input_error(self, capsys, write_json, tmp_path):
-        inst = write_json("t3.json", TREE3)
-        deep = tmp_path / "deep.json"
-        deep.write_text("[" * 100_000 + "]" * 100_000)
-        code, out, err = run(capsys, "verify", "-i", inst, "-p", str(deep))
-        assert code == 2
-        assert out == ""
-        assert err.count("\n") == 1 and err.startswith("error: packing")
-        assert "Traceback" not in err
-
 
 class TestOracle:
     def test_oracle_solves_small_instance(self, capsys, write_json):
@@ -401,14 +373,6 @@ class TestOracle:
         assert code == 0
         assert json.loads(out)["objective"] == 7
         assert "optimum 7" in err
-
-    def test_output_file_matches_stdout(self, capsys, write_json, tmp_path):
-        for name, inst_data in (("c4.json", COMPLETE4), ("t3.json", TREE3), ("g4.json", GENERAL4)):
-            inst = write_json(name, inst_data)
-            pack = tmp_path / f"{name}.pack"
-            code, out, _ = run(capsys, "oracle", "-i", inst, "-o", str(pack))
-            assert code == 0
-            assert pack.read_bytes() == out.encode()
 
     def test_limit_exit_code(self, capsys, write_json):
         big = {"kind": "complete", "n": 12, "capacities": [1] * 12, "K": 1}
@@ -493,26 +457,13 @@ class TestReduce:
         [
             ("p cnf 3 abc\n1 2 3 0\n", "bad clause count 'abc'"),
             ("p cnf 3 5\n1 2 3 0\n", "header declares 5 clauses, found 1"),
-        ],
-    )
-    def test_clause_count_off_the_header_is_input_error(self, capsys, tmp_path, text, message):
-        cnf = tmp_path / "short.cnf"
-        cnf.write_text(text)
-        gadget = tmp_path / "gadget.json"
-        code, out, err = run(capsys, "reduce", "--cnf", str(cnf), "-o", str(gadget))
-        assert (code, out, err) == (2, "", f"error: dimacs: {message}\n")
-        assert not gadget.exists()
-
-    @pytest.mark.parametrize(
-        "text, message",
-        [
             ("p cnf 3 1\n1 2 3 0\np cnf 5 1\n", "second problem line 'p cnf 5 1'"),
             ("1 2 3 0\np cnf 3 1\n", "clause before the 'p cnf' problem line"),
         ],
-        ids=["second-header", "clause-first"],
+        ids=["bad-count", "count-off", "second-header", "clause-first"],
     )
-    def test_header_out_of_place_is_input_error(self, capsys, tmp_path, text, message):
-        cnf = tmp_path / "placed.cnf"
+    def test_header_off_or_out_of_place_is_input_error(self, capsys, tmp_path, text, message):
+        cnf = tmp_path / "header.cnf"
         cnf.write_text(text)
         gadget = tmp_path / "gadget.json"
         code, out, err = run(capsys, "reduce", "--cnf", str(cnf), "-o", str(gadget))
@@ -546,21 +497,24 @@ EXAMPLE_LABELS = (
 
 
 class TestOutputFiles:
-    """-o and --labels overwrite an existing file in place and trim it."""
+    """-o and --labels write a new file, or overwrite an existing one in place and trim it."""
 
     @staticmethod
     def longer_file(path: Path) -> str:
         path.write_text("x" * 5000 + "\n")
         return str(path)
 
-    @pytest.mark.parametrize("command", ["solve", "oracle"])
-    def test_overwrite_longer_file_equals_stdout(self, capsys, write_json, tmp_path, command):
+    @pytest.mark.parametrize("longer", [False, True], ids=["new", "longer"])
+    @pytest.mark.parametrize("argv", [["solve"], ["solve", "--value-only"], ["oracle"]], ids=" ".join)
+    def test_output_file_equals_stdout(self, capsys, write_json, tmp_path, argv, longer):
         for name, inst_data in (("c4.json", COMPLETE4), ("t3.json", TREE3), ("g4.json", GENERAL4)):
             inst = write_json(name, inst_data)
-            pack = self.longer_file(tmp_path / f"{name}.pack")
-            code, out, _ = run(capsys, command, "-i", inst, "-o", pack)
+            pack = tmp_path / f"{name}.pack"
+            if longer:
+                self.longer_file(pack)
+            code, out, _ = run(capsys, *argv, "-i", inst, "-o", str(pack))
             assert code == 0
-            assert Path(pack).read_bytes() == out.encode()
+            assert pack.read_bytes() == out.encode()
 
     def test_reduce_overwrites_gadget_and_labels(self, capsys, tmp_path):
         cnf = tmp_path / "f.cnf"

@@ -1,4 +1,12 @@
-"""Complete-graph solver tests: stage traces, closed form, oracle agreement."""
+"""Complete-graph solver tests: stage traces, closed form, oracle agreement, references.
+
+reference_stage_paths and reference_attach are the earlier, simpler
+implementations of the two stages, kept verbatim apart from taking the
+instance as an argument.  assert_matches_reference holds the solver to
+them on each family of instances: the same paths and residuals, the same
+parent maps in the same insertion order, and the streamed document's
+bytes and value.
+"""
 
 from __future__ import annotations
 
@@ -14,9 +22,9 @@ from helpers import (
     random_complete_instance,
     shaped_instance,
 )
-from test_differential import reference_attach, reference_stage_paths
 from treepack import (
     Instance,
+    Packing,
     attach_stage,
     brute_force_solve,
     build_stage_paths,
@@ -68,35 +76,6 @@ class TestStagePaths:
         assert paths == [[0, 3], [0, 3], [0, 3], [0]]
         assert residual == [0, 0, 0, 5, 0]
 
-    def test_matches_reference_stage_paths(self):
-        # The closed form on shaped capacities against stage one charging
-        # capacities path by path (test_differential.reference_stage_paths).
-        rng = random.Random(2111)
-        seen = Counter()
-        for _ in range(2000):
-            inst = shaped_instance(rng, random_complete_instance, max_n=rng.choice((6, 20, 60)))
-            assert stage_paths(inst) == reference_stage_paths(inst), inst
-            seen.update(capacity_features(inst))
-        assert min(seen.values()) >= 100, seen
-
-    def test_paths_only_visit_funded_vertices(self):
-        rng = random.Random(21)
-        for _ in range(50):
-            inst = random_complete_instance(rng)
-            paths, _ = build_stage_paths(inst)
-            caps = list(inst.capacities)
-            for path in paths:
-                assert path[0] == inst.root
-                assert len(set(path)) == len(path)
-                for v in path[:-1]:
-                    assert caps[v] > 0
-                    caps[v] -= 1
-
-    def test_kind_mismatch(self):
-        inst = Instance(kind="tree", n=2, capacities=(1, 1), num_trees=1, edges=((0, 1),))
-        with pytest.raises(ValueError, match="complete"):
-            build_stage_paths(inst)
-
 
 class TestAttachStage:
     def test_no_residual_keeps_paths(self):
@@ -129,23 +108,6 @@ class TestSolveComplete:
         assert objective(packing) == 5
         assert optimal_objective(inst) == 5
 
-    def test_matches_closed_form_randomized(self):
-        rng = random.Random(31337)
-        for _ in range(300):
-            inst = random_complete_instance(rng, max_n=12, max_k=5, cap_hi=12)
-            packing = solve_complete(inst)
-            assert objective(packing) == optimal_objective(inst)
-
-    def test_output_verifies(self):
-        rng = random.Random(777)
-        for _ in range(100):
-            n = rng.randint(1, 10)
-            inst = complete(
-                [rng.randint(0, n) for _ in range(n)], rng.randint(1, n), root=rng.randrange(n)
-            )
-            report = verify_packing(inst, solve_complete(inst))
-            assert report["valid"], report["violations"]
-
     def test_agrees_with_oracle(self):
         rng = random.Random(2024)
         for _ in range(40):
@@ -170,6 +132,16 @@ class TestSolveComplete:
             if all(len(p) >= 2 for p in paths[:active]):
                 assert non_null == active
 
+    def test_many_trees_large_n(self):
+        rng = random.Random(9)
+        n, k = 20000, 2000
+        caps = [rng.randint(0, 10) for _ in range(n)]
+        caps[0] = k
+        inst = Instance("complete", n, tuple(caps), k)
+        packing = solve_complete(inst)
+        assert verify_packing(inst, packing)["valid"]
+        assert objective(packing) == optimal_objective(inst)
+
     def test_explicit_undercount_example(self):
         inst = complete([3, 0, 0, 0, 0], 2)
         packing = solve_complete(inst)
@@ -186,52 +158,8 @@ class TestSolveComplete:
             [(0, 3), (3, 1)],
         ]
 
-    def test_kind_mismatch(self):
-        for kind in ("general", "tree"):
-            inst = Instance(kind=kind, n=2, capacities=(1, 1), num_trees=1, edges=((0, 1),))
-            for solve in (solve_complete, optimal_objective):
-                with pytest.raises(ValueError) as exc:
-                    solve(inst)
-                assert str(exc.value) == f"kind: expected a complete instance, got {kind!r}"
-
-
-def text_case(rng: random.Random) -> Instance:
-    """A complete instance with a random root and K up to n, in one of several capacity shapes."""
-    n = 1 if rng.random() < 0.05 else rng.randint(1, 60)
-    shape = rng.choice(("small", "up_to_n", "huge", "all_zero", "root_zero"))
-    hi = {"small": 3, "up_to_n": n, "huge": 10**20}.get(shape, 3)
-    caps = [0] * n if shape == "all_zero" else [rng.randint(0, hi) for _ in range(n)]
-    root = rng.randrange(n)
-    if shape == "root_zero":
-        caps[root] = 0
-    return complete(caps, rng.randint(1, n), root)
-
-
 class TestPackingText:
-    """The tree-by-tree writer gives the bytes of the parent maps' document."""
-
-    def test_chunks_equal_the_packing_document(self):
-        rng = random.Random(26)
-        shapes = Counter()
-        for _ in range(1500):
-            inst = text_case(rng)
-            packing = solve_complete(inst)
-            want = reference_attach(inst, *reference_stage_paths(inst))
-            assert map_items(packing) == map_items(want), inst  # same maps, same order
-            value, chunks = _packing_text(inst)
-            chunks = list(chunks)
-            assert len(chunks) == inst.num_trees + 1
-            assert "".join(chunks) == json.dumps(packing_to_dict(packing)) + "\n", inst
-            assert value == objective(packing)
-            caps = inst.capacities
-            paths = stage_paths(inst)[0]
-            shapes["reused_path"] += any(a is b and len(a) > 1 for a, b in zip(paths, paths[1:]))
-            shapes["n1"] += inst.n == 1
-            shapes["root_zero"] += caps[inst.root] == 0
-            shapes["all_zero"] += not any(caps)
-            shapes["huge"] += max(caps) > 2**64
-            shapes["k_is_n"] += inst.num_trees == inst.n > 1
-        assert min(shapes.values()) >= 20, shapes
+    """The tree-by-tree writer: one path per chunk, and worked chunks."""
 
     def test_one_path_per_chunk_asked_for(self, monkeypatch):
         """The objective comes first; path k is built when tree k's chunk is asked for."""
@@ -261,3 +189,184 @@ class TestPackingText:
             ', {"edges": [[0, 3], [3, 1]]}',
             '], "objective": 7}\n',
         ]
+
+
+def reference_stage_paths(inst: Instance) -> tuple[list[list[int]], list[int]]:
+    """Rebuilds every path from all n vertices: Theta(nK)."""
+    caps = list(inst.capacities)
+    root = inst.root
+    rest = [v for v in range(inst.n) if v != root]
+    paths: list[list[int]] = []
+    for _ in range(inst.num_trees):
+        if caps[root] == 0:
+            paths.append([root])
+            continue
+        path = [root] + [v for v in rest if caps[v] > 0]
+        for v in path[:-1]:
+            caps[v] -= 1
+        paths.append(path)
+    return paths, caps
+
+
+def reference_attach(inst: Instance, paths: list[list[int]], residual: list[int]) -> Packing:
+    """Builds the full O(n) list of missing vertices for every tree."""
+    caps = list(residual)
+    trees = []
+    for path in paths:
+        parent = {path[i]: path[i - 1] for i in range(1, len(path))}
+        members = set(path)
+        missing = [v for v in range(inst.n) if v not in members]
+        at = 0
+        for v in path:
+            while at < len(missing) and caps[v] > 0:
+                parent[missing[at]] = v
+                at += 1
+                caps[v] -= 1
+            if at == len(missing):
+                break
+        trees.append(parent)
+    return Packing(inst.root, trees)
+
+
+def assert_matches_reference(inst: Instance) -> None:
+    """Both stages, drawn one tree at a time, and the streamed document, against the references.
+
+    The document's value must be the closed form's, and its packing must
+    verify with that value as the stated objective.
+    """
+    paths, residual = build_stage_paths(inst)
+    want_paths, want_residual = reference_stage_paths(inst)
+    assert residual == want_residual, inst
+    got = attach_stage(inst)
+    assert iter(paths) is paths and iter(got) is got  # lazy: nothing is built up front
+    want = reference_attach(inst, want_paths, want_residual)
+    prev = None
+    for (path, runs), want_path, parent in zip(got, want_paths, want.trees, strict=True):
+        assert path == want_path, inst
+        assert (path is prev) == (path == prev)  # an unchanged path is the same list
+        # the runs are the map's adoptions, and none is empty
+        assert [(c, p) for p, ids in runs for c in ids] == list(parent.items())[len(path) - 1 :]
+        assert all(ids for _, ids in runs)
+        prev = path
+    assert next(got, None) is None
+    packing = solve_complete(inst)
+    assert map_items(packing) == map_items(want), inst  # same maps, same order
+    assert residual == want_residual  # attach spends its own residual, not this one
+    value, chunks = _packing_text(inst)
+    chunks = list(chunks)
+    assert len(chunks) == inst.num_trees + 1
+    assert "".join(chunks) == json.dumps(packing_to_dict(packing)) + "\n", inst
+    assert value == objective(packing) == optimal_objective(inst)
+    report = verify_packing(inst, packing, value)
+    assert report["valid"], report["violations"]
+
+
+# Each family below yields its instances; the last four then assert how
+# often they drew each of their shapes.
+
+
+def funded():
+    rng = random.Random(21)
+    for _ in range(50):
+        yield random_complete_instance(rng)
+
+
+def closed_form():
+    rng = random.Random(31337)
+    for _ in range(300):
+        yield random_complete_instance(rng, max_n=12, max_k=5, cap_hi=12)
+
+
+def verified():
+    rng = random.Random(777)
+    for _ in range(100):
+        n = rng.randint(1, 10)
+        yield complete([rng.randint(0, n) for _ in range(n)], rng.randint(1, n), root=rng.randrange(n))
+
+
+def shaped():
+    """helpers.shaped_instance's capacity shapes, n up to 60."""
+    rng = random.Random(2111)
+    seen = Counter()
+    for _ in range(2000):
+        inst = shaped_instance(rng, random_complete_instance, max_n=rng.choice((6, 20, 60)))
+        yield inst
+        seen.update(capacity_features(inst))
+    assert min(seen.values()) >= 100, seen
+
+
+def text_shapes():
+    """A random root and K up to n, n up to 60, capacities up to 10**20."""
+    rng = random.Random(26)
+    shapes = Counter()
+    for _ in range(1500):
+        n = 1 if rng.random() < 0.05 else rng.randint(1, 60)
+        shape = rng.choice(("small", "up_to_n", "huge", "all_zero", "root_zero"))
+        hi = {"small": 3, "up_to_n": n, "huge": 10**20}.get(shape, 3)
+        caps = [0] * n if shape == "all_zero" else [rng.randint(0, hi) for _ in range(n)]
+        root = rng.randrange(n)
+        if shape == "root_zero":
+            caps[root] = 0
+        inst = complete(caps, rng.randint(1, n), root)
+        yield inst
+        paths = stage_paths(inst)[0]
+        shapes["reused_path"] += any(a is b and len(a) > 1 for a, b in zip(paths, paths[1:]))
+        shapes["n1"] += n == 1
+        shapes["root_zero"] += caps[root] == 0
+        shapes["all_zero"] += not any(caps)
+        shapes["huge"] += max(caps) > 2**64
+        shapes["k_is_n"] += inst.num_trees == n > 1
+    assert min(shapes.values()) >= 20, shapes
+
+
+def mixed_shapes():
+    """n up to 40, K up to n, any root, mixed capacity shapes."""
+    rng = random.Random(8)
+    shapes = Counter()
+    for _ in range(5000):
+        n = rng.choice((1, 2, 3)) if rng.random() < 0.1 else rng.randint(1, 40)
+        shape = rng.choice(("uniform", "mostly_zero", "root_zero", "root_short", "rich"))
+        if shape == "mostly_zero":
+            caps = [rng.randint(1, 3) if rng.random() < 0.15 else 0 for _ in range(n)]
+        elif shape == "rich":
+            caps = [rng.randint(0, 2 * n) for _ in range(n)]
+        else:
+            caps = [rng.randint(0, 8) for _ in range(n)]
+        k = rng.randint(1, n)
+        root = rng.randrange(n)
+        if shape == "root_zero":
+            caps[root] = 0
+        elif shape == "root_short":
+            caps[root] = rng.randint(0, max(0, k - 1))  # K above the root capacity
+        yield complete(caps, k, root)
+        shapes["n1"] += n == 1
+        shapes["root_zero"] += caps[root] == 0
+        shapes["k_above_root"] += k > caps[root]
+        shapes["mostly_zero"] += sum(c == 0 for c in caps) * 2 > n
+    assert min(shapes.values()) >= 100, shapes
+
+
+def edge_shapes():
+    for caps, k, root in (
+        ([0], 1, 0),
+        ([7], 1, 0),
+        ([0, 0, 0, 0], 4, 2),
+        ([4, 0, 0, 0, 0], 3, 0),
+        ([0, 5, 5, 5], 2, 0),
+        ([1, 9, 9, 9, 9], 5, 0),
+        ([3, 3, 3, 3, 3, 3], 6, 5),
+        ([40] * 40, 40, 17),
+        ([10**30, 2**63, 0, 5], 3, 0),  # capacities beyond a machine word
+        ([2, 0, 2**64, 1], 4, 1),
+    ):
+        yield complete(caps, k, root)
+
+
+@pytest.mark.parametrize(
+    "cases",
+    [funded, closed_form, verified, shaped, text_shapes, mixed_shapes, edge_shapes],
+    ids=lambda cases: cases.__name__,
+)
+def test_matches_reference(cases):
+    for inst in cases():
+        assert_matches_reference(inst)

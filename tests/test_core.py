@@ -34,6 +34,9 @@ def path3_instance(num_trees: int = 2) -> Instance:
 
 
 CUT = "not connected to the root"
+COMPLETE3 = Instance(kind="complete", n=3, capacities=(2, 2, 2), num_trees=1)
+COMPLETE4 = Instance(kind="complete", n=4, capacities=(3, 3, 3, 3), num_trees=1)
+COMPLETE6 = Instance("complete", 6, (2,) * 6, 1)
 
 
 def full_path_tree() -> dict[int, int]:
@@ -231,49 +234,19 @@ class TestVerifyPacking:
         report = verify_packing(inst, Packing(0, (full_path_tree(), {})))
         assert report["valid"]
 
-    def test_edge_outside_graph_flagged(self):
-        inst = path3_instance(num_trees=1)
-        packing = Packing(0, ({2: 0},))  # (0, 2) is not a path edge
-        report = verify_packing(inst, packing)
-        assert not report["valid"]
-        assert any("not in the instance graph" in v["reason"] for v in report["violations"])
-
-    def test_parent_cycle_flagged(self):
-        inst = Instance(kind="complete", n=4, capacities=(3, 3, 3, 3), num_trees=1)
-        packing = Packing(0, ({1: 2, 2: 1},))
-        report = verify_packing(inst, packing)
-        assert not report["valid"]
-        assert any("not connected to the root" in v["reason"] for v in report["violations"])
-
-    def test_orphan_branch_flagged(self):
-        inst = Instance(kind="complete", n=4, capacities=(3, 3, 3, 3), num_trees=1)
-        packing = Packing(0, ({3: 2},))  # 2 never joins the root
-        report = verify_packing(inst, packing)
-        assert not report["valid"]
-        assert any(v["vertex"] in (2, 3) for v in report["violations"])
-
-    def test_root_with_parent_flagged(self):
-        inst = Instance(kind="complete", n=3, capacities=(2, 2, 2), num_trees=1)
-        packing = Packing(0, ({0: 1, 1: 0},))
-        report = verify_packing(inst, packing)
-        assert not report["valid"]
-        assert any("root must not have a parent" in v["reason"] for v in report["violations"])
-
-    def test_vertex_out_of_range_flagged(self):
-        inst = Instance(kind="complete", n=3, capacities=(2, 2, 2), num_trees=1)
-        packing = Packing(0, ({7: 0},))
-        report = verify_packing(inst, packing)
-        assert not report["valid"]
-        assert any("outside" in v["reason"] for v in report["violations"])
-
     @pytest.mark.parametrize(
         "inst, tree, expected",
         [
+            (path3_instance(1), {2: 0}, [(2, "edge (0, 2) not in the instance graph")]),
+            (COMPLETE4, {1: 2, 2: 1}, [(1, CUT), (2, CUT)]),
+            (COMPLETE4, {3: 2}, [(2, CUT), (3, CUT)]),
+            (COMPLETE3, {0: 1, 1: 0}, [(0, "root must not have a parent")]),
+            (COMPLETE3, {7: 0}, [(7, "edge (0, 7) uses a vertex outside [0, 3)")]),
             (path3_instance(1), {1: 7, 2: 1}, [(1, "edge (7, 1) uses a vertex outside [0, 3)"), (2, CUT)]),
             (path3_instance(1), {2: 1}, [(1, CUT), (2, CUT)]),
-            (Instance("complete", 6, (2,) * 6, 1), {1: 5, 5: 3}, [(1, CUT), (3, CUT), (5, CUT)]),
+            (COMPLETE6, {1: 5, 5: 3}, [(1, CUT), (3, CUT), (5, CUT)]),
             (
-                Instance("complete", 6, (2,) * 6, 1),
+                COMPLETE6,
                 {9: 0, 2: 9, 3: 2},
                 [
                     (2, "edge (9, 2) uses a vertex outside [0, 6)"),
@@ -282,15 +255,20 @@ class TestVerifyPacking:
             ),
         ],
         ids=[
-            "parent out of range, child named once",
+            "edge outside graph",
+            "parent cycle",
+            "orphan branch",  # 2 never joins the root
+            "root with parent",
+            "vertex out of range",
+            "parent out of range",
             "parent in range outside the tree",
             "ascending id",
-            "vertex below out-of-range edges stays connected",
+            "below out-of-range edges",
         ],
     )
-    def test_disconnected_vertices_are_in_range_and_named_once(self, inst, tree, expected):
-        report = verify_packing(inst, Packing(0, (tree,)))
-        assert [(v["vertex"], v["reason"]) for v in report["violations"]] == expected
+    def test_violations_of_one_tree(self, inst, tree, expected):
+        violations = [{"tree": 0, "vertex": v, "reason": reason} for v, reason in expected]
+        assert verify_packing(inst, Packing(0, (tree,))) == {"valid": False, "violations": violations}
 
     def test_tree_count_mismatch_raises(self):
         inst = path3_instance(num_trees=2)

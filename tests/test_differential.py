@@ -1,18 +1,18 @@
 """Differential tests: the linear-time code against the algorithms it replaced.
 
 The reference functions below are the earlier, simpler implementations of
-``verify_packing``, ``greedy_general``, ``packing_from_dict`` and the two
-complete-solver stages, kept verbatim apart from taking the tree or
-instance as an argument and building the report as its JSON document
-(``violation``); ``Instance.has_edge`` is held to a set of the
+``verify_packing`` and ``packing_from_dict``, kept verbatim apart from
+taking the tree as an argument and building the report as its JSON
+document (``violation``); ``Instance.has_edge`` is held to a set of the
 instance's edges.  ``reference_verify``'s connectivity check is the one
 exception: a bounded walk up each vertex's parent chain, independent of
 the verifier's reach down from the root.  The current code must give
 exactly the same results: the same violation list in the same order,
-the same paths and residuals, the same parent maps in the same
-insertion order, the same error for a malformed document.  Edges are
-listed in parent-map order, so saving, loading and saving again must
-give the same document.
+the same parent maps in the same insertion order, the same error for a
+malformed document.  Edges are listed in parent-map order, so saving,
+loading and saving again must give the same document.  The greedy
+baseline's and the complete solver's references live with their tests,
+in test_greedy.py and test_complete_solver.py.
 ``long_route`` is treepack verify's output from the parent maps, which
 the verifier's pass over a document's edge lists must reproduce.
 """
@@ -34,12 +34,8 @@ from helpers import (
 from treepack import (
     Instance,
     Packing,
-    attach_stage,
-    build_stage_paths,
     greedy_general,
     instance_to_dict,
-    objective,
-    optimal_objective,
     packing_from_dict,
     packing_to_dict,
     solve_complete,
@@ -125,75 +121,6 @@ def reference_packing_from_dict(data, root: int) -> Packing:
             parent[child] = par
         trees.append(parent)
     return Packing(root, trees)
-
-
-def reference_greedy(inst: Instance) -> Packing:
-    """Rescans every member list from the start on every turn: quadratic."""
-    count = inst.num_trees
-    root = inst.root
-    caps = list(inst.capacities)
-    parents: list[dict[int, int]] = [{} for _ in range(count)]
-    orders: list[list[int]] = [[root] for _ in range(count)]
-    members: list[set[int]] = [{root} for _ in range(count)]
-    grew = True
-    while grew:
-        grew = False
-        for k in range(count):
-            found = None
-            for u in orders[k]:
-                if caps[u] <= 0:
-                    continue
-                for w in inst.neighbors(u):
-                    if w not in members[k]:
-                        found = (u, w)
-                        break
-                if found:
-                    break
-            if found:
-                u, w = found
-                caps[u] -= 1
-                parents[k][w] = u
-                members[k].add(w)
-                orders[k].append(w)
-                grew = True
-    return Packing(root, parents)
-
-
-def reference_stage_paths(inst: Instance) -> tuple[list[list[int]], list[int]]:
-    """Rebuilds every path from all n vertices: Theta(nK)."""
-    caps = list(inst.capacities)
-    root = inst.root
-    rest = [v for v in range(inst.n) if v != root]
-    paths: list[list[int]] = []
-    for _ in range(inst.num_trees):
-        if caps[root] == 0:
-            paths.append([root])
-            continue
-        path = [root] + [v for v in rest if caps[v] > 0]
-        for v in path[:-1]:
-            caps[v] -= 1
-        paths.append(path)
-    return paths, caps
-
-
-def reference_attach(inst: Instance, paths: list[list[int]], residual: list[int]) -> Packing:
-    """Builds the full O(n) list of missing vertices for every tree."""
-    caps = list(residual)
-    trees = []
-    for path in paths:
-        parent = {path[i]: path[i - 1] for i in range(1, len(path))}
-        members = set(path)
-        missing = [v for v in range(inst.n) if v not in members]
-        at = 0
-        for v in path:
-            while at < len(missing) and caps[v] > 0:
-                parent[missing[at]] = v
-                at += 1
-                caps[v] -= 1
-            if at == len(missing):
-                break
-        trees.append(parent)
-    return Packing(inst.root, trees)
 
 
 FAMILIES = (
@@ -622,112 +549,6 @@ class TestVerifyDocumentMatchesLongRoute:
     @pytest.mark.parametrize("name", FIRST_ERRORS)
     def test_first_error_wins(self, verify, name):
         assert verify(*EXPLICIT_DOCUMENTS[name]) == (2, "", f"error: {FIRST_ERRORS[name]}\n")
-
-
-class TestGreedyMatchesReference:
-    def test_seeded_families(self):
-        rng = random.Random(6)
-        for i in range(900):
-            make = (random_complete_instance, random_tree_instance, random_general_instance)[i % 3]
-            inst = make(rng, max_n=14, max_k=4, cap_hi=4)
-            got, want = greedy_general(inst), reference_greedy(inst)
-            assert got == want
-
-    def test_larger_instances(self):
-        rng = random.Random(7)
-        for make, n in ((random_complete_instance, 120), (random_general_instance, 400)):
-            for _ in range(5):
-                inst = make(rng, max_n=n, max_k=5, cap_hi=3)
-                got, want = greedy_general(inst), reference_greedy(inst)
-                assert got == want
-
-    def test_long_path(self):
-        n = 2000
-        inst = Instance(
-            "general", n, (3,) * n, 3, edges=tuple((v, v + 1) for v in range(n - 1))
-        )
-        got, want = greedy_general(inst), reference_greedy(inst)
-        assert got == want
-
-
-def complete_case(rng: random.Random) -> Instance:
-    """A complete instance, n <= 40, K <= n, any root, mixed capacity shapes."""
-    n = rng.choice((1, 2, 3)) if rng.random() < 0.1 else rng.randint(1, 40)
-    shape = rng.choice(("uniform", "mostly_zero", "root_zero", "root_short", "rich"))
-    if shape == "mostly_zero":
-        caps = [rng.randint(1, 3) if rng.random() < 0.15 else 0 for _ in range(n)]
-    elif shape == "rich":
-        caps = [rng.randint(0, 2 * n) for _ in range(n)]
-    else:
-        caps = [rng.randint(0, 8) for _ in range(n)]
-    k = rng.randint(1, n)
-    root = rng.randrange(n)
-    if shape == "root_zero":
-        caps[root] = 0
-    elif shape == "root_short":
-        caps[root] = rng.randint(0, max(0, k - 1))  # K above the root capacity
-    return Instance("complete", n, tuple(caps), k, root)
-
-
-def assert_stages_match(inst: Instance) -> None:
-    """Both stages, drawn one tree at a time, against the references."""
-    paths, residual = build_stage_paths(inst)
-    want_paths, want_residual = reference_stage_paths(inst)
-    assert residual == want_residual
-    got = attach_stage(inst)
-    assert iter(paths) is paths and iter(got) is got  # lazy: nothing is built up front
-    want = reference_attach(inst, want_paths, want_residual)
-    prev = None
-    for (path, runs), want_path, parent in zip(got, want_paths, want.trees, strict=True):
-        assert path == want_path
-        assert (path is prev) == (path == prev)  # an unchanged path is the same list
-        # the runs are the map's adoptions, and none is empty
-        assert [(c, p) for p, ids in runs for c in ids] == list(parent.items())[len(path) - 1 :]
-        assert all(ids for _, ids in runs)
-        prev = path
-    assert next(got, None) is None
-    assert map_items(solve_complete(inst)) == map_items(want)
-    assert residual == want_residual  # attach spends its own residual, not this one
-
-
-class TestCompleteStagesMatchReference:
-    def test_seeded_instances(self):
-        rng = random.Random(8)
-        shapes = Counter()
-        for _ in range(5000):
-            inst = complete_case(rng)
-            assert_stages_match(inst)
-            caps, root, k = inst.capacities, inst.root, inst.num_trees
-            shapes["n1"] += inst.n == 1
-            shapes["root_zero"] += caps[root] == 0
-            shapes["k_above_root"] += k > caps[root]
-            shapes["mostly_zero"] += sum(c == 0 for c in caps) * 2 > inst.n
-        assert min(shapes.values()) >= 100, shapes
-
-    def test_edge_shapes(self):
-        for caps, k, root in (
-            ([0], 1, 0),
-            ([7], 1, 0),
-            ([0, 0, 0, 0], 4, 2),
-            ([4, 0, 0, 0, 0], 3, 0),
-            ([0, 5, 5, 5], 2, 0),
-            ([1, 9, 9, 9, 9], 5, 0),
-            ([3, 3, 3, 3, 3, 3], 6, 5),
-            ([40] * 40, 40, 17),
-            ([10**30, 2**63, 0, 5], 3, 0),  # capacities beyond a machine word
-            ([2, 0, 2**64, 1], 4, 1),
-        ):
-            assert_stages_match(Instance("complete", len(caps), tuple(caps), k, root))
-
-    def test_many_trees_large_n(self):
-        rng = random.Random(9)
-        n, k = 20000, 2000
-        caps = [rng.randint(0, 10) for _ in range(n)]
-        caps[0] = k
-        inst = Instance("complete", n, tuple(caps), k)
-        packing = solve_complete(inst)
-        assert verify_packing(inst, packing)["valid"]
-        assert objective(packing) == optimal_objective(inst)
 
 
 def hub_instance(rng: random.Random, kind: str, degree: int) -> Instance:

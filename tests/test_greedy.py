@@ -1,12 +1,12 @@
-"""Greedy baseline: shaped capacities against the reference, and pins on its work and memory.
+"""Greedy baseline: families of instances against the reference, and pins on its work and memory.
 
 greedy_general grows each tree in one suspended scan that reads membership
 from the tree's parent map and, on complete kinds, passes over range(n)
 once per tree.  These tests compare it, map order included, with
-test_differential.reference_greedy on shaped capacities, and pin three
-costs that earlier code paid: an (n - 1)-tuple of neighbors per turn on
-complete kinds, n bytes per tree, and a member's neighbors read again
-after another tree spent its capacity.
+reference_greedy, the earlier quadratic implementation, on four families,
+and pin three costs that earlier code paid: an (n - 1)-tuple of
+neighbors per turn on complete kinds, n bytes per tree, and a member's
+neighbors read again after another tree spent its capacity.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ from __future__ import annotations
 import random
 import tracemalloc
 from collections import Counter
+
+import pytest
 
 from helpers import (
     capacity_features,
@@ -23,29 +25,83 @@ from helpers import (
     random_tree_instance,
     shaped_instance,
 )
-from test_differential import reference_greedy
-from treepack import Instance, greedy_general, objective
+from treepack import Instance, Packing, greedy_general, objective
 
 FAMILIES = (random_complete_instance, random_tree_instance, random_general_instance)
 
 
-def test_matches_reference_greedy():
+def reference_greedy(inst: Instance) -> Packing:
+    """Rescans every member list from the start on every turn: quadratic."""
+    count = inst.num_trees
+    root = inst.root
+    caps = list(inst.capacities)
+    parents: list[dict[int, int]] = [{} for _ in range(count)]
+    orders: list[list[int]] = [[root] for _ in range(count)]
+    members: list[set[int]] = [{root} for _ in range(count)]
+    grew = True
+    while grew:
+        grew = False
+        for k in range(count):
+            found = None
+            for u in orders[k]:
+                if caps[u] <= 0:
+                    continue
+                for w in inst.neighbors(u):
+                    if w not in members[k]:
+                        found = (u, w)
+                        break
+                if found:
+                    break
+            if found:
+                u, w = found
+                caps[u] -= 1
+                parents[k][w] = u
+                members[k].add(w)
+                orders[k].append(w)
+                grew = True
+    return Packing(root, parents)
+
+
+def shaped():
+    """The three kinds in turn, in helpers.shaped_instance's capacity shapes; each kind and shape 100 times."""
     rng = random.Random(2101)
     seen = Counter()
     for i in range(3000):
         inst = shaped_instance(rng, FAMILIES[i % 3], max_n=rng.choice((8, 20, 60)))
-        got, want = greedy_general(inst), reference_greedy(inst)
-        assert got.root == want.root
-        assert map_items(got) == map_items(want), inst
+        yield inst
         seen.update([inst.kind, *capacity_features(inst)])
     assert min(seen.values()) >= 100, seen
 
 
-def test_complete_kind_lists_no_neighbors(monkeypatch):
-    rng = random.Random(2102)
-    complete = Instance("complete", 400, tuple(rng.randint(0, 4) for _ in range(400)), 6, 17)
-    general = random_general_instance(rng, max_n=30)
-    want = reference_greedy(complete)
+def small():
+    rng = random.Random(6)
+    for i in range(900):
+        yield FAMILIES[i % 3](rng, max_n=14, max_k=4, cap_hi=4)
+
+
+def larger():
+    rng = random.Random(7)
+    for make, n in ((random_complete_instance, 120), (random_general_instance, 400)):
+        for _ in range(5):
+            yield make(rng, max_n=n, max_k=5, cap_hi=3)
+
+
+def long_path():
+    n = 2000
+    yield Instance("general", n, (3,) * n, 3, edges=tuple((v, v + 1) for v in range(n - 1)))
+
+
+@pytest.mark.parametrize("cases", [shaped, small, larger, long_path], ids=lambda cases: cases.__name__)
+def test_matches_reference_greedy(cases):
+    for inst in cases():
+        got, want = greedy_general(inst), reference_greedy(inst)
+        assert got.root == want.root
+        assert map_items(got) == map_items(want), inst
+
+
+@pytest.fixture
+def neighbor_calls(monkeypatch) -> Counter:
+    """Counts Instance.neighbors calls by the instance's kind."""
     calls = Counter()
     neighbors = Instance.neighbors
 
@@ -54,10 +110,19 @@ def test_complete_kind_lists_no_neighbors(monkeypatch):
         return neighbors(self, v)
 
     monkeypatch.setattr(Instance, "neighbors", counted)
+    return calls
+
+
+def test_complete_kind_lists_no_neighbors(neighbor_calls):
+    rng = random.Random(2102)
+    complete = Instance("complete", 400, tuple(rng.randint(0, 4) for _ in range(400)), 6, 17)
+    general = random_general_instance(rng, max_n=30)
+    want = reference_greedy(complete)
+    neighbor_calls.clear()
     got = greedy_general(complete)
     greedy_general(general)
-    assert calls["complete"] == 0
-    assert calls["general"] > 0  # the count sees the calls that are made
+    assert neighbor_calls["complete"] == 0
+    assert neighbor_calls["general"] > 0  # the count sees the calls that are made
     assert map_items(got) == map_items(want)
 
 
@@ -71,23 +136,16 @@ def sparse_general_instance(rng: random.Random, n: int, k: int, cap_lo: int, cap
     return Instance("general", n, caps, k, 0, tuple(sorted(edges)))
 
 
-def test_each_tree_reads_each_members_neighbors_once(monkeypatch):
+def test_each_tree_reads_each_members_neighbors_once(neighbor_calls):
     # General-mix's shape: n = 3000, m = 2n, K = 3, capacities 1..3, and a
     # root that can serve each neighbor in every tree, so the trees compete
     # for the other vertices' capacity.
     drawn = sparse_general_instance(random.Random(2104), 3000, 3, 1, 3)
     caps = (3 * len(drawn.neighbors(0)), *drawn.capacities[1:])
     inst = Instance("general", drawn.n, caps, 3, 0, drawn.edges)
-    calls = 0
-    neighbors = Instance.neighbors
-
-    def counted(self, v):
-        nonlocal calls
-        calls += 1
-        return neighbors(self, v)
-
-    monkeypatch.setattr(Instance, "neighbors", counted)
+    neighbor_calls.clear()
     packing = greedy_general(inst)
+    calls = neighbor_calls["general"]
     assert 0 < calls <= objective(packing), (calls, objective(packing))
 
 

@@ -1,7 +1,8 @@
-"""Smoke tests of tools/mutants.py: a tiny checkout's one planted survivor is named."""
+"""Smoke tests of tools/mutants.py: a tiny checkout's one planted survivor is named, or explained by its list."""
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -47,8 +48,22 @@ def test_the_planted_survivor_is_named(tmp_path):
     tiny_checkout(tmp_path)
     done = run(str(tmp_path / "src" / "tiny.py"))
     assert (done.returncode, done.stderr) == (0, ""), done.stdout + done.stderr
-    assert done.stdout.splitlines() == ["src/tiny.py:6: 0 -> 1", "4 mutants, 3 killed, 1 survived"]
+    assert done.stdout.splitlines() == [
+        "src/tiny.py:6: 0 -> 1",
+        "4 mutants, 3 killed, 1 survived (0 known equivalent, 1 unexplained)",
+    ]
     assert (tmp_path / "src" / "tiny.py").read_text() == MODULE
+    # Listed by its line's text, the survivor is known wherever that line moves.
+    (tmp_path / "src" / "tiny.py").write_text("# one line more\n" + MODULE)
+    (tmp_path / "tools").mkdir()
+    listed = [{"file": "src/tiny.py", "line": "if x == 0:", "swap": "0 -> 1", "reason": "label(0) is never called"}]
+    (tmp_path / "tools" / "equivalent_mutants.json").write_text(json.dumps(listed))
+    done = run(str(tmp_path / "src" / "tiny.py"))
+    assert (done.returncode, done.stderr) == (0, ""), done.stdout + done.stderr
+    assert done.stdout.splitlines() == [
+        "src/tiny.py:7: 0 -> 1 (known equivalent)",
+        "4 mutants, 3 killed, 1 survived (1 known equivalent, 0 unexplained)",
+    ]
 
 
 def test_failing_tests_and_usage_errors_exit_2(tmp_path, tmp_path_factory):
@@ -57,6 +72,11 @@ def test_failing_tests_and_usage_errors_exit_2(tmp_path, tmp_path_factory):
     done = run(str(tmp_path / "src" / "tiny.py"))
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == "error: the tests fail on the unmutated code\n"
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "equivalent_mutants.json").write_text('[{"file": "src/tiny.py"}]')
+    done = run(str(tmp_path / "src" / "tiny.py"))
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: tools/equivalent_mutants.json: not a list of file, line and swap entries")
     lone = tmp_path_factory.mktemp("lone") / "x.py"  # no tests/ directory above it
     lone.write_text(MODULE)
     done = run(str(lone))

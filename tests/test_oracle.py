@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from collections import Counter
+from functools import partial
 
 import pytest
 
 from helpers import (
+    EXAMPLE_FORMULA,
     random_complete_instance,
     random_general_instance,
     random_tree_instance,
@@ -20,6 +23,8 @@ from treepack import (
     greedy_general,
     objective,
     optimal_objective,
+    oracle,
+    reduce_3sat,
     solve_tree,
     verify_packing,
 )
@@ -137,6 +142,31 @@ class TestBruteForce:
             inst = random_general_instance(rng, max_n=4, max_k=2)
             assert brute_force_solve(inst)[0] == naive_best(inst), inst
 
+    # How often the search called grow when this test was added.  A looser
+    # bound still finds the optimum, so only this count shows it.
+    GROW_CALLS = {
+        "complete n=6 K=3": (Instance("complete", 6, (3,) * 6, 3), 37550),
+        "complete root 2": (Instance("complete", 6, (2, 1, 3, 0, 1, 2), 3, root=2), 4265),
+        "gadget": (reduce_3sat(EXAMPLE_FORMULA).instance, 1420),
+    }
+
+    @pytest.mark.parametrize("name", GROW_CALLS)
+    def test_search_calls_grow_no_more_often(self, name):
+        inst, before = self.GROW_CALLS[name]
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            code = frame.f_code
+            calls += event == "call" and code.co_name == "grow" and code.co_filename == oracle.__file__
+
+        sys.setprofile(profile)
+        try:
+            brute_force_solve(inst, max_n=inst.n)
+        finally:
+            sys.setprofile(None)
+        assert 0 < calls <= before, calls
+
 
 class TestGreedy:
     def test_all_zero_capacities_gives_null_trees(self):
@@ -145,21 +175,21 @@ class TestGreedy:
         assert not any(packing.trees)
         assert objective(packing) == 2
 
-    def test_never_beats_complete_optimum(self):
-        rng = random.Random(67)
+    @pytest.mark.parametrize(
+        "seed, make, optimum",
+        [
+            (67, partial(random_complete_instance, max_n=7, cap_hi=4), optimal_objective),
+            (68, random_tree_instance, lambda inst: solve_tree(inst, value_only=True)[0]),
+        ],
+        ids=["complete", "tree"],
+    )
+    def test_never_beats_the_optimum(self, seed, make, optimum):
+        rng = random.Random(seed)
         for _ in range(50):
-            inst = random_complete_instance(rng, max_n=7, cap_hi=4)
+            inst = make(rng)
             packing = greedy_general(inst)
             assert verify_packing(inst, packing)["valid"]
-            assert objective(packing) <= optimal_objective(inst)
-
-    def test_never_beats_tree_optimum(self):
-        rng = random.Random(68)
-        for _ in range(50):
-            inst = random_tree_instance(rng)
-            packing = greedy_general(inst)
-            assert verify_packing(inst, packing)["valid"]
-            assert objective(packing) <= solve_tree(inst, value_only=True)[0]
+            assert objective(packing) <= optimum(inst)
 
     def test_output_verifies_on_general_graphs(self):
         rng = random.Random(69)

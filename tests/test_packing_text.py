@@ -56,23 +56,19 @@ def written(packing: Packing) -> str:
     return "".join(chunks)
 
 
+SOLVERS = {  # kind: (generator, its size arguments, solver)
+    "complete": (random_complete_instance, dict(max_n=12, max_k=6), solve_complete),
+    "tree": (random_tree_instance, dict(max_n=12, max_k=6), lambda inst: solve_tree(inst)[1]),
+    "general": (random_general_instance, dict(max_n=12, max_k=6), greedy_general),
+    "oracle": (random_complete_instance, dict(max_n=4, max_k=2, cap_hi=2), lambda inst: brute_force_solve(inst)[1]),
+}
+
+
 def _family(kind: str) -> list[tuple[Instance, Packing]]:
     """Seeded instances of one kind with the packing its solver returns."""
     rng = random.Random(f"packing-text:{kind}")
-    pairs = []
-    for _ in range(30):
-        if kind == "complete":
-            inst = random_complete_instance(rng, max_n=12, max_k=6)
-            pairs.append((inst, solve_complete(inst)))
-        elif kind == "tree":
-            inst = random_tree_instance(rng, max_n=12, max_k=6)
-            pairs.append((inst, solve_tree(inst)[1]))
-        elif kind == "general":
-            inst = random_general_instance(rng, max_n=12, max_k=6)
-            pairs.append((inst, greedy_general(inst)))
-        else:
-            inst = random_complete_instance(rng, max_n=4, max_k=2, cap_hi=2)
-            pairs.append((inst, brute_force_solve(inst)[1]))
+    make, sizes, solve = SOLVERS[kind]
+    pairs = [(inst, solve(inst)) for inst in (make(rng, **sizes) for _ in range(30))]
     if kind == "complete":
         # Null trees (no root capacity left) and a packing of a few thousand edges.
         for inst in (
@@ -184,11 +180,7 @@ class TestCliStdout:
     @pytest.mark.parametrize("kind", ("complete", "tree", "general"))
     def test_oracle(self, capsys, tmp_path, kind):
         rng = random.Random(f"packing-text-oracle:{kind}")
-        make = {
-            "complete": random_complete_instance,
-            "tree": random_tree_instance,
-            "general": random_general_instance,
-        }[kind]
+        make = SOLVERS[kind][0]
         for _ in range(6):
             inst = make(rng, max_n=4, max_k=2, cap_hi=2)
             out = self._run(capsys, tmp_path, inst, "oracle")

@@ -45,6 +45,18 @@ def vertex_ids(out) -> dict[str, int]:
     return {role: v for v, role in out.labels.items()}
 
 
+MALFORMED_DIMACS = {
+    "second-after-clause": ("p cnf 3 1\n1 2 3 0\np cnf 5 1\n", "dimacs: second problem line 'p cnf 5 1'"),
+    "repeated": ("p cnf 3 1\np cnf 3 1\n1 2 3 0\n", "dimacs: second problem line 'p cnf 3 1'"),
+    "clause-first": ("1 2 3 0\np cnf 3 1\n", "dimacs: clause before the 'p cnf' problem line"),
+    "no-header": ("1 2 3 0\n", "dimacs: clause before the 'p cnf' problem line"),
+    "two-literals": ("p cnf 3 1\n1 2 0\n", "clause 1: needs exactly 3 literals, got 2"),
+    "four-literals": ("p cnf 4 1\n1 2 3 4 0\n", "clause 1: needs exactly 3 literals, got 4"),
+    "literal-past-n": ("p cnf 2 1\n1 2 3 0\n", "clause 1: literal 3 out of range"),
+    "bad-token": ("p cnf 2 1\n1 x 2 0\n", "dimacs: bad token 'x'"),
+}
+
+
 class TestParseDimacs:
     def test_example_file(self):
         sat = parse_dimacs(EXAMPLE_DIMACS)
@@ -58,36 +70,10 @@ class TestParseDimacs:
         sat = parse_dimacs("c hello\np cnf 1 1\nc mid\n1 1 1 0\n")
         assert sat.num_vars == 1
 
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ("p cnf 3 1\n1 2 3 0\np cnf 5 1\n", "second problem line 'p cnf 5 1'"),
-            ("p cnf 3 1\np cnf 3 1\n1 2 3 0\n", "second problem line 'p cnf 3 1'"),
-            ("1 2 3 0\np cnf 3 1\n", "clause before the 'p cnf' problem line"),
-        ],
-        ids=["second-after-clause", "repeated", "clause-first"],
-    )
-    def test_exactly_one_header_before_the_clauses(self, text, message):
-        with pytest.raises(ValueError, match=f"^dimacs: {re.escape(message)}$"):
+    @pytest.mark.parametrize("text, message", MALFORMED_DIMACS.values(), ids=MALFORMED_DIMACS)
+    def test_malformed_text_rejected(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse_dimacs(text)
-
-    def test_missing_header_rejected(self):
-        with pytest.raises(ValueError, match="problem line"):
-            parse_dimacs("1 2 3 0\n")
-
-    def test_non_three_literal_clause_rejected(self):
-        with pytest.raises(ValueError, match="exactly 3 literals"):
-            parse_dimacs("p cnf 3 1\n1 2 0\n")
-        with pytest.raises(ValueError, match="exactly 3 literals"):
-            parse_dimacs("p cnf 4 1\n1 2 3 4 0\n")
-
-    def test_literal_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="out of range"):
-            parse_dimacs("p cnf 2 1\n1 2 3 0\n")
-
-    def test_bad_token_rejected(self):
-        with pytest.raises(ValueError, match="bad token"):
-            parse_dimacs("p cnf 2 1\n1 x 2 0\n")
 
     def test_satlib_trailer_ends_the_formula(self):
         # SATLIB's uf files end with "%" and a lone "0", which is no clause.

@@ -168,6 +168,14 @@ class TestStripeValues:
         assert values[1] == [1]  # f = [2, 3]
         assert values[0] == [2]  # f = [3, 4]
 
+    @pytest.mark.parametrize(
+        "inst, children",
+        [(tree_instance((), (1,), 1), [()]), (tree_instance(((0, 1),), (1, 1), 1), [[1], ()])],
+        ids=["lone root", "leaf with capacity"],
+    )
+    def test_vertices_that_serve_no_child_keep_the_empty_tuple(self, inst, children):
+        assert stripe_values(inst)[0] == children
+
     def test_leaves_score_their_stripe_count(self):
         rng = random.Random(9)
         for _ in range(30):
@@ -217,11 +225,6 @@ class TestStripeValues:
         assert solve_tree(inst, value_only=True)[0] == n + (n - 1)
         reach = reaches(inst)
         assert all(len(values[v]) <= reach[v] for v in range(n))
-
-    def test_kind_mismatch(self):
-        inst = Instance(kind="complete", n=3, capacities=(1, 1, 1), num_trees=1)
-        with pytest.raises(ValueError, match="tree"):
-            stripe_values(inst)
 
     def test_each_solve_path_calls_it_once(self, monkeypatch):
         """A tracer times the merge by wrapping tree_solver.stripe_values, so
@@ -289,13 +292,6 @@ class TestSolveTree:
         value, packing = solve_tree(inst)
         assert value == n
         assert len(packing.trees[0]) == n - 1  # every vertex but the root
-
-    def test_kind_mismatch(self):
-        inst = Instance(kind="complete", n=3, capacities=(1, 1, 1), num_trees=1)
-        for value_only in (False, True):
-            with pytest.raises(ValueError) as exc:
-                solve_tree(inst, value_only=value_only)
-            assert str(exc.value) == "kind: expected a tree instance, got 'complete'"
 
 
 class TestGreedyMerge:

@@ -23,17 +23,28 @@ may use at most 2 GiB of address space.  A mutant is killed when pytest
 fails or runs ten times as long as the tests took on the unmutated
 code (at least 10 s); it survives when the tests pass.
 
-Prints each survivor as ``FILE:LINE: original -> mutant``, then
-``N mutants, K killed, S survived``, and exits 0.  A usage error, a
-module outside DIR or one that does not parse, or tests that fail on the
-unmutated code print one ``error:`` line to stderr and exit 2; so does
-a MODULE with no tests/ directory above it.
+DIR/tools/equivalent_mutants.json, if there is one, lists the mutants
+known to be equivalent: each entry names the module (``file``, relative
+to DIR), the mutated line's text without its indentation (``line``), the
+swap (``swap``, as ``original -> mutant``) and why no test can tell it
+from the original (``reason``).  Keyed by text, not line number, an
+entry stays valid while edits elsewhere move its line; it covers every
+site on that line with that swap.
+
+Prints each survivor as ``FILE:LINE: original -> mutant``, with
+`` (known equivalent)`` after a listed one, then ``N mutants, K killed,
+S survived (E known equivalent, U unexplained)``, and exits 0.  A usage
+error, a module outside DIR or one that does not parse, an unreadable
+list, or tests that fail on the unmutated code print one ``error:`` line
+to stderr and exit 2; so does a MODULE with no tests/ directory above
+it.
 """
 
 from __future__ import annotations
 
 import ast
 import io
+import json
 import os
 import resource
 import shutil
@@ -50,6 +61,7 @@ SWAPS.update({"+": "-", "-": "+", "+=": "-=", "-=": "+="})
 OPS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!="}
 OPS.update({ast.Add: "+", ast.Sub: "-"})
 MEMORY = 2 << 30  # bytes of address space per pytest child
+EQUIVALENTS = Path("tools") / "equivalent_mutants.json"
 
 
 def sites(source: str) -> list[tuple[int, int, int, str, str]]:
@@ -104,6 +116,14 @@ def default_tests(root: Path, module: Path) -> list[str]:
     return [str(p.relative_to(root)) for p in files]
 
 
+def equivalents(root: Path) -> set[tuple[str, str, str]]:
+    """The (file, line text, swap) keys of root's known-equivalent mutants; none without a list."""
+    path = root / EQUIVALENTS
+    if not path.is_file():
+        return set()
+    return {(entry["file"], entry["line"], entry["swap"]) for entry in json.loads(path.read_text(encoding="utf-8"))}
+
+
 def limit_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY, MEMORY))
 
@@ -144,6 +164,10 @@ def main(argv: list[str]) -> int:
         found = sites(source)
     except (SyntaxError, ValueError) as exc:
         return error(f"{argv[0]}: {exc}")
+    try:
+        known = equivalents(root)
+    except (ValueError, KeyError, TypeError) as exc:
+        return error(f"{EQUIVALENTS}: not a list of file, line and swap entries ({exc!r})")
     tests = argv[1:] or default_tests(root, module)
     ignore = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis")
     with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
@@ -153,13 +177,19 @@ def main(argv: list[str]) -> int:
         if not passes(checkout, tests, None):
             return error("the tests fail on the unmutated code")
         timeout = max(10.0, 10 * (time.perf_counter() - start))
-        target, survivors = checkout / relative, []
+        target, survivors, lines = checkout / relative, [], source.splitlines()
         for site in found:
             target.write_text(mutate(source, site), encoding="utf-8")
             if passes(checkout, tests, timeout):
-                survivors.append(site)
-                print(f"{relative}:{site[0]}: {site[3]} -> {site[4]}", flush=True)
-    print(f"{len(found)} mutants, {len(found) - len(survivors)} killed, {len(survivors)} survived")
+                swap = f"{site[3]} -> {site[4]}"
+                listed = (relative.as_posix(), lines[site[0] - 1].strip(), swap) in known
+                survivors.append(listed)
+                print(f"{relative}:{site[0]}: {swap}{' (known equivalent)' if listed else ''}", flush=True)
+    explained = sum(survivors)
+    print(
+        f"{len(found)} mutants, {len(found) - len(survivors)} killed, {len(survivors)} survived"
+        f" ({explained} known equivalent, {len(survivors) - explained} unexplained)"
+    )
     return 0
 
 
