@@ -9,11 +9,17 @@ stripe_vector expands the tree solver's excess lists back into the K
 values that solve_mckp, the independent check of the tree DP, reads;
 they are exact up to each vertex's reach, where its list stops.
 
-The reference is the CLI's argparse parser, kept as the earlier code
-that tests compare cli.parse_args with, less the options since removed
-(--alg complete and tree, reduce --max-vertices).  The solvers'
-references live with their tests: the complete solver's stages in
-test_complete_solver.py, the greedy baseline in test_greedy.py.
+reference_greedy is the greedy baseline's earlier quadratic form, with
+the order in which a member offers its neighbors as its one parameter:
+id_order, the earlier rule, or capacity_order, greedy_general's.  Run
+with id_order it also draws the general packings of
+test_differential.seeded_cases, whose golden reports must not move with
+greedy's rule.
+
+The other reference is the CLI's argparse parser, kept as the earlier
+code that tests compare cli.parse_args with, less the options since
+removed (--alg complete and tree, reduce --max-vertices).  The complete
+solver's stages live with its tests, in test_complete_solver.py.
 """
 
 from __future__ import annotations
@@ -55,6 +61,52 @@ def stripe_vector(excess: list[int], count: int) -> list[int]:
 def map_items(packing: Packing) -> list[list[tuple[int, int]]]:
     """The packing's parent maps as (child, parent) lists, in insertion order."""
     return [list(parent.items()) for parent in packing.trees]
+
+
+def id_order(capacity: int, v: int) -> int:
+    """The earlier greedy's offer order: ascending id."""
+    return v
+
+
+def capacity_order(capacity: int, v: int) -> tuple[int, int]:
+    """greedy_general's offer order: descending input capacity, ties to the smaller id."""
+    return -capacity, v
+
+
+def reference_greedy(inst: Instance, order) -> Packing:
+    """Rescans every member list from the start on every turn: quadratic.
+
+    Each member offers its non-member neighbors sorted by
+    order(input capacity, id).
+    """
+    count = inst.num_trees
+    root = inst.root
+    caps = list(inst.capacities)
+    parents: list[dict[int, int]] = [{} for _ in range(count)]
+    orders: list[list[int]] = [[root] for _ in range(count)]
+    members: list[set[int]] = [{root} for _ in range(count)]
+    grew = True
+    while grew:
+        grew = False
+        for k in range(count):
+            found = None
+            for u in orders[k]:
+                if caps[u] <= 0:
+                    continue
+                for w in sorted(inst.neighbors(u), key=lambda w: order(inst.capacities[w], w)):
+                    if w not in members[k]:
+                        found = (u, w)
+                        break
+                if found:
+                    break
+            if found:
+                u, w = found
+                caps[u] -= 1
+                parents[k][w] = u
+                members[k].add(w)
+                orders[k].append(w)
+                grew = True
+    return Packing(root, parents)
 
 
 def random_complete_instance(

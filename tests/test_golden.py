@@ -38,7 +38,7 @@ from treepack import (
 )
 from treepack.cli import main
 
-GOLDEN = "c80dd0bf336946b378a37b41cf17762434cec882e2c7795d59bbfc3c53501f9e"
+GOLDEN = "a2ec6616fa3cf08bc86a11df7b07568bfa51fe42d6ce657b59350d569ad8e2e8"
 GOLDEN_REPORTS = "0590b1af47ce33604eb8a519c426574265b9cdbb985eb78c58f0e6a16bf2e9b0"
 GOLDEN_CLI_REPORTS = "219b4361ee482154e6a89364c22284e98ebd419f34e95956e2dd759a1c973e5d"
 

@@ -1,12 +1,14 @@
-"""Greedy baseline: families of instances against the reference, and pins on its work and memory.
+"""Greedy baseline: families of instances against the reference, its offer order, and pins on its work and memory.
 
 greedy_general grows each tree in one suspended scan that reads membership
-from the tree's parent map and, on complete kinds, passes over range(n)
-once per tree.  These tests compare it, map order included, with
-reference_greedy, the earlier quadratic implementation, on four families,
-and pin three costs that earlier code paid: an (n - 1)-tuple of
-neighbors per turn on complete kinds, n bytes per tree, and a member's
-neighbors read again after another tree spent its capacity.
+from the tree's parent map and, on complete kinds, passes over the
+capacity rank once per tree.  These tests compare it, map order
+included, with helpers.reference_greedy, the earlier quadratic
+implementation, run with capacity_order, on four families; pin by hand
+the cases where that order and the earlier id order part; and pin three
+costs that earlier code paid: an (n - 1)-tuple of neighbors per turn on
+complete kinds, n bytes per tree, and a member's neighbors read again
+after another tree spent its capacity.
 """
 
 from __future__ import annotations
@@ -19,47 +21,17 @@ import pytest
 
 from helpers import (
     capacity_features,
+    capacity_order,
     map_items,
     random_complete_instance,
     random_general_instance,
     random_tree_instance,
+    reference_greedy,
     shaped_instance,
 )
-from treepack import Instance, Packing, greedy_general, objective
+from treepack import Instance, greedy_general, objective
 
 FAMILIES = (random_complete_instance, random_tree_instance, random_general_instance)
-
-
-def reference_greedy(inst: Instance) -> Packing:
-    """Rescans every member list from the start on every turn: quadratic."""
-    count = inst.num_trees
-    root = inst.root
-    caps = list(inst.capacities)
-    parents: list[dict[int, int]] = [{} for _ in range(count)]
-    orders: list[list[int]] = [[root] for _ in range(count)]
-    members: list[set[int]] = [{root} for _ in range(count)]
-    grew = True
-    while grew:
-        grew = False
-        for k in range(count):
-            found = None
-            for u in orders[k]:
-                if caps[u] <= 0:
-                    continue
-                for w in inst.neighbors(u):
-                    if w not in members[k]:
-                        found = (u, w)
-                        break
-                if found:
-                    break
-            if found:
-                u, w = found
-                caps[u] -= 1
-                parents[k][w] = u
-                members[k].add(w)
-                orders[k].append(w)
-                grew = True
-    return Packing(root, parents)
 
 
 def shaped():
@@ -94,9 +66,25 @@ def long_path():
 @pytest.mark.parametrize("cases", [shaped, small, larger, long_path], ids=lambda cases: cases.__name__)
 def test_matches_reference_greedy(cases):
     for inst in cases():
-        got, want = greedy_general(inst), reference_greedy(inst)
+        got, want = greedy_general(inst), reference_greedy(inst, capacity_order)
         assert got.root == want.root
         assert map_items(got) == map_items(want), inst
+
+
+@pytest.mark.parametrize(
+    "inst, want",
+    [
+        # Vertex 2 carries the tree on to 3; in id order the root's one unit went to 1, a dead end.
+        (Instance("general", 4, (1, 0, 2, 0), 1, 0, ((0, 1), (0, 2), (2, 3))), [[(2, 0), (3, 2)]]),
+        (Instance("complete", 4, (1, 0, 0, 2), 1), [[(3, 0), (1, 3), (2, 3)]]),
+        # Equal capacities: the smaller id first.
+        (Instance("general", 5, (1, 1, 1, 0, 0), 1, 0, ((0, 1), (0, 2), (1, 3), (2, 4))), [[(1, 0), (3, 1)]]),
+    ],
+    ids=["general", "complete", "ties"],
+)
+def test_high_capacity_neighbors_are_offered_first(inst, want):
+    assert map_items(greedy_general(inst)) == want
+    assert map_items(reference_greedy(inst, capacity_order)) == want
 
 
 @pytest.fixture
@@ -117,7 +105,7 @@ def test_complete_kind_lists_no_neighbors(neighbor_calls):
     rng = random.Random(2102)
     complete = Instance("complete", 400, tuple(rng.randint(0, 4) for _ in range(400)), 6, 17)
     general = random_general_instance(rng, max_n=30)
-    want = reference_greedy(complete)
+    want = reference_greedy(complete, capacity_order)
     neighbor_calls.clear()
     got = greedy_general(complete)
     greedy_general(general)

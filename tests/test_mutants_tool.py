@@ -1,7 +1,11 @@
-"""Smoke tests of tools/mutants.py: a tiny checkout's one planted survivor is named, or explained by its list."""
+"""Smoke tests of tools/mutants.py: a tiny checkout's one planted survivor is named, or explained by its list.
+
+Also the default test order on this checkout: the module's own test file leads.
+"""
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -35,6 +39,13 @@ def run(*args: str) -> subprocess.CompletedProcess:
     # The tiny test needs no Hypothesis, whose plugin takes most of a run's start-up.
     env = dict(os.environ, PYTEST_ADDOPTS="-p no:hypothesispytest")
     return subprocess.run([*TOOL, *args], capture_output=True, text=True, env=env)
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("mutants_tool", TOOL[1])
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 def tiny_checkout(root: Path) -> None:
@@ -89,3 +100,12 @@ def test_failing_tests_and_usage_errors_exit_2(tmp_path, tmp_path_factory):
     done = run("--help")
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.startswith("usage: python3 tools/mutants.py ")
+
+
+def test_the_modules_own_tests_run_first_then_those_naming_it():
+    tests = load_tool().default_tests(ROOT, ROOT / "src" / "treepack" / "oracle.py")
+    assert tests[0] == "tests/test_oracle.py"
+    naming = [t for t in tests if "oracle" in (ROOT / t).read_text(encoding="utf-8")]
+    assert tests[: len(naming)] == naming  # every file naming the module before any other
+    every = {f"tests/{p.name}" for p in (ROOT / "tests").glob("test_*.py")}
+    assert sorted(tests) == sorted(every - {"tests/test_bench_harness.py"})

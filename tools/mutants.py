@@ -17,7 +17,9 @@ change; running in place would not do, since pyproject's
 ``pythonpath = ["src"]`` puts the checkout's unmutated package first on
 sys.path.  Each mutant runs ``python -m pytest -x -q -p no:cacheprovider``
 on the TEST files, relative to DIR; the default is every tests/test_*.py
-but test_bench_harness.py, those that name the module first.  The
+but test_bench_harness.py: the module's own tests/test_<stem>.py first,
+then the other files that name the module, then the rest, each group in
+name order, so the tests most likely to kill a mutant run first.  The
 children write no bytecode, so no mutant can load another's, and each
 may use at most 2 GiB of address space.  A mutant is killed when pytest
 fails or runs ten times as long as the tests took on the unmutated
@@ -110,9 +112,10 @@ def mutate(source: str, site: tuple[int, int, int, str, str]) -> str:
 
 
 def default_tests(root: Path, module: Path) -> list[str]:
-    """Every tests/test_*.py but the benchmark harness's, those naming the module first."""
+    """Every tests/test_*.py but the benchmark harness's: the module's own first, then those naming it."""
     files = [p for p in sorted((root / "tests").glob("test_*.py")) if p.name != "test_bench_harness.py"]
-    files.sort(key=lambda p: module.stem not in p.read_text(encoding="utf-8"))
+    own = f"test_{module.stem}.py"
+    files.sort(key=lambda p: (p.name != own, module.stem not in p.read_text(encoding="utf-8")))
     return [str(p.relative_to(root)) for p in files]
 
 
