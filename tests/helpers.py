@@ -366,6 +366,11 @@ def assignment_satisfies(sat: SatInstance, assignment: dict[int, bool]) -> bool:
     )
 
 
+def satisfied_clauses(sat: SatInstance, assignment: dict[int, bool]) -> int:
+    """How many of the formula's clauses the assignment makes true."""
+    return sum(bool(true_literals(clause, assignment)) for clause in sat.clauses)
+
+
 def cnf_satisfiable(sat: SatInstance) -> bool:
     """Exhaustive truth-table check, the independent side of the gadget test."""
     for bits in itertools.product((False, True), repeat=sat.num_vars):
@@ -377,10 +382,10 @@ def cnf_satisfiable(sat: SatInstance) -> bool:
 
 def max_sat(sat: SatInstance) -> int:
     """The most clauses one assignment satisfies, by truth table: the gadget optimum is 1 + 2n + this."""
-    best = 0
-    for bits in itertools.product((False, True), repeat=sat.num_vars):
-        best = max(best, sum(any((lit > 0) == bits[abs(lit) - 1] for lit in cl) for cl in sat.clauses))
-    return best
+    return max(
+        satisfied_clauses(sat, dict(enumerate(bits, start=1)))
+        for bits in itertools.product((False, True), repeat=sat.num_vars)
+    )
 
 
 # The CLI's argparse parser as it was before cli.parse_args replaced it;

@@ -114,9 +114,7 @@ def test_criterion_5_reduction_fidelity():
             reachable = value >= out.gamma
             assert reachable == cnf_satisfiable(sat), sat
             if reachable:
-                assignment = extract_assignment(out, packing)
-                assert assignment is not None
-                assert assignment_satisfies(sat, assignment)
+                assert assignment_satisfies(sat, extract_assignment(out, packing))
         assert time.perf_counter() - start < 300.0
 
 

@@ -19,6 +19,7 @@ from helpers import (
     max_sat,
     planted_3cnf,
     random_3cnf,
+    satisfied_clauses,
     satlib_uf_text,
     true_literals,
 )
@@ -193,10 +194,11 @@ class TestExtractAssignment:
         assert assignment == {1: True, 2: False, 3: True, 4: False}
         assert assignment_satisfies(EXAMPLE_FORMULA, assignment)
 
-    def test_below_threshold_returns_none(self):
+    def test_below_threshold_returns_the_encoded_assignment(self):
+        # The root alone holds no positive literal: every variable is False.
         out = reduce_3sat(EXAMPLE_FORMULA)
         packing = Packing(0, ({},))
-        assert extract_assignment(out, packing) is None
+        assert extract_assignment(out, packing) == {1: False, 2: False, 3: False, 4: False}
 
     def test_unverified_packing_rejected(self):
         out = reduce_3sat(EXAMPLE_FORMULA)
@@ -208,9 +210,7 @@ class TestExtractAssignment:
         out = reduce_3sat(EXAMPLE_FORMULA)
         value, packing = brute_force_solve(out.instance, max_n=out.instance.n, max_k=1)
         assert value == out.gamma
-        assignment = extract_assignment(out, packing)
-        assert assignment is not None
-        assert assignment_satisfies(EXAMPLE_FORMULA, assignment)
+        assert assignment_satisfies(EXAMPLE_FORMULA, extract_assignment(out, packing))
 
 
 class TestBidirectional:
@@ -228,9 +228,7 @@ class TestBidirectional:
             reachable = value >= out.gamma
             assert reachable == cnf_satisfiable(sat), sat
             if reachable:
-                assignment = extract_assignment(out, packing)
-                assert assignment is not None
-                assert assignment_satisfies(sat, assignment)
+                assert assignment_satisfies(sat, extract_assignment(out, packing))
 
     def test_optimum_is_one_plus_two_n_plus_max_sat(self):
         # A tree holds the root, the n selectors, at most one literal per
@@ -283,10 +281,14 @@ class TestPlantedGadget:
 
     def test_solver_packings_stay_within_gamma(self, name):
         # greedy is the one solver for general graphs past the oracle's limits.
-        _, _, out = planted(name)
+        # Its tree's assignment satisfies at least obj - 1 - 2n clauses (the
+        # reduction module's L-reduction bound); on uf50 both sides are 185.
+        sat, _, out = planted(name)
         packing = greedy_general(out.instance)
         assert verify_packing(out.instance, packing)["valid"]
         assert objective(packing) <= out.gamma
+        found = satisfied_clauses(sat, extract_assignment(out, packing))
+        assert found >= objective(packing) - 1 - 2 * sat.num_vars
 
     def test_flipped_selector_disconnects_exactly_the_unsatisfied_clauses(self, name):
         sat, assignment, out = planted(name)

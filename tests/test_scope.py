@@ -16,12 +16,17 @@ One-edge changes: every packing one edge away from a solver's packing
 on a smaller scope (trees and complete graphs to n = 4, general graphs
 to n = 3) must get test_differential.reference_verify's report, both
 from verify_packing and from verify_document on its packing document.
+Gadget trees: on 300 small random formulas, the oracle's and greedy's
+gadget packings and every one-edge change of either that still verifies
+must encode an assignment that satisfies at least obj - 1 - 2n clauses
+(the reduction module's L-reduction bound).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import random
 
 import pytest
 
@@ -30,6 +35,9 @@ from helpers import (
     connected_graphs,
     disagreement,
     graph_scope,
+    max_sat,
+    random_3cnf,
+    satisfied_clauses,
     tree_scope,
     tree_shapes,
 )
@@ -39,10 +47,12 @@ from treepack import (
     Instance,
     Packing,
     brute_force_solve,
+    extract_assignment,
     greedy_general,
     objective,
     optimal_objective,
     packing_to_dict,
+    reduce_3sat,
     solve_complete,
     solve_tree,
     verify_packing,
@@ -162,3 +172,33 @@ def test_every_one_edge_change_gets_the_reference_report(scope, solve, counts):
             damaged += 1
             still_valid += expected["valid"]
     assert (damaged, still_valid) == counts
+
+
+def test_every_gadget_tree_near_the_solvers_encodes_obj_minus_1_minus_2n_clauses():
+    # The L-reduction's beta = 1: MAX-SAT - sat(T) <= OPT - obj(T) for every
+    # verified tree T, with equality reached on some tree.
+    rng = random.Random(5)
+    slacks, packings = set(), 0
+    for _ in range(300):
+        sat = random_3cnf(rng, max_vars=3, max_clauses=8)
+        out = reduce_3sat(sat)
+        inst, n, best = out.instance, sat.num_vars, max_sat(sat)
+        opt, oracle = brute_force_solve(inst, max_n=inst.n, max_k=1)
+        # The solvers' neighbourhoods overlap, and a tree on a non-edge never
+        # verifies: the verifier sees each remaining tree once.
+        arcs = {*inst.edges, *((v, u) for u, v in inst.edges)}
+        distinct = {}
+        for solved in (oracle, greedy_general(inst)):
+            for packing in (solved, *one_edge_changes(solved, inst.n)):
+                tree = packing.trees[0]
+                if arcs.issuperset(tree.items()):
+                    distinct.setdefault(tuple(sorted(tree.items())), packing)
+        for packing in distinct.values():
+            if not verify_packing(inst, packing)["valid"]:
+                continue
+            found = satisfied_clauses(sat, extract_assignment(out, packing))
+            assert found >= objective(packing) - 1 - 2 * n, (sat, packing)
+            slacks.add((opt - objective(packing)) - (best - found))
+            packings += 1
+    assert packings == 2752
+    assert min(slacks) == 0
