@@ -10,11 +10,11 @@ values that solve_mckp, the independent check of the tree DP, reads;
 they are exact up to each vertex's reach, where its list stops.
 
 reference_greedy is the greedy baseline's earlier quadratic form, with
-the order in which a member offers its neighbors as its one parameter:
+the order in which a member offers its neighbors as a parameter:
 id_order, the earlier rule, or capacity_order, greedy_general's.  Run
-with id_order it also draws the general packings of
-test_differential.seeded_cases, whose golden reports must not move with
-greedy's rule.
+with id_order and in one pass (dead_ends_last=False), the earlier rule,
+it also draws the general packings of test_differential.seeded_cases,
+whose golden reports must not move with greedy's rule.
 
 The other reference is the CLI's argparse parser, kept as the earlier
 code that tests compare cli.parse_args with, less the options since
@@ -73,39 +73,65 @@ def capacity_order(capacity: int, v: int) -> tuple[int, int]:
     return -capacity, v
 
 
-def reference_greedy(inst: Instance, order) -> Packing:
+def reference_greedy(inst: Instance, order, dead_ends_last: bool = True) -> Packing:
     """Rescans every member list from the start on every turn: quadratic.
 
     Each member offers its non-member neighbors sorted by
-    order(input capacity, id).
+    order(input capacity, id).  With dead_ends_last, greedy_general's
+    rule: phase 1 adopts only vertices with capacity left, phase 2 the
+    rest; then one leaf re-hang round, tree by tree, over the leaves
+    whose parent has no capacity left when the tree's turn comes; then
+    both phases again.  Without it, the earlier rule: one pass that
+    adopts any vertex.
     """
-    count = inst.num_trees
     root = inst.root
     caps = list(inst.capacities)
-    parents: list[dict[int, int]] = [{} for _ in range(count)]
-    orders: list[list[int]] = [[root] for _ in range(count)]
-    members: list[set[int]] = [{root} for _ in range(count)]
-    grew = True
-    while grew:
-        grew = False
-        for k in range(count):
-            found = None
-            for u in orders[k]:
-                if caps[u] <= 0:
-                    continue
-                for w in sorted(inst.neighbors(u), key=lambda w: order(inst.capacities[w], w)):
-                    if w not in members[k]:
-                        found = (u, w)
-                        break
-                if found:
-                    break
-            if found:
-                u, w = found
-                caps[u] -= 1
-                parents[k][w] = u
-                members[k].add(w)
-                orders[k].append(w)
-                grew = True
+    parents: list[dict[int, int]] = [{} for _ in range(inst.num_trees)]
+
+    def offers(u: int) -> list[int]:
+        return sorted(inst.neighbors(u), key=lambda w: order(inst.capacities[w], w))
+
+    def member(v: int, tree: dict[int, int]) -> bool:
+        return v == root or v in tree
+
+    def adopt(alive: bool) -> None:
+        grew = True
+        while grew:
+            grew = False
+            for tree in parents:
+                for u in [root, *tree]:
+                    if caps[u] > 0:
+                        w = next((w for w in offers(u) if not member(w, tree) and (caps[w] > 0 or not alive)), None)
+                        if w is not None:
+                            caps[u] -= 1
+                            tree[w] = u
+                            grew = True
+                            break
+
+    if not dead_ends_last:
+        adopt(False)
+        return Packing(root, parents)
+    adopt(True)
+    adopt(False)
+    nears = [{v for v in [root, *tree] if caps[v] > 0} for tree in parents]
+    for tree, near in zip(parents, nears):
+        for x in [x for x in tree if caps[tree[x]] == 0 and x not in tree.values()]:
+            if x in tree.values():
+                continue
+            p = tree[x]
+            q = next((q for q in offers(x) if caps[q] > 0 and q in near), None)
+            use = next(
+                ((other, w) for other in parents if member(p, other) for w in offers(p) if not member(w, other)),
+                None,
+            )
+            if q is not None and use is not None:
+                other, w = use
+                del tree[x]
+                tree[x] = q
+                caps[q] -= 1
+                other[w] = p
+    adopt(True)
+    adopt(False)
     return Packing(root, parents)
 
 

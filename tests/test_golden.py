@@ -38,7 +38,7 @@ from treepack import (
 )
 from treepack.cli import main
 
-GOLDEN = "a2ec6616fa3cf08bc86a11df7b07568bfa51fe42d6ce657b59350d569ad8e2e8"
+GOLDEN = "f25d362a677b90336dac3b44044caf359d471dadb73293246bcea65c419aa075"
 GOLDEN_REPORTS = "0590b1af47ce33604eb8a519c426574265b9cdbb985eb78c58f0e6a16bf2e9b0"
 GOLDEN_CLI_REPORTS = "219b4361ee482154e6a89364c22284e98ebd419f34e95956e2dd759a1c973e5d"
 

@@ -1,14 +1,17 @@
-"""Greedy baseline: families of instances against the reference, its offer order, and pins on its work and memory.
+"""Greedy baseline: families of instances against the reference, its rules, and pins on its quality, work and memory.
 
-greedy_general grows each tree in one suspended scan that reads membership
-from the tree's parent map and, on complete kinds, passes over the
-capacity rank once per tree.  These tests compare it, map order
-included, with helpers.reference_greedy, the earlier quadratic
-implementation, run with capacity_order, on four families; pin by hand
-the cases where that order and the earlier id order part; and pin three
-costs that earlier code paid: an (n - 1)-tuple of neighbors per turn on
-complete kinds, n bytes per tree, and a member's neighbors read again
-after another tree spent its capacity.
+greedy_general grows each tree in one suspended scan per phase that reads
+membership from the tree's parent map and, on complete kinds, passes
+over the capacity rank once per tree; then one round moves leaves onto
+spare capacity.  These tests compare it, map order included, with
+helpers.reference_greedy, the earlier quadratic implementation, run with
+capacity_order and its rescans, on four families; pin by hand the cases
+where that order and the earlier id order part, and where dead ends
+last and the leaf round each gain one; floor its objective on the
+general-mix shape; and pin three costs that earlier code paid: an
+(n - 1)-tuple of neighbors per turn on complete kinds, n bytes per tree,
+and a member's neighbors read again after another tree spent its
+capacity.
 """
 
 from __future__ import annotations
@@ -87,6 +90,36 @@ def test_high_capacity_neighbors_are_offered_first(inst, want):
     assert map_items(reference_greedy(inst, capacity_order)) == want
 
 
+@pytest.mark.parametrize(
+    "inst, want, earlier",
+    [
+        # Tree 0 takes 3's second unit for 5.  In one pass tree 1 had spent
+        # 3's first unit on 4, dead since tree 0's turn; now it skips 4 for
+        # 5, which is live and carries it on to 4: 9 -> 10.
+        (
+            Instance("general", 6, (3, 0, 1, 2, 1, 1), 2, 0, ((0, 1), (0, 2), (0, 4), (2, 3), (3, 4), (3, 5), (4, 5))),
+            [[(2, 0), (4, 0), (3, 4), (5, 3)], [(2, 0), (3, 2), (5, 3), (4, 5)]],
+            9,
+        ),
+        # Phase 2 hangs the dead 1 under the root, whose last unit 2 needs.
+        # The re-hang moves 1 under 3, which has a unit left, and the root
+        # spends the unit it got back on 2: 3 -> 4, the optimum.
+        (
+            Instance("general", 4, (2, 0, 0, 1), 1, 0, ((0, 1), (0, 2), (0, 3), (1, 3))),
+            [[(3, 0), (1, 3), (2, 0)]],
+            3,
+        ),
+    ],
+    ids=["dead-ends-last", "re-hang"],
+)
+def test_dead_ends_go_last_and_leaves_move_onto_spare_capacity(inst, want, earlier):
+    got = greedy_general(inst)
+    assert map_items(got) == want
+    assert map_items(reference_greedy(inst, capacity_order)) == want
+    assert objective(reference_greedy(inst, capacity_order, dead_ends_last=False)) == earlier
+    assert objective(got) == earlier + 1
+
+
 @pytest.fixture
 def neighbor_calls(monkeypatch) -> Counter:
     """Counts Instance.neighbors calls by the instance's kind."""
@@ -135,6 +168,14 @@ def test_each_tree_reads_each_members_neighbors_once(neighbor_calls):
     packing = greedy_general(inst)
     calls = neighbor_calls["general"]
     assert 0 < calls <= objective(packing), (calls, objective(packing))
+
+
+def test_objective_floor_on_the_general_mix_shape():
+    # The instance above; in one pass, with capacity order, greedy reached 4354.
+    drawn = sparse_general_instance(random.Random(2104), 3000, 3, 1, 3)
+    caps = (3 * len(drawn.neighbors(0)), *drawn.capacities[1:])
+    inst = Instance("general", drawn.n, caps, 3, 0, drawn.edges)
+    assert objective(greedy_general(inst)) >= 4754
 
 
 def test_memory_follows_the_output_not_n_times_k():
