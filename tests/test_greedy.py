@@ -1,9 +1,10 @@
 """Greedy baseline: families of instances against the reference, its rules, and pins on its quality, work and memory.
 
 greedy_general grows each tree in one suspended scan per phase that reads
-membership from the tree's parent map and, on complete kinds, passes
-over the capacity rank once per tree; then one round moves leaves onto
-spare capacity.  These tests compare it, map order included, with
+membership from the tree's parent map and, on complete kinds, where every
+vertex offers the one capacity rank, passes over that rank at most once
+per tree and phase; then one round moves leaves onto spare capacity.
+These tests compare it, map order included, with
 helpers.reference_greedy, the earlier quadratic implementation, run with
 capacity_order and its rescans, on four families; pin by hand the cases
 where that order and the earlier id order part, and where dead ends

@@ -13,10 +13,12 @@ on a transformed copy, so it needs no reference solver:
   with the same capacities, K and root;
 - greedy_general on a complete graph builds the same packing, map order
   included, as on that graph given as kind general with every edge, which
-  pins its complete-kind scan to the generic neighbor loop.
+  pins the shared offer list of a complete kind to one list per vertex.
 
 Desk and medium sizes, seeded, and a large-K size whose K ranges up to n
-(at most 400), past the medium size's K <= 25.
+(at most 400), past the medium size's K <= 25.  The greedy relation also
+runs on one complete graph with K = n = 600, capacities 0..2 and a root
+of capacity K, where most trees end among vertices that died early.
 """
 
 from __future__ import annotations
@@ -105,9 +107,16 @@ def test_tree_between_greedy_and_complete_relaxation(size):
         assert objective(greedy_general(inst)) <= exact(inst) <= optimal_objective(relaxed)
 
 
-@pytest.mark.parametrize("size", SIZES)
+def k_equals_n(n: int) -> Instance:
+    """K = n trees, capacities 0..2 and a root of capacity K: most vertices die early, under many trees."""
+    rng = random.Random(n)
+    return Instance("complete", n, (n, *(rng.randint(0, 2) for _ in range(n - 1))), n, 0)
+
+
+@pytest.mark.parametrize("size", [*SIZES, "k-equals-n"])
 def test_greedy_complete_equals_greedy_on_every_edge(size):
-    for _, inst in cases("complete", size):
+    insts = [k_equals_n(600)] if size == "k-equals-n" else [inst for _, inst in cases("complete", size)]
+    for inst in insts:
         edges = tuple(combinations(range(inst.n), 2))
         general = Instance("general", inst.n, inst.capacities, inst.num_trees, inst.root, edges)
         got, want = greedy_general(inst), greedy_general(general)

@@ -1,5 +1,7 @@
 """Smoke tests of tools/mutants.py: a tiny checkout's one planted survivor is named, or explained by its list.
 
+A list entry whose line is gone from its file is refused before any test runs.
+
 Also the default test order on this checkout: the module's own test file leads.
 """
 
@@ -88,6 +90,18 @@ def test_failing_tests_and_usage_errors_exit_2(tmp_path, tmp_path_factory):
     done = run(str(tmp_path / "src" / "tiny.py"))
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr.startswith("error: tools/equivalent_mutants.json: not a list of file, line and swap entries")
+    # An entry whose line is gone from its file is stale, and so is one whose file is gone.
+    listed = [
+        {"file": "src/tiny.py", "line": "if x == 0:", "swap": "0 -> 1", "reason": "still there"},
+        {"file": "src/tiny.py", "line": "if x <= 0:", "swap": "0 -> 1", "reason": "edited away"},
+        {"file": "src/gone.py", "line": "if x == 0:", "swap": "0 -> 1", "reason": "file deleted"},
+    ]
+    (tmp_path / "tools" / "equivalent_mutants.json").write_text(json.dumps(listed))
+    done = run(str(tmp_path / "src" / "tiny.py"))
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (
+        "error: tools/equivalent_mutants.json: line not in its file: src/gone.py: 'if x == 0:', src/tiny.py: 'if x <= 0:'\n"
+    )
     lone = tmp_path_factory.mktemp("lone") / "x.py"  # no tests/ directory above it
     lone.write_text(MODULE)
     done = run(str(lone))

@@ -39,7 +39,10 @@ S survived (E known equivalent, U unexplained)``, and exits 0.  A usage
 error, a module outside DIR or one that does not parse, an unreadable
 list, or tests that fail on the unmutated code print one ``error:`` line
 to stderr and exit 2; so does a MODULE with no tests/ directory above
-it.
+it, and so does a list with an entry whose ``line`` no longer occurs in
+its ``file``: such an entry explains nothing, and the mutant it was
+written for may be gone or may now survive unexplained.  The list is
+checked before any test runs.
 """
 
 from __future__ import annotations
@@ -127,6 +130,17 @@ def equivalents(root: Path) -> set[tuple[str, str, str]]:
     return {(entry["file"], entry["line"], entry["swap"]) for entry in json.loads(path.read_text(encoding="utf-8"))}
 
 
+def stale(root: Path, known: set[tuple[str, str, str]]) -> list[str]:
+    """Each listed ``FILE: LINE`` whose file under root no longer holds that line's text."""
+
+    def lines(file: str) -> set[str]:
+        path = root / file
+        return {text.strip() for text in path.read_text(encoding="utf-8").splitlines()} if path.is_file() else set()
+
+    held = {file: lines(file) for file, _, _ in known}
+    return sorted({f"{file}: {line!r}" for file, line, _ in known if line not in held[file]})
+
+
 def limit_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY, MEMORY))
 
@@ -171,6 +185,9 @@ def main(argv: list[str]) -> int:
         known = equivalents(root)
     except (ValueError, KeyError, TypeError) as exc:
         return error(f"{EQUIVALENTS}: not a list of file, line and swap entries ({exc!r})")
+    gone = stale(root, known)
+    if gone:
+        return error(f"{EQUIVALENTS}: line not in its file: {', '.join(gone)}")
     tests = argv[1:] or default_tests(root, module)
     ignore = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis")
     with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
