@@ -16,6 +16,9 @@ with id_order and in one pass (dead_ends_last=False), the earlier rule,
 it also draws the general packings of test_differential.seeded_cases,
 whose golden reports must not move with greedy's rule.
 
+line_events counts the Python lines a call runs in chosen frames, a
+work measure that, unlike time, is the same on every machine.
+
 The other reference is the CLI's argparse parser, kept as the earlier
 code that tests compare cli.parse_args with, less the options since
 removed (--alg complete and tree, reduce --max-vertices).  The complete
@@ -28,6 +31,7 @@ import argparse
 import itertools
 import json
 import random
+import sys
 
 from treepack import (
     Instance,
@@ -56,6 +60,24 @@ def stripe_vector(excess: list[int], count: int) -> list[int]:
     """f(1..count) of a vertex from its excess list: f(k) = k + sum(excess[:k]), up to its reach."""
     padded = excess + [0] * (count - len(excess))
     return list(itertools.accumulate(1 + x for x in padded))
+
+
+def line_events(run, counted) -> tuple[object, int]:
+    """run() under sys.settrace: its result, and the line events of the frames that counted(frame) accepts."""
+    events = 0
+
+    def local(frame, event, arg):
+        nonlocal events
+        events += event == "line"
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if counted(frame) else None)
+    try:
+        result = run()
+    finally:
+        sys.settrace(previous)
+    return result, events
 
 
 def map_items(packing: Packing) -> list[list[tuple[int, int]]]:

@@ -2,7 +2,9 @@
 
 reference_stage_paths and reference_attach are the earlier, simpler
 implementations of the two stages, kept verbatim apart from taking the
-instance as an argument.  assert_matches_reference holds the solver to
+instance as an argument; reference_stage_paths then lists each path's
+inner vertices by descending capacity, ties by id, the solver's chain
+order.  assert_matches_reference holds the solver to
 them on each family of instances: the same paths and residuals, the same
 parent maps in the same insertion order, and the streamed document's
 bytes and value.
@@ -18,6 +20,7 @@ import pytest
 
 from helpers import (
     capacity_features,
+    line_events,
     map_items,
     random_complete_instance,
     shaped_instance,
@@ -68,6 +71,14 @@ class TestStagePaths:
         paths, residual = stage_paths(inst)
         assert paths == [[0], [0], [0]]
         assert residual == [0, 4, 4]
+
+    def test_chain_order_is_descending_capacity(self):
+        # chain = [2, 3, 1]: capacity 3, 2, then 1; last = 4.  Each level
+        # cuts the chain's tail of capacity k, so every path is a prefix.
+        inst = complete([3, 1, 3, 2, 1], 3)
+        paths, residual = stage_paths(inst)
+        assert paths == [[0, 2, 3, 1, 4], [0, 2, 3, 4], [0, 2, 4]]
+        assert residual == [0, 0, 0, 0, 1]
 
     def test_one_funded_vertex_ends_every_active_path(self):
         # last = 3 is never charged; active = min(c_root, K) = 3.
@@ -180,6 +191,23 @@ class TestPackingText:
         assert next(chunks) == f'], "objective": {value}}}\n'
         assert drawn == stage_paths(inst)[0]
 
+    def test_text_costs_no_python_step_per_occurrence(self):
+        """Drawing the whole document runs O(n + K + adopted ids) lines of complete_solver.
+
+        The objective, 76,167, is 25 times n + K; the paths' text is cut
+        from the chain's, so only the residuals and the levels cost lines.
+        """
+        rng = random.Random(40)
+        n, k = 3000, 60
+        caps = [rng.randint(0, 50) for _ in range(n)]
+        caps[0] = k
+        inst = complete(caps, k)
+        value, chunks = _packing_text(inst)
+        text, events = line_events(lambda: "".join(chunks), lambda f: f.f_code.co_filename == complete_solver.__file__)
+        adopted = sum(len(ids) for _, runs in attach_stage(inst) for _, ids in runs)
+        assert value == 76167 and json.loads(text)["objective"] == value
+        assert events <= 2 * (n + k + adopted), events
+
     def test_worked_chunks(self):
         inst = complete([2, 1, 1, 1], 2)
         value, chunks = _packing_text(inst)
@@ -192,7 +220,11 @@ class TestPackingText:
 
 
 def reference_stage_paths(inst: Instance) -> tuple[list[list[int]], list[int]]:
-    """Rebuilds every path from all n vertices: Theta(nK)."""
+    """Rebuilds every path from all n vertices: Theta(nK).
+
+    Each level filters the vertices with capacity left; the ones between
+    the root and the last are then listed by (-input capacity, id).
+    """
     caps = list(inst.capacities)
     root = inst.root
     rest = [v for v in range(inst.n) if v != root]
@@ -204,7 +236,8 @@ def reference_stage_paths(inst: Instance) -> tuple[list[list[int]], list[int]]:
         path = [root] + [v for v in rest if caps[v] > 0]
         for v in path[:-1]:
             caps[v] -= 1
-        paths.append(path)
+        inner = sorted(path[1:-1], key=lambda v: (-inst.capacities[v], v))
+        paths.append(path[:1] + inner + path[-1:] if len(path) > 1 else path)
     return paths, caps
 
 

@@ -39,8 +39,8 @@ from treepack import (
 from treepack.cli import main
 
 GOLDEN = "f25d362a677b90336dac3b44044caf359d471dadb73293246bcea65c419aa075"
-GOLDEN_REPORTS = "0590b1af47ce33604eb8a519c426574265b9cdbb985eb78c58f0e6a16bf2e9b0"
-GOLDEN_CLI_REPORTS = "219b4361ee482154e6a89364c22284e98ebd419f34e95956e2dd759a1c973e5d"
+GOLDEN_REPORTS = "2f7f31debce2a02138dd0f6076b20f10c9359de74004ab7b024ec1b7e5318555"
+GOLDEN_CLI_REPORTS = "0251e70ff5c9a2c718686c4f605c55afa02427046ef1220f1bd9d3239ad116ac"
 
 
 def document(packing) -> str:

@@ -9,10 +9,11 @@ helpers.reference_greedy, the earlier quadratic implementation, run with
 capacity_order and its rescans, on four families; pin by hand the cases
 where that order and the earlier id order part, and where dead ends
 last and the leaf round each gain one; floor its objective on the
-general-mix shape; and pin three costs that earlier code paid: an
-(n - 1)-tuple of neighbors per turn on complete kinds, n bytes per tree,
-and a member's neighbors read again after another tree spent its
-capacity.
+general-mix shape; and pin four costs that earlier code paid, or that
+a copy without a cursor pays: an (n - 1)-tuple of neighbors per turn on
+complete kinds, n bytes per tree, a member's neighbors read again after
+another tree spent its capacity, and a leaf round whose q searches read
+the rank from its head.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import pytest
 from helpers import (
     capacity_features,
     capacity_order,
+    line_events,
     map_items,
     random_complete_instance,
     random_general_instance,
@@ -33,7 +35,7 @@ from helpers import (
     reference_greedy,
     shaped_instance,
 )
-from treepack import Instance, greedy_general, objective
+from treepack import Instance, greedy, greedy_general, objective
 
 FAMILIES = (random_complete_instance, random_tree_instance, random_general_instance)
 
@@ -146,6 +148,25 @@ def test_complete_kind_lists_no_neighbors(neighbor_calls):
     assert neighbor_calls["complete"] == 0
     assert neighbor_calls["general"] > 0  # the count sees the calls that are made
     assert map_items(got) == map_items(want)
+
+
+def test_q_searches_read_on_from_their_cursors_on_complete_kinds():
+    # Capacities floor(2000 / sqrt(v + 1)), shuffled: many leaves move.  The
+    # q searches read 245,168 lines here; read from the head of the one
+    # rank each time, as the general kind's first search does, they read
+    # 23 million, several passes over the rank per tree.
+    n = k = 2000
+    caps = [int(2000 / (v + 1) ** 0.5) for v in range(n)]
+    random.Random(10).shuffle(caps)
+    inst = Instance("complete", n, tuple(caps), k)
+
+    def in_spare_member(frame) -> bool:  # spare_member and the generator it drives
+        code, caller = frame.f_code, frame.f_back
+        return code.co_filename == greedy.__file__ and "spare_member" in (code.co_name, caller and caller.f_code.co_name)
+
+    packing, events = line_events(lambda: greedy_general(inst), in_spare_member)
+    assert objective(packing) == 177002
+    assert 0 < events <= n * k // 10, events
 
 
 def sparse_general_instance(rng: random.Random, n: int, k: int, cap_lo: int, cap_hi: int) -> Instance:

@@ -1,6 +1,8 @@
 """Smoke tests of tools/mutants.py: a tiny checkout's one planted survivor is named, or explained by its list.
 
 A list entry whose line is gone from its file is refused before any test runs.
+A mutant that loops is stopped at the timeout of the test file it loops
+in, not at one taken from the whole suite.
 
 Also the default test order on this checkout: the module's own test file leads.
 """
@@ -12,6 +14,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -114,6 +117,42 @@ def test_failing_tests_and_usage_errors_exit_2(tmp_path, tmp_path_factory):
     done = run("--help")
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.startswith("usage: python3 tools/mutants.py ")
+
+
+# Four sites: ">", its 0, "-=" and its 1.  Three mutants return the
+# wrong count; "x += 1" never returns.
+LOOP = '''def count_down(x):
+    while x > 0:
+        x -= 1
+    return x
+'''
+LOOP_TEST = '''from loop import count_down
+
+
+def test_count_down():
+    assert count_down(3) == 0
+'''
+SLOW_TEST = '''import time
+
+
+def test_slow():
+    time.sleep(2)
+'''
+
+
+def test_a_looping_mutant_stops_at_its_own_files_timeout(tmp_path):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "src" / "loop.py").write_text(LOOP)
+    (tmp_path / "tests" / "test_loop.py").write_text(LOOP_TEST)
+    (tmp_path / "tests" / "test_slow.py").write_text(SLOW_TEST)
+    start = time.perf_counter()
+    done = run(str(tmp_path / "src" / "loop.py"))
+    elapsed = time.perf_counter() - start
+    assert (done.returncode, done.stderr) == (0, ""), done.stdout + done.stderr
+    assert done.stdout.splitlines() == ["4 mutants, 4 killed, 0 survived (0 known equivalent, 0 unexplained)"]
+    # Ten times the whole suite, over 2 s, would hold the loop alone for 20 s.
+    assert elapsed < 20, elapsed
 
 
 def test_the_modules_own_tests_run_first_then_those_naming_it():

@@ -163,7 +163,7 @@ def one_edge_changes(packing: Packing, n: int):
     "scope, solve, counts",
     [
         (lambda: tree_scope(4), lambda inst: solve_tree(inst)[1], (12699, 1122)),
-        (lambda: complete_scope(4), solve_complete, (1631, 187)),
+        (lambda: complete_scope(4), solve_complete, (1631, 191)),
         (lambda: graph_scope(3), lambda inst: brute_force_solve(inst)[1], (2356, 323)),
     ],
     ids=["tree", "complete", "general"],

@@ -21,9 +21,12 @@ but test_bench_harness.py: the module's own tests/test_<stem>.py first,
 then the other files that name the module, then the rest, each group in
 name order, so the tests most likely to kill a mutant run first.  The
 children write no bytecode, so no mutant can load another's, and each
-may use at most 2 GiB of address space.  A mutant is killed when pytest
-fails or runs ten times as long as the tests took on the unmutated
-code (at least 10 s); it survives when the tests pass.
+may use at most 2 GiB of address space.  The first TEST file runs on
+its own, then the rest, if any pass it; each part is timed on the
+unmutated code.  A mutant is killed when pytest fails or a part runs
+ten times as long as it took on the unmutated code (at least 5 s), so
+a mutant that loops in the first file's tests stops in seconds, not
+after ten times the whole suite; it survives when both parts pass.
 
 DIR/tools/equivalent_mutants.json, if there is one, lists the mutants
 known to be equivalent: each entry names the module (``file``, relative
@@ -66,6 +69,7 @@ SWAPS.update({"+": "-", "-": "+", "+=": "-=", "-=": "+="})
 OPS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!="}
 OPS.update({ast.Add: "+", ast.Sub: "-"})
 MEMORY = 2 << 30  # bytes of address space per pytest child
+MIN_TIMEOUT = 5.0  # seconds; ten times a part's unmutated time, but never less
 EQUIVALENTS = Path("tools") / "equivalent_mutants.json"
 
 
@@ -193,14 +197,17 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
         checkout = Path(scratch) / "checkout"
         shutil.copytree(root, checkout, ignore=ignore)
-        start = time.perf_counter()
-        if not passes(checkout, tests, None):
-            return error("the tests fail on the unmutated code")
-        timeout = max(10.0, 10 * (time.perf_counter() - start))
+        parts = [tests[:1], tests[1:]] if tests[1:] else [tests]
+        timeouts = []
+        for part in parts:
+            start = time.perf_counter()
+            if not passes(checkout, part, None):
+                return error("the tests fail on the unmutated code")
+            timeouts.append(max(MIN_TIMEOUT, 10 * (time.perf_counter() - start)))
         target, survivors, lines = checkout / relative, [], source.splitlines()
         for site in found:
             target.write_text(mutate(source, site), encoding="utf-8")
-            if passes(checkout, tests, timeout):
+            if all(passes(checkout, part, timeout) for part, timeout in zip(parts, timeouts)):
                 swap = f"{site[3]} -> {site[4]}"
                 listed = (relative.as_posix(), lines[site[0] - 1].strip(), swap) in known
                 survivors.append(listed)
